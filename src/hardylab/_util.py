@@ -1,38 +1,12 @@
-"""Shared helpers: deterministic JSON, digests, worker pools, slope fits."""
+"""Shared helpers: deterministic JSON, digests, slope fits."""
 
 from __future__ import annotations
 
 import hashlib
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-
-
-def worker_count() -> int:
-    """Worker pool size, bounded by the HARDYLAB_THREADS env var (default 1)."""
-    raw = os.environ.get("HARDYLAB_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 1
-    return max(1, n)
-
-
-def parallel_map(fn, items):
-    """Order-preserving map, threaded when HARDYLAB_THREADS > 1.
-
-    Results are collected by index, so the output is deterministic regardless
-    of scheduling.
-    """
-    items = list(items)
-    n = worker_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 def stable_json(obj) -> str:

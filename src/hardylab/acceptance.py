@@ -377,20 +377,22 @@ def criterion_determinism(seed: int = 1234) -> dict:
                  "--grid-level", "3", "--slab", "2"],
                 ["bound", "--domain", str(spec_path), "--case", "A",
                  "--m", "1", "--p", "2", "--q", "2", "--s", "-1"],
+                ["bound", "--domain", str(spec_path), "--case", "C",
+                 "--m", "1", "--p", "2", "--q", "2", "--s", "-1",
+                 "--A0", "0.1", "--grid-level", "3", "--svg"],
                 ["direct", "--domain", str(spec_path), "--m", "1",
                  "--p", "2", "--s", "-1"],
             ]
             run_digests = {}
-            for cmd in cmds:
-                code = cli.main(cmd + ["--out", str(out), "--seed", str(seed)])
+            for i, cmd in enumerate(cmds):
+                code = cli.main(cmd + ["--out", str(out / f"cmd{i}"),
+                                       "--seed", str(seed)])
                 if code != 0:
                     return {"criterion": 9, "name": "determinism",
                             "passed": False,
                             "rows": [{"failed_command": cmd}]}
-            for path in sorted(out.glob("*")):
-                if path.name in ("dom.json", "dom7.json"):
-                    continue
-                run_digests[path.name] = sha256_of_file(path)
+            for path in sorted(out.glob("cmd*/*")):
+                run_digests[str(path.relative_to(out))] = sha256_of_file(path)
             digests.append(run_digests)
     same = digests[0] == digests[1]
     return {"criterion": 9, "name": "determinism", "passed": same,

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 
 import numpy as np
@@ -153,11 +153,11 @@ def _diff_chain(m_cells: int, order: int) -> sp.csr_matrix:
 
 
 @lru_cache(maxsize=None)
-def _alpha_operator(m_cells: int, dim: int, alpha: tuple[int, ...]) -> sp.csr_matrix:
-    """D^alpha with anchors embedded in the full lattice (zero rows where the
-    stencil leaves the cube), so every difference is counted exactly once and
-    the order-j forms have exactly the degree-(j-1) polynomials as kernel."""
-    h = 1.0 / m_cells
+def _alpha_operator(m_cells: int, alpha: tuple[int, ...], h: float) -> sp.csr_matrix:
+    """D^alpha on an m_cells^N lattice of spacing h, with anchors embedded in
+    the full lattice (zero rows where the stencil leaves it), so every
+    difference is counted exactly once and the order-j forms have exactly the
+    degree-(j-1) polynomials as kernel."""
     op = None
     for a in alpha:
         T = _diff_chain(m_cells, a)
@@ -168,15 +168,19 @@ def _alpha_operator(m_cells: int, dim: int, alpha: tuple[int, ...]) -> sp.csr_ma
     return (op / h ** sum(alpha)).tocsr()
 
 
-def gradient_form_ops(m_cells: int, dim: int, order: int):
-    """[(multinomial weight, sparse operator)] for |grad^order u| aggregation."""
+def gradient_form_ops(m_cells: int, dim: int, order: int,
+                      h: float | None = None):
+    """[(multinomial weight, sparse operator)] for |grad^order u| aggregation
+    on an m_cells^dim lattice of spacing h (default: the unit cube)."""
     if order == 0:
         n = m_cells**dim
         return [(1, sp.identity(n, format="csr"))]
     if m_cells - order <= 0:
         raise CapacityError("grid too coarse for the requested gradient order")
+    if h is None:
+        h = 1.0 / m_cells
     return [
-        (multinomial(alpha), _alpha_operator(m_cells, dim, alpha))
+        (multinomial(alpha), _alpha_operator(m_cells, alpha, h))
         for alpha in multi_indices(dim, order)
     ]
 
@@ -191,18 +195,19 @@ def quadratic_form(m_cells: int, dim: int, order: int) -> sp.csr_matrix:
     return S.tocsr()
 
 
-def gradient_norm_value(u_flat: np.ndarray, ops, q: float, hN: float) -> float:
-    """(integral |grad^j u|^q)^(1/q) via the pointwise l2 aggregate."""
+def gradient_norm_value(u_flat: np.ndarray, ops, q: float, w) -> float:
+    """(sum |grad^j u|^q w)^(1/q) via the pointwise l2 aggregate; w is the
+    cell volume or a per-anchor weight array."""
     agg = None
     for mult, op in ops:
         v = op @ u_flat
         term = mult * v * v
         agg = term if agg is None else agg + term
-    return float((agg ** (q / 2.0)).sum() * hN) ** (1.0 / q)
+    return float((agg ** (q / 2.0) * w).sum()) ** (1.0 / q)
 
 
-def gradient_norm_grad(u_flat: np.ndarray, ops, q: float, hN: float):
-    """Value and d/du of the weighted gradient q-norm."""
+def gradient_norm_grad(u_flat: np.ndarray, ops, q: float, w):
+    """Value and d/du of the weighted gradient q-norm (w as above)."""
     vs = []
     agg = None
     for mult, op in ops:
@@ -210,31 +215,45 @@ def gradient_norm_grad(u_flat: np.ndarray, ops, q: float, hN: float):
         vs.append((mult, op, v))
         term = mult * v * v
         agg = term if agg is None else agg + term
-    val_q = float((agg ** (q / 2.0)).sum() * hN)
-    val = val_q ** (1.0 / q)
+    val = float((agg ** (q / 2.0) * w).sum()) ** (1.0 / q)
     if val <= 0:
         return 0.0, np.zeros_like(u_flat)
     if q != 2.0:
+        # zero where the aggregate vanishes (the q < 2 power is infinite there)
         pos = agg > 0
         scale = np.zeros_like(agg)
         scale[pos] = agg[pos] ** (q / 2.0 - 1.0)
-    else:
-        scale = np.ones_like(agg)
+        w = w * scale
     grad = np.zeros_like(u_flat)
     for mult, op, v in vs:
-        grad += mult * (op.T @ (scale * v))
-    grad *= hN * val ** (1.0 - q)
+        grad += mult * (op.T @ (w * v))
+    grad *= val ** (1.0 - q)
     return val, grad
 
 
-def lp_norm_grad(u_flat: np.ndarray, p: float, hN: float):
+def lp_norm_grad(u_flat: np.ndarray, p: float, w):
+    """Value and d/du of (sum |u|^p w)^(1/p) (w as above)."""
     absu = np.abs(u_flat)
-    val_p = float((absu**p).sum() * hN)
-    val = val_p ** (1.0 / p)
+    val = float((absu**p * w).sum()) ** (1.0 / p)
     if val <= 0:
         return 0.0, np.zeros_like(u_flat)
-    grad = hN * val ** (1.0 - p) * absu ** (p - 1.0) * np.sign(u_flat)
+    grad = w * absu ** (p - 1.0) * np.sign(u_flat) * val ** (1.0 - p)
     return val, grad
+
+
+def _term_value_grad(u_flat: np.ndarray, term):
+    """Value and gradient of one ratio term (ops, q, w): the weighted
+    gradient q-norm through ops, or the plain Lp norm when ops is None."""
+    ops, q, w = term
+    if ops is None:
+        return lp_norm_grad(u_flat, q, w)
+    return gradient_norm_grad(u_flat, ops, q, w)
+
+
+def _unit_term(m_cells: int, dim: int, order: int, q: float):
+    """Ratio term for ||grad^order u||_q on the unit-cube lattice."""
+    ops = None if order == 0 else gradient_form_ops(m_cells, dim, order)
+    return ops, q, (1.0 / m_cells) ** dim
 
 
 # -- polynomial kernel detection ----------------------------------------------
@@ -295,18 +314,18 @@ def admissible_kernel_element(constraints: ConstraintSet, m_cells: int,
 
 def _eigen_best_constant(S: sp.csr_matrix, free: np.ndarray, hN: float):
     """max ||u||_2^2 / u^T S u over the free subspace, via smallest
-    generalized eigenvalue of (S, hN*I) by shift-invert Lanczos."""
+    generalized eigenvalue of (S, hN*I) by shift-invert Lanczos.
+
+    Returns (best, residual, maximiser on the free entries)."""
     idx = np.nonzero(free)[0]
     Sf = S[idx][:, idx].tocsc()
     n = len(idx)
     Mf = sp.identity(n, format="csc") * hN
     if n <= 400:
-        lam = scipy.linalg.eigh(
-            Sf.toarray(), Mf.toarray(), subset_by_index=[0, 0],
-            eigvals_only=True,
-        )[0]
+        lam, vec = scipy.linalg.eigh(Sf.toarray(), Mf.toarray(),
+                                     subset_by_index=[0, 0])
         # dense re-solve residual is below fp noise; report 0
-        return math.sqrt(1.0 / max(lam, 1e-300)), 0.0
+        return math.sqrt(1.0 / max(lam[0], 1e-300)), 0.0, vec[:, 0]
     try:
         v0 = np.ones(n) / math.sqrt(n)  # deterministic Lanczos start
         lam, vec = spla.eigsh(Sf, k=1, M=Mf, sigma=0.0, which="LM", v0=v0)
@@ -314,14 +333,12 @@ def _eigen_best_constant(S: sp.csr_matrix, free: np.ndarray, hN: float):
         v = vec[:, 0]
         res = float(np.linalg.norm(Sf @ v - lam * (Mf @ v)) /
                     max(np.linalg.norm(Mf @ v), 1e-300))
-        return math.sqrt(1.0 / max(lam, 1e-300)), res
+        return math.sqrt(1.0 / max(lam, 1e-300)), res, v
     except Exception as exc:
         if n <= 8192:
-            lam = scipy.linalg.eigh(
-                Sf.toarray(), Mf.toarray(), subset_by_index=[0, 0],
-                eigvals_only=True,
-            )[0]
-            return math.sqrt(1.0 / max(lam, 1e-300)), 0.0
+            lam, vec = scipy.linalg.eigh(Sf.toarray(), Mf.toarray(),
+                                         subset_by_index=[0, 0])
+            return math.sqrt(1.0 / max(lam[0], 1e-300)), 0.0, vec[:, 0]
         raise CapacityError(f"eigensolve failed: {exc}") from exc
 
 
@@ -394,6 +411,47 @@ def _descent_best_constant(objective, n_dofs, zero_flat, cone, seed,
     return best_val, best_res, best_u
 
 
+def _sum_terms(u, terms):
+    """Summed values and gradients of ratio terms."""
+    val, grad = 0.0, np.zeros_like(u)
+    for term in terms:
+        v, g = _term_value_grad(u, term)
+        val += v
+        grad += g
+    return val, grad
+
+
+def _ratio(u, num, den, low=None, a0=0.0, vanishing=math.inf):
+    """(num(u) - a0 low(u)) / sum of den(u), and its gradient.
+
+    Terms are (ops, q, w) as in _term_value_grad.  With a lower-order term
+    the ratio is clamped at 0 where the numerator is not positive; a
+    vanishing denominator gives `vanishing`.
+    """
+    val_n, g_n = _term_value_grad(u, num)
+    if low is not None:
+        v, g = _term_value_grad(u, low)
+        val_n, g_n = val_n - a0 * v, g_n - a0 * g
+    val_d, g_d = _sum_terms(u, den)
+    if low is not None and val_n <= 0:
+        return 0.0, g_n
+    if val_d <= 1e-300:
+        return vanishing, g_n
+    val = val_n / val_d
+    return val, g_n / val_d - val * g_d / val_d
+
+
+def _ratio_descent(zero_flat, cone, seed, num, den, low=None, a0=0.0,
+                   vanishing=math.inf, starts=(), max_iters=300):
+    """Projected multi-start ascent on _ratio; returns (best, residual)."""
+    objective = partial(_ratio, num=num, den=den, low=low, a0=a0,
+                        vanishing=vanishing)
+    best, res, _ = _descent_best_constant(
+        objective, len(zero_flat), zero_flat, cone, seed, starts,
+        max_iters=max_iters)
+    return best, res
+
+
 def validate_exponents(dim, m, k, p, p1):
     """Admissible (m, k, p, p1) combinations per the norm-equivalence lemma."""
     if not (0 <= k <= m - 1):
@@ -416,16 +474,6 @@ def validate_exponents(dim, m, k, p, p1):
             raise CapacityError("p1 must be positive")
 
 
-def _term_spec(m_cells, dim, m, k, p, p1):
-    """Denominator terms [(ops, exponent)]; merged when k+1 == m, p1 == p."""
-    if k + 1 == m and abs(p1 - p) < 1e-12:
-        return [(gradient_form_ops(m_cells, dim, m), p)]
-    return [
-        (gradient_form_ops(m_cells, dim, k + 1), p1),
-        (gradient_form_ops(m_cells, dim, m), p),
-    ]
-
-
 def gamma_capacity(constraints: ConstraintSet, m: int, k: int, p: float,
                    p1: float, grid_level: int, dim: int = 2,
                    seed: int = 0) -> CapacityResult:
@@ -433,9 +481,7 @@ def gamma_capacity(constraints: ConstraintSet, m: int, k: int, p: float,
     validate_exponents(dim, m, k, p, p1)
     m_cells = 2**grid_level
     hN = (1.0 / m_cells) ** dim
-    shape = (m_cells,) * dim
-    zero = constraints.zero_mask(shape).reshape(-1)
-    n = m_cells**dim
+    zero = constraints.zero_mask((m_cells,) * dim).reshape(-1)
 
     def result(best, cap, solver, res, note=""):
         return CapacityResult(
@@ -455,30 +501,15 @@ def gamma_capacity(constraints: ConstraintSet, m: int, k: int, p: float,
         S = quadratic_form(m_cells, dim, m)
         if not single:
             S = S + quadratic_form(m_cells, dim, k + 1)
-        best, res = _eigen_best_constant(S, ~zero, hN)
+        best, res, _ = _eigen_best_constant(S, ~zero, hN)
         return result(best, best ** (-p), "eigen-exact", res)
 
-    terms = _term_spec(m_cells, dim, m, k, p, p1)
-
-    def objective(u):
-        num, gnum = lp_norm_grad(u, p, hN)
-        den, gden = 0.0, np.zeros_like(u)
-        for ops, q in terms:
-            v, g = gradient_norm_grad(u, ops, q, hN)
-            den += v
-            gden += g
-        if den <= 1e-300:
-            return math.inf, gnum
-        val = num / den
-        grad = gnum / den - val * gden / den
-        return val, grad
-
-    poly_starts = []
-    B = _poly_basis(m_cells, dim, min(k + 1, 3))
-    for i in range(B.shape[1]):
-        poly_starts.append(B[:, i])
-    best, res, _ = _descent_best_constant(
-        objective, n, zero, constraints.has_cone, seed, poly_starts)
+    orders = [(m, p)] if single else [(k + 1, p1), (m, p)]
+    den = [_unit_term(m_cells, dim, o, q) for o, q in orders]
+    poly_starts = list(_poly_basis(m_cells, dim, min(k + 1, 3)).T)
+    best, res = _ratio_descent(zero, constraints.has_cone, seed,
+                               _unit_term(m_cells, dim, 0, p), den,
+                               starts=poly_starts)
     if best <= 0:
         return result(0.0, math.inf, "descent", res, note="saturated")
     return result(best, best ** (-p), "descent", res)
@@ -512,38 +543,19 @@ def theta_capacity(constraints: ConstraintSet, m: int, k: int, p: float,
     if viol:
         return result(math.inf, 0.0, "descent", 0.0, note="A0-too-small")
 
-    ops_low = gradient_form_ops(m_cells, dim, k + 1)
-    ops_top = gradient_form_ops(m_cells, dim, m)
-
-    def objective(u):
-        num, gnum = lp_norm_grad(u, p, hN)
-        low, glow = gradient_norm_grad(u, ops_low, p1, hN)
-        top, gtop = gradient_norm_grad(u, ops_top, p, hN)
-        resid = num - A0 * low
-        if resid <= 0 or top <= 1e-300:
-            # push toward larger ||u|| relative to the lower-order term
-            return 0.0, gnum - A0 * glow
-        val = resid / top
-        grad = (gnum - A0 * glow) / top - val * gtop / top
-        return val, grad
-
     starts = []
     if abs(p - 2) < 1e-12 and abs(p1 - 2) < 1e-12 and not constraints.has_cone:
-        g = gamma_capacity(constraints, m, k, p, p1, grid_level, dim, seed)
-        if math.isfinite(g.best_constant) and g.best_constant > 0:
-            S = quadratic_form(m_cells, dim, m) + quadratic_form(m_cells, dim, k + 1)
-            idx = np.nonzero(~zero)[0]
-            Sf = S[idx][:, idx].tocsc()
-            try:
-                _, vec = spla.eigsh(Sf, k=1, M=sp.identity(len(idx), format="csc") * hN,
-                                    sigma=0.0, which="LM")
-                u0 = np.zeros(n)
-                u0[idx] = vec[:, 0]
-                starts.append(u0)
-            except Exception:
-                pass
-    best, res, _ = _descent_best_constant(
-        objective, n, zero, constraints.has_cone, seed, starts)
+        # start from the maximiser of the matching quadratic ratio
+        S = quadratic_form(m_cells, dim, m) + quadratic_form(m_cells, dim, k + 1)
+        _, _, vec = _eigen_best_constant(S, ~zero, hN)
+        u0 = np.zeros(n)
+        u0[~zero] = vec
+        starts.append(u0)
+    best, res = _ratio_descent(
+        zero, constraints.has_cone, seed, _unit_term(m_cells, dim, 0, p),
+        [_unit_term(m_cells, dim, m, p)],
+        low=_unit_term(m_cells, dim, k + 1, p1), a0=A0, vanishing=0.0,
+        starts=starts)
     if best <= 0:
         return result(0.0, math.inf, "descent", res, note="numerator-clamped")
     return result(best, best ** (-p), "descent", res)
@@ -603,12 +615,13 @@ def ratio_best_constant(constraints: ConstraintSet, grid_level: int, dim: int,
     """
     m_cells = 2**grid_level
     hN = (1.0 / m_cells) ** dim
-    shape = (m_cells,) * dim
-    zero = constraints.zero_mask(shape).reshape(-1)
-    n = m_cells**dim
+    zero = constraints.zero_mask((m_cells,) * dim).reshape(-1)
     if zero.all():
         return 0.0, 0.0, "saturated"
     num_order, num_q = num_spec
+    num = _unit_term(m_cells, dim, num_order, num_q)
+    terms = [_unit_term(m_cells, dim, o, q) for o, q in den_terms]
+    low, den = (terms[0], terms[1:]) if a0 > 0.0 else (None, terms)
 
     # unbounded ratio: an admissible polynomial kills the denominator
     true_den = den_terms[1:] if a0 > 0.0 else den_terms
@@ -616,11 +629,9 @@ def ratio_best_constant(constraints: ConstraintSet, grid_level: int, dim: int,
     kern = admissible_kernel_element(constraints, m_cells, dim, kern_deg)
     if kern is not None:
         kern = kern / max(np.abs(kern).max(), 1e-300)
-        num_ops_k = gradient_form_ops(m_cells, dim, num_order)
-        nval = gradient_norm_value(kern, num_ops_k, num_q, hN)
-        if a0 > 0.0:
-            low_ops = gradient_form_ops(m_cells, dim, den_terms[0][0])
-            nval -= a0 * gradient_norm_value(kern, low_ops, den_terms[0][1], hN)
+        nval = _term_value_grad(kern, num)[0]
+        if low is not None:
+            nval -= a0 * _term_value_grad(kern, low)[0]
         if nval > 1e-10:
             return math.inf, 0.0, "kernel-element"
 
@@ -632,36 +643,13 @@ def ratio_best_constant(constraints: ConstraintSet, grid_level: int, dim: int,
         for order, _ in den_terms:
             term = quadratic_form(m_cells, dim, order)
             S = term if S is None else S + term
-        best, res = _eigen_best_constant(S, ~zero, hN)
+        best, res, _ = _eigen_best_constant(S, ~zero, hN)
         return best, res, "eigen-exact"
 
-    num_ops = gradient_form_ops(m_cells, dim, num_order)
-    dens = [(gradient_form_ops(m_cells, dim, o), q) for o, q in den_terms]
-
-    def objective(u):
-        num, gnum = gradient_norm_grad(u, num_ops, num_q, hN)
-        if a0 > 0.0:
-            low, glow = gradient_norm_grad(u, dens[0][0], dens[0][1], hN)
-            num, gnum = num - a0 * low, gnum - a0 * glow
-            rest = dens[1:]
-        else:
-            rest = dens
-        den, gden = 0.0, np.zeros_like(u)
-        for ops, q in rest:
-            v, g = gradient_norm_grad(u, ops, q, hN)
-            den += v
-            gden += g
-        if a0 > 0.0 and num <= 0:
-            return 0.0, gnum
-        if den <= 1e-300:
-            return math.inf, gnum
-        val = num / den
-        return val, gnum / den - val * gden / den
-
-    poly_starts = [c for c in _poly_basis(m_cells, dim, 2).T]
-    best, res, _ = _descent_best_constant(
-        objective, n, zero, constraints.has_cone, seed, poly_starts,
-        max_iters=max_iters)
+    best, res = _ratio_descent(zero, constraints.has_cone, seed, num, den,
+                               low=low, a0=a0,
+                               starts=list(_poly_basis(m_cells, dim, 2).T),
+                               max_iters=max_iters)
     return best, res, "descent"
 
 
@@ -678,7 +666,6 @@ def holder_ratio_best_constant(constraints: ConstraintSet, grid_level: int,
     difference pairs).  Returns (best, residual, solver).
     """
     m_cells = 2**grid_level
-    hN = (1.0 / m_cells) ** dim
     h_c = 1.0 / m_cells
     shape = (m_cells,) * dim
     zero = constraints.zero_mask(shape).reshape(-1)
@@ -691,7 +678,7 @@ def holder_ratio_best_constant(constraints: ConstraintSet, grid_level: int,
         return math.inf, 0.0, "kernel-element"
 
     num_ops = gradient_form_ops(m_cells, dim, h_order)
-    dens = [(gradient_form_ops(m_cells, dim, o), q) for o, q in den_terms]
+    dens = [_unit_term(m_cells, dim, o, q) for o, q in den_terms]
     shifts = []
     for off in product(range(-radius_cells, radius_cells + 1), repeat=dim):
         d2 = sum(o * o for o in off)
@@ -732,11 +719,7 @@ def holder_ratio_best_constant(constraints: ConstraintSet, grid_level: int,
         e[xi] = sign / dist_pow
         e[yi] = -sign / dist_pow
         gnum = op.T @ e
-        den, gden = 0.0, np.zeros_like(u)
-        for ops, q in dens:
-            v, g = gradient_norm_grad(u, ops, q, hN)
-            den += v
-            gden += g
+        den, gden = _sum_terms(u, dens)
         if den <= 1e-300:
             return math.inf, gnum
         ratio = val / den
@@ -824,17 +807,7 @@ def norm_equivalence_constant(q_sub_corner, q_sub_side: float, m: int, k: int,
         slice(c, max(c + side_cells - (k + 1), c + 1)) for c in corner
     )
     sub_mask[sub_sl] = True
-    sub_flat = sub_mask.reshape(-1)
-
-    def low_norm(u, mask=None):
-        agg = None
-        for mult, op in ops_low:
-            v = op @ u
-            term = mult * v * v
-            agg = term if agg is None else agg + term
-        if mask is not None:
-            agg = agg * mask
-        return float((agg ** (p1 / 2.0)).sum() * hN) ** (1.0 / p1)
+    sub_weight = hN * sub_mask.reshape(-1)
 
     rng = np.random.default_rng(seed)
     probes = []
@@ -854,8 +827,9 @@ def norm_equivalence_constant(q_sub_corner, q_sub_side: float, m: int, k: int,
 
     worst = 0.0
     for u in probes:
-        lhs = low_norm(u)
-        rhs = low_norm(u, sub_flat) + gradient_norm_value(u, ops_top, p, hN)
+        lhs = gradient_norm_value(u, ops_low, p1, hN)
+        rhs = gradient_norm_value(u, ops_low, p1, sub_weight) \
+            + gradient_norm_value(u, ops_top, p, hN)
         if rhs < 1e-12 * max(lhs, 1.0):
             continue
         worst = max(worst, lhs / rhs)

@@ -29,7 +29,7 @@ from .hardy import (HardyError, HardyParams, LsWeightFunction,
                     direct_best_constant, per_cube_capacity_field)
 from .cone import ConeError, cone_split
 from .norms import DiscreteFunction
-from ._util import stable_json, sha256_of_file, worker_count
+from ._util import stable_json, sha256_of_file
 
 
 class _Emitter:
@@ -118,10 +118,8 @@ def cmd_decompose(args) -> int:
     }
     emitter.add_json("decompose-report.json", payload)
     if args.svg and dom.dim == 2:
-        import tempfile
-        with tempfile.NamedTemporaryFile("r", suffix=".svg") as tmp:
-            to_svg(dec, tmp.name, show_enlarged=args.svg_enlarged)
-            emitter.add_text("decomposition.svg", Path(tmp.name).read_text())
+        emitter.add_text("decomposition.svg",
+                         to_svg(dec, show_enlarged=args.svg_enlarged))
     emitter.flush()
     return 0
 
@@ -139,14 +137,9 @@ def cmd_dimloc(args) -> int:
         "selfsimilarity_max_discrepancy": disc,
         "selfsimilarity_flagged_pairs": len(flagged),
     })
-    import tempfile
-    with tempfile.NamedTemporaryFile("r", suffix=".csv") as tmp:
-        export_gs_table(dec, [0.25 * j for j in range(1, 2 * dom.dim + 1)],
-                        tmp.name)
-        emitter.add_text("gs-table.csv", Path(tmp.name).read_text())
-    with tempfile.NamedTemporaryFile("r", suffix=".csv") as tmp:
-        export_boxcount_table(dec, tmp.name)
-        emitter.add_text("boxcount-table.csv", Path(tmp.name).read_text())
+    emitter.add_text("gs-table.csv", export_gs_table(
+        dec, [0.25 * j for j in range(1, 2 * dom.dim + 1)]))
+    emitter.add_text("boxcount-table.csv", export_boxcount_table(dec))
     emitter.flush()
     return 0
 
@@ -186,22 +179,25 @@ def cmd_bound(args) -> int:
         vals = np.array([float(tok) for tok
                          in Path(args.f_weights).read_text().split()])
         f = LsWeightFunction(vals, LsWeightFunction.sequence_exponent(params))
+    # the lambda-field SVG reuses the field the bound is assembled from
+    field = None
+    if args.svg and dom.dim == 2 and params.case != "E":
+        field = per_cube_capacity_field(dec, params, args.grid_level,
+                                        args.seed)
     if params.case == "E":
         report = case_e_shift(dec, params, grid_level=args.grid_level,
                               seed=args.seed)
     else:
-        report = constructive_bound(dec, params, f=f,
+        report = constructive_bound(dec, params, f=f, field=field,
                                     grid_level=args.grid_level,
                                     seed=args.seed,
                                     with_direct=args.with_direct)
     emitter = _Emitter(args.out, "bound")
     emitter.add_json("bound-report.json",
                      {"seed": args.seed, "spec": _spec_record(dom),
-                      "workers": worker_count(), **report.to_record()})
+                      **report.to_record()})
     emitter.add_text("bound-percube.csv", _per_cube_csv(report))
-    if args.svg and dom.dim == 2 and params.case != "E":
-        field = per_cube_capacity_field(dec, params, args.grid_level,
-                                        args.seed)
+    if field is not None:
         emitter.add_text("lambda-field.svg",
                          _lambda_svg(dec, field.multiplier_field(dec)))
     emitter.flush()

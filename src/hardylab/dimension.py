@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
+from .grids import GridDomain
 from .whitney import WhitneyDecomposition
 from ._util import fit_slope
 
@@ -185,9 +186,8 @@ def dim_loc(decomp: WhitneyDecomposition,
 # -- Minkowski-content variant -------------------------------------------------
 
 
-def boundary_cells_padded(decomp: WhitneyDecomposition) -> np.ndarray:
+def boundary_cells_padded(dom: GridDomain) -> np.ndarray:
     """Outside cells face-adjacent to inside cells, on the collar-padded grid."""
-    dom = decomp.domain
     padded = dom.padded_inside()
     structure = ndimage.generate_binary_structure(dom.dim, 1)
     dil = ndimage.binary_dilation(padded, structure=structure)
@@ -265,7 +265,7 @@ def dim_mc_loc(decomp: WhitneyDecomposition,
     """
     dom = decomp.domain
     N = dom.dim
-    bcells = boundary_cells_padded(decomp)
+    bcells = boundary_cells_padded(dom)
     sups = _box_counts(decomp, bcells)
     js = sorted(sups)
     if len(js) < 3:
@@ -378,21 +378,18 @@ def selfsimilarity_signature(decomp: WhitneyDecomposition,
     return max_disc, flagged
 
 
-def export_gs_table(decomp: WhitneyDecomposition, s_values, path) -> None:
-    """CSV of (s, level, per-level sup) rows for external plotting."""
-    with open(path, "w") as fh:
-        fh.write("s,level,sup\n")
-        for s in s_values:
-            _, table = g_s(decomp, s)
-            for k, v in table:
-                fh.write(f"{s!r},{k},{v!r}\n")
+def export_gs_table(decomp: WhitneyDecomposition, s_values) -> str:
+    """CSV text of (s, level, per-level sup) rows for external plotting."""
+    lines = ["s,level,sup\n"]
+    for s in s_values:
+        _, table = g_s(decomp, s)
+        for k, v in table:
+            lines.append(f"{s!r},{k},{v!r}\n")
+    return "".join(lines)
 
 
-def export_boxcount_table(decomp: WhitneyDecomposition, path) -> None:
-    """CSV of (eps, sup box count) rows."""
-    bcells = boundary_cells_padded(decomp)
-    sups = _box_counts(decomp, bcells)
-    with open(path, "w") as fh:
-        fh.write("eps,sup_count\n")
-        for j in sorted(sups):
-            fh.write(f"{2.0 ** (-j)!r},{sups[j]!r}\n")
+def export_boxcount_table(decomp: WhitneyDecomposition) -> str:
+    """CSV text of (eps, sup box count) rows."""
+    sups = _box_counts(decomp, boundary_cells_padded(decomp.domain))
+    return "eps,sup_count\n" + "".join(
+        f"{2.0 ** (-j)!r},{sups[j]!r}\n" for j in sorted(sups))

@@ -24,6 +24,7 @@ from .capacity import (
     CapacityError,
     ConstraintSet,
     default_theta_a0,
+    _ratio_descent,
     gamma_capacity,
     gradient_form_ops,
     holder_ratio_best_constant,
@@ -31,7 +32,6 @@ from .capacity import (
     ratio_best_constant,
     theta_capacity,
 )
-from ._util import parallel_map
 
 CASES = ("A", "B", "C", "D", "E")
 FORMS = ("holder-6.23", "integral-6.24")
@@ -312,19 +312,13 @@ def per_cube_capacity_field(decomp: WhitneyDecomposition, params: HardyParams,
             cs, grid_level, dom.dim, (0, params.q), den_terms, seed)
         return rep, chain
 
-    # one solve per congruence class; distinct classes may run on the
-    # HARDYLAB_THREADS worker pool (results are keyed, so order is fixed)
-    constraints = [_cube_constraint(decomp, i, grid_level, params.cone)
-                   for i in range(n)]
-    keys = [cs.canonical_key() for cs in constraints]
-    distinct: list[bytes] = []
-    rep_cs: dict[bytes, ConstraintSet] = {}
-    for cs, key in zip(constraints, keys):
-        if key not in rep_cs:
-            rep_cs[key] = cs
-            distinct.append(key)
-    solved = parallel_map(solve, [rep_cs[k] for k in distinct])
-    cache = dict(zip(distinct, solved))
+    # one solve per congruence class
+    keys = []
+    for i in range(n):
+        cs = _cube_constraint(decomp, i, grid_level, params.cone)
+        keys.append(cs.canonical_key())
+        if keys[-1] not in cache:
+            cache[keys[-1]] = solve(cs)
     for i in range(n):
         rep, chain = cache[keys[i]]
         records[i] = rep.to_record()
@@ -605,26 +599,6 @@ def _embedding_matrix(domain: GridDomain, pad: int) -> sp.csr_matrix:
                          shape=(np_**domain.dim, len(coords)))
 
 
-def _padded_alpha_ops(domain: GridDomain, order: int):
-    """Difference operators of one order on the zero-padded domain grid,
-    rows embedded in the padded lattice (as in the capacity module)."""
-    n = 2**domain.level
-    np_ = n + 2 * order if order > 0 else n
-    # reuse the unit-lattice operators; they are spacing-agnostic up to h^-j
-    from .norms import multi_indices, multinomial
-    ops = []
-    for alpha in multi_indices(domain.dim, order):
-        op = None
-        for a in alpha:
-            from .capacity import _diff_chain
-            T = _diff_chain(np_, a)
-            if a > 0:
-                T = sp.vstack([T, sp.csr_matrix((a, np_))], format="csr")
-            op = T if op is None else sp.kron(op, T, format="csr")
-        ops.append((multinomial(alpha), (op / (domain.h ** sum(alpha))).tocsr()))
-    return ops, np_
-
-
 def _anchor_weight(domain: GridDomain, pad: int, exponent: float,
                    clamp: float) -> np.ndarray:
     """max(delta, clamp)^exponent sampled at padded anchors (clipped cells)."""
@@ -658,7 +632,7 @@ def direct_best_constant(domain: GridDomain, params: HardyParams,
     # cell by ~4/3; 3h/4 restores the conforming boundary-cell mass.
     clamp = DIRECT_WEIGHT_CLAMP_CELLS * domain.h
     hN = domain.h**domain.dim
-    ops, np_ = _padded_alpha_ops(domain, m)
+    ops = gradient_form_ops(2**domain.level + 2 * m, domain.dim, m, domain.h)
     E = _embedding_matrix(domain, m)
     w_top = _anchor_weight(domain, m, s, clamp) * hN
     inside_flat = domain.inside.reshape(-1)
@@ -686,36 +660,9 @@ def direct_best_constant(domain: GridDomain, params: HardyParams,
         return (1.0 / max(lam, 1e-300)) ** (1.0 / p)
 
     opEs = [(mult, (op @ E).tocsr()) for mult, op in ops]
-    ndof = opEs[0][1].shape[1]
-
-    def objective(u):
-        absu = np.abs(u)
-        num_p = float((absu**p * w_low).sum())
-        num = num_p ** (1.0 / p)
-        gnum = (w_low * absu ** (p - 1.0) * np.sign(u)) * num ** (1.0 - p)
-        agg = None
-        vs = []
-        for mult, op in opEs:
-            v = op @ u
-            vs.append((mult, op, v))
-            term = mult * v * v
-            agg = term if agg is None else agg + term
-        den_p = float((agg ** (p / 2.0) * w_top).sum())
-        den = den_p ** (1.0 / p)
-        if den <= 1e-300:
-            return math.inf, gnum
-        scale = agg ** (p / 2.0 - 1.0) if p != 2.0 else np.ones_like(agg)
-        gden = np.zeros_like(u)
-        for mult, op, v in vs:
-            gden += mult * (op.T @ (w_top * scale * v))
-        gden *= den ** (1.0 - p)
-        val = num / den
-        return val, gnum / den - val * gden / den
-
-    from .capacity import _descent_best_constant
-    zero = np.zeros(ndof, dtype=bool)
-    best, _, _ = _descent_best_constant(
-        objective, ndof, zero, params.cone, seed, max_iters=400)
+    best, _ = _ratio_descent(np.zeros(E.shape[1], dtype=bool), params.cone,
+                             seed, (None, p, w_low), [(opEs, p, w_top)],
+                             max_iters=400)
     return best
 
 
@@ -946,13 +893,7 @@ def _boundary_in_hyperplane(domain: GridDomain) -> bool:
     """True when all boundary cells lie in a common hyperplane (SVD rank)."""
     from .dimension import boundary_cells_padded
 
-    class _D:
-        pass
-
-    # boundary_cells_padded wants a decomposition only for its domain
-    shim = _D()
-    shim.domain = domain
-    cells = boundary_cells_padded(shim)
+    cells = boundary_cells_padded(domain)
     pts = np.argwhere(cells).astype(float)
     if len(pts) < 2:
         return True

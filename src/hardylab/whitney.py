@@ -388,8 +388,8 @@ def check_decomposition(decomp: WhitneyDecomposition) -> dict:
     }
 
 
-def to_svg(decomp: WhitneyDecomposition, path, show_enlarged: bool = False) -> None:
-    """Write an SVG of a 2-D decomposition (cubes, optional R_Q overlays)."""
+def to_svg(decomp: WhitneyDecomposition, show_enlarged: bool = False) -> str:
+    """SVG text of a 2-D decomposition (cubes, optional R_Q overlays)."""
     if decomp.domain.dim != 2:
         raise ValueError("SVG export requires a 2-D domain")
     size = 640.0
@@ -419,5 +419,4 @@ def to_svg(decomp: WhitneyDecomposition, path, show_enlarged: bool = False) -> N
                 f'stroke="#c04040" stroke-width="0.0008"/>'
             )
     lines.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines))
+    return "\n".join(lines)

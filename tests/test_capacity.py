@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from hardylab.capacity import (CapacityError, ConstraintSet, gamma_capacity,
                                theta_capacity, dense_best_constant,
                                quadratic_form, default_theta_a0,
                                poincare_constant, norm_equivalence_constant,
                                open_question_21_experiment,
-                               ratio_best_constant)
+                               ratio_best_constant, gradient_form_ops, _ratio)
 
 
 def slab_set(m_cells, width, dim=2, cone=False):
@@ -186,3 +188,49 @@ def test_ratio_best_constant_kernel_and_saturated():
     best, _, solver = ratio_best_constant(
         ConstraintSet("full-space"), 3, 2, (0, 2.0), [(1, 2.0)])
     assert best == math.inf and solver == "kernel-element"
+
+
+@pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_ratio_core_value_and_gradient(q, weighted):
+    # (||u||_q - a0 ||grad u||_q) / (||grad^2 u||_q + ||grad u||_2) on a
+    # 4x4 lattice, against dense evaluation and central differences
+    m_cells, dim = 4, 2
+    rng = np.random.default_rng(int(10 * q))
+    n = m_cells**dim
+    w = rng.uniform(0.5, 2.0, n) if weighted else (1.0 / m_cells) ** dim
+    ops1 = gradient_form_ops(m_cells, dim, 1)
+    ops2 = gradient_form_ops(m_cells, dim, 2)
+    num, low = (None, q, w), (ops1, q, w)
+    den = [(ops2, q, w), (ops1, 2.0, w)]
+    a0 = 0.01
+
+    def dense_norm(u, ops, r):
+        agg = sum(mult * (op.toarray() @ u) ** 2 for mult, op in ops)
+        return float((agg ** (r / 2) * w).sum()) ** (1 / r)
+
+    def dense_ratio(u):
+        top = float((np.abs(u) ** q * w).sum()) ** (1 / q) \
+            - a0 * dense_norm(u, ops1, q)
+        return top / (dense_norm(u, ops2, q) + dense_norm(u, ops1, 2.0))
+
+    u = rng.standard_normal(n)
+    val, grad = _ratio(u, num, den, low=low, a0=a0)
+    assert val > 0
+    assert val == pytest.approx(dense_ratio(u), rel=1e-12)
+    step = 1e-6
+    fd = np.array([(dense_ratio(u + step * e) - dense_ratio(u - step * e))
+                   / (2 * step) for e in np.eye(n)])
+    np.testing.assert_allclose(grad, fd, rtol=0, atol=1e-6 * np.abs(fd).max())
+
+
+@pytest.mark.parametrize("dim,level,width", [(2, 3, 2), (1, 9, 40)])
+def test_theta_start_independent_of_arpack_state(dim, level, width):
+    cs = slab_set(2**level, width, dim)
+    first = theta_capacity(cs, 1, 0, 2.0, 2.0, 0.1, level, dim, seed=2)
+    A = sp.diags(np.arange(1.0, 301.0)).tocsc()
+    for _ in range(3):
+        spla.eigsh(A, k=1, sigma=0.0, which="LM")
+    again = theta_capacity(cs, 1, 0, 2.0, 2.0, 0.1, level, dim, seed=2)
+    assert again.to_record() == first.to_record()
+    assert 0 < first.best_constant < math.inf

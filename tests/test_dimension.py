@@ -117,10 +117,6 @@ def test_selfsimilarity_rejects_bad_fraction(halfspace8):
         selfsimilarity_signature(halfspace8, ball_fraction=0.8)
 
 
-def test_csv_exports(tmp_path, halfspace8):
-    p1 = tmp_path / "gs.csv"
-    export_gs_table(halfspace8, [0.5, 1.0], p1)
-    assert p1.read_text().startswith("s,level,sup")
-    p2 = tmp_path / "bc.csv"
-    export_boxcount_table(halfspace8, p2)
-    assert p2.read_text().startswith("eps,sup_count")
+def test_csv_exports(halfspace8):
+    assert export_gs_table(halfspace8, [0.5, 1.0]).startswith("s,level,sup")
+    assert export_boxcount_table(halfspace8).startswith("eps,sup_count")

@@ -8,7 +8,7 @@ from hardylab.grids import DomainSpec, rasterize
 from hardylab.norms import (DiscreteFunction, WeightSpec, UNIT_WEIGHT,
                             gradient_seminorm, sobolev_norm, holder_quotient,
                             elementary_sum_inequalities, quasinorm_constant,
-                            multi_indices, multinomial)
+                            multi_indices, multinomial, difference_fields)
 
 
 @pytest.fixture(scope="module")
@@ -171,3 +171,23 @@ def test_gradient_rejects_bad_p(square6):
         gradient_seminorm(u, 1, 0.5)
     with pytest.raises(ValueError):
         sobolev_norm(u, 1, 0.5)
+
+
+@pytest.mark.parametrize("kind,dim,level", [("interval", 1, 5), ("lshape", 2, 4),
+                                            ("cube-minus-compact", 3, 4)])
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_difference_fields_match_sparse_operators(kind, dim, level, order):
+    from hardylab.capacity import gradient_form_ops
+    dom = rasterize(DomainSpec(kind=kind, dim=dim, level=level))
+    rng = np.random.default_rng(order)
+    u = DiscreteFunction(dom, rng.standard_normal(dom.shape))
+    fields, _ = difference_fields(u, order)
+    n, np_ = dom.shape[0], dom.shape[0] + 2 * order
+    padded = np.pad(u.values, order).reshape(-1)
+    ops = gradient_form_ops(np_, dim, order, dom.h)
+    assert len(ops) == len(fields)
+    window = (slice(0, n + order),) * dim
+    for (alpha, f), (mult, op) in zip(fields.items(), ops):
+        assert mult == multinomial(alpha)
+        g = (op @ padded).reshape((np_,) * dim)[window]
+        np.testing.assert_allclose(g, f, rtol=0, atol=1e-12 * np.abs(f).max())

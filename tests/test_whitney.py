@@ -209,8 +209,6 @@ def test_degenerate_raster_fails():
         decompose(dom)
 
 
-def test_svg_export(tmp_path, halfspace7):
-    path = tmp_path / "dec.svg"
-    to_svg(halfspace7, path, show_enlarged=True)
-    text = path.read_text()
+def test_svg_export(halfspace7):
+    text = to_svg(halfspace7, show_enlarged=True)
     assert text.startswith("<svg") and "rect" in text
