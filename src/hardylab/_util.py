@@ -56,14 +56,11 @@ def fit_slope(xs, ys) -> float:
 
 def fixed_order_sum(values) -> float:
     """Pairwise (fixed reduction tree) sum for bit-reproducible accumulation."""
-    vals = [float(v) for v in values]
-    if not vals:
+    vals = np.asarray(values, dtype=float).reshape(-1)
+    if not vals.size:
         return 0.0
-    while len(vals) > 1:
-        nxt = []
-        for i in range(0, len(vals) - 1, 2):
-            nxt.append(vals[i] + vals[i + 1])
-        if len(vals) % 2:
-            nxt.append(vals[-1])
-        vals = nxt
-    return vals[0]
+    while vals.size > 1:
+        odd = vals.size % 2
+        nxt = vals[0:vals.size - odd:2] + vals[1::2]
+        vals = np.append(nxt, vals[-1:]) if odd else nxt
+    return float(vals[0])

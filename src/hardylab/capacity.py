@@ -312,6 +312,11 @@ def admissible_kernel_element(constraints: ConstraintSet, m_cells: int,
 # -- solvers -------------------------------------------------------------------
 
 
+# Largest free subspace the failed sparse eigensolve may redo densely: two
+# dense n x n matrices, 64 MiB at n = 2048.
+DENSE_EIGH_LIMIT = 2048
+
+
 def _eigen_best_constant(S: sp.csr_matrix, free: np.ndarray, hN: float):
     """max ||u||_2^2 / u^T S u over the free subspace, via smallest
     generalized eigenvalue of (S, hN*I) by shift-invert Lanczos.
@@ -334,8 +339,13 @@ def _eigen_best_constant(S: sp.csr_matrix, free: np.ndarray, hN: float):
         res = float(np.linalg.norm(Sf @ v - lam * (Mf @ v)) /
                     max(np.linalg.norm(Mf @ v), 1e-300))
         return math.sqrt(1.0 / max(lam, 1e-300)), res, v
-    except Exception as exc:
-        if n <= 8192:
+    except RuntimeError as exc:
+        # ARPACK did not converge, or SuperLU found the shifted matrix
+        # singular; anything else is a fault and propagates.
+        if not (isinstance(exc, spla.ArpackNoConvergence)
+                or "singular" in str(exc)):
+            raise
+        if n <= DENSE_EIGH_LIMIT:
             lam, vec = scipy.linalg.eigh(Sf.toarray(), Mf.toarray(),
                                          subset_by_index=[0, 0])
             return math.sqrt(1.0 / max(lam[0], 1e-300)), 0.0, vec[:, 0]

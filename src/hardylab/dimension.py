@@ -54,6 +54,11 @@ class DimensionEstimate:
 def g_s(decomp: WhitneyDecomposition, s: float, clamp: float | None = None):
     """Cube supremum of (diam Q)^(s-N) * integral_{R_Q ∩ Ω} delta^-s dx.
 
+    The integral runs over the inside cells of R_Q only, at every s
+    (s = 0 gives the volume of R_Q ∩ Ω), with delta clamped below at
+    ``clamp`` (default half a cell).  All cubes are integrated at once by
+    one summed-area table (WhitneyDecomposition.rq_distance_integrals).
+
     Returns (sup_value, per_level) with per_level a list of
     (cube level, sup over cubes at that level).
     """
@@ -61,18 +66,10 @@ def g_s(decomp: WhitneyDecomposition, s: float, clamp: float | None = None):
     h = dom.h
     if clamp is None:
         clamp = 0.5 * h
-    delta = np.where(dom.inside, np.maximum(dom.distance, clamp), np.nan)
-    hN = h**dom.dim
-    per_level: dict[int, float] = {}
-    for i in range(decomp.n_cubes):
-        sl = decomp.rq_slice(i)
-        block = delta[sl]
-        integral = float(np.nansum(block ** (-s))) * hN
-        val = decomp.diam(i) ** (-dom.dim + s) * integral
-        k = int(decomp.levels[i])
-        per_level[k] = max(per_level.get(k, 0.0), val)
-    levels = sorted(per_level)
-    table = [(k, per_level[k]) for k in levels]
+    integral = decomp.rq_distance_integrals(s, clamp)
+    vals = decomp.diams() ** (-dom.dim + s) * integral
+    table = [(k, float(vals[decomp.levels == k].max()))
+             for k in decomp.populated_levels()]
     sup = max(v for _, v in table)
     return sup, table
 
@@ -155,7 +152,7 @@ def dim_loc(decomp: WhitneyDecomposition,
         return _divergence_slope(table, window), table
 
     s_lo, s_hi = 0.0, float(N)
-    slope_lo, table_lo = slope_at(s_lo)
+    slope_lo, table_lo = _divergence_slope(table0, window), table0
     slope_hi, table_hi = slope_at(s_hi)
     if slope_lo > theta:
         crossing, table, slope = s_lo, table_lo, slope_lo

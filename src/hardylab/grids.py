@@ -32,6 +32,11 @@ class DomainError(ValueError):
     """Invalid domain specification or raster input."""
 
 
+# Largest raster a spec may ask for: (2^level)^dim cells.  2^24 admits 2-D
+# level 12 and 3-D level 8; every raster is a few float arrays of this size.
+MAX_CELLS = 2**24
+
+
 @dataclass(frozen=True)
 class DomainSpec:
     """Parametric description of a raster domain.
@@ -60,6 +65,11 @@ class DomainSpec:
             raise DomainError("dim must be 1, 2 or 3")
         if not (4 <= self.level <= 14):
             raise DomainError("level must lie in [4, 14]")
+        if (2**self.level) ** self.dim > MAX_CELLS:
+            raise DomainError(
+                f"{self.dim}-D level {self.level} needs "
+                f"{(2**self.level) ** self.dim} cells, over the budget of "
+                f"{MAX_CELLS}")
         if self.iterations < 0:
             raise DomainError("iterations must be >= 0")
         if self.kind == "cantor-complement" and not (0.0 < self.ratio < 0.5):
@@ -160,7 +170,12 @@ class GridDomain:
 
 
 def rasterize(spec: DomainSpec) -> GridDomain:
-    """Rasterize a domain spec: inside flags at cell centers plus distance."""
+    """Rasterize a domain spec: inside flags at cell centers plus distance.
+
+    Polygons are filled by scanline crossings (see _points_in_polygon), so
+    their cost grows with the edge-row crossings plus the cells, not with
+    edges times cells.
+    """
     n = 2 ** spec.level
     h = 2.0 ** (-spec.level)
     centers = [(np.arange(n) + 0.5) * h for _ in range(spec.dim)]
@@ -184,7 +199,7 @@ def rasterize(spec: DomainSpec) -> GridDomain:
             inside = r2 > spec.radius**2
     elif spec.kind == "koch-polygon":
         verts = _koch_polygon(spec.iterations)
-        inside = _points_in_polygon(grids[0], grids[1], verts)
+        inside = _points_in_polygon(centers[0], centers[1], verts)
     elif spec.kind == "cantor-complement":
         intervals = _cantor_intervals(spec.iterations, spec.ratio)
         x = grids[0]
@@ -297,18 +312,40 @@ def _koch_polygon(iterations: int) -> np.ndarray:
     return pts
 
 
-def _points_in_polygon(x: np.ndarray, y: np.ndarray, verts: np.ndarray) -> np.ndarray:
-    """Even-odd crossing test, vectorized over a grid of query points."""
-    inside = np.zeros_like(x, dtype=bool)
-    m = len(verts)
-    for i in range(m):
-        x1, y1 = verts[i]
-        x2, y2 = verts[(i + 1) % m]
-        crosses = (y1 > y) != (y2 > y)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xint = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-        inside ^= crosses & (x < xint)
-    return inside
+def _points_in_polygon(xs: np.ndarray, ys: np.ndarray,
+                       verts: np.ndarray) -> np.ndarray:
+    """Even-odd crossing test on the grid of points (xs[i], ys[j]).
+
+    xs and ys are ascending 1-D coordinates; the result has shape
+    (len(xs), len(ys)).  Each row y = ys[j] is crossed by the edges with
+    min(y1, y2) <= y < max(y1, y2) (half-open, so horizontal edges never
+    cross and a vertex on a row counts once), at
+
+        xint = x1 + (y - y1) * (x2 - x1) / (y2 - y1).
+
+    A point lies inside when an odd number of its row's crossings lie
+    strictly to its right.  The rows an edge crosses are one searchsorted
+    range, and the points left of a crossing are one searchsorted prefix of
+    xs, so the cost is O(crossings + cells) with no loop over edges.
+    """
+    x1, y1 = verts[:, 0], verts[:, 1]
+    x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
+    lo = np.searchsorted(ys, np.minimum(y1, y2), side="left")
+    hi = np.searchsorted(ys, np.maximum(y1, y2), side="left")
+    count = hi - lo
+    edge = np.repeat(np.arange(len(verts)), count)
+    row = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count) \
+        + lo[edge]
+    xa, ya = x1[edge], y1[edge]
+    xint = xa + (ys[row] - ya) * (x2[edge] - xa) / (y2[edge] - ya)
+    # crossing flips the points xs[i] < xint, i.e. i < left
+    left = np.searchsorted(xs, xint, side="left")
+    nx = len(xs)
+    flips = np.bincount(row * (nx + 1) + left,
+                        minlength=len(ys) * (nx + 1)).reshape(len(ys), nx + 1)
+    # flips strictly right of point i: suffix sum from i + 1
+    right = np.cumsum(flips[:, :0:-1], axis=1)[:, ::-1]
+    return np.ascontiguousarray((right % 2 == 1).T)
 
 
 # -- raw grid / function file formats ----------------------------------------

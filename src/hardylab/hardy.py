@@ -413,7 +413,10 @@ def constructive_bound(decomp: WhitneyDecomposition, params: HardyParams,
     split.  The emitted constant_A certifies the flat (capacity-floor
     absorbed) form of the inequality, directly comparable to the Rayleigh
     estimate; the per-cube table carries the Lambda(x) field for the
-    weighted form.
+    weighted form.  Flags name what decided a result without being measured:
+    ``saturated-cubes:<n>``, ``capacity-degenerate`` and, in the theta
+    cases, ``theta-floor:<n>`` for the contributing cubes whose best
+    constant sits on the floor THETA_C2_FLOOR_FRACTION * A0.
     """
     if params.case not in ("A", "B", "C", "D"):
         raise HardyError("constructive_bound covers cases A-D")
@@ -450,10 +453,16 @@ def constructive_bound(decomp: WhitneyDecomposition, params: HardyParams,
         flags.append("capacity-degenerate")
     contributing = usable & ~field.degenerate
 
-    h = dom.h
-    clamp = 0.5 * h
-    delta = np.where(dom.inside, np.maximum(dom.distance, clamp), np.nan)
-    hN = h**dim
+    if theta:
+        on_floor = contributing & (field.rep_best <= field.c2_floor)
+        if on_floor.any():
+            flags.append(f"theta-floor:{int(on_floor.sum())}")
+
+    clamp = 0.5 * dom.h
+    h_integrals = None
+    if params.case in ("B", "D"):
+        expo = (params.s + a_offset) * pm / (params.p - pm)
+        h_integrals = decomp.rq_distance_integrals(expo, clamp)
 
     # per-cube norm-equivalence constants for the two-term route
     a614_cache: dict[tuple, float] = {}
@@ -479,11 +488,9 @@ def constructive_bound(decomp: WhitneyDecomposition, params: HardyParams,
         else:
             base = (d_q if t >= 0 else d_max) ** (-t / q) * side_r ** (dim / q)
         h_defect = 1.0
-        if params.case in ("B", "D"):
-            expo = (params.s + a_offset) * pm / (params.p - pm)
-            block = delta[decomp.rq_slice(i)]
-            integral = float(np.nansum(block ** (-expo))) * hN
-            h_defect = integral ** ((params.p - pm) / (params.p * pm))
+        if h_integrals is not None:
+            h_defect = float(h_integrals[i]) \
+                ** ((params.p - pm) / (params.p * pm))
         # capacity-weight pairing: Lambda^(1/p) times the chain constant
         if theta:
             beta_pair = (field.A0 + field.chain_best[i]) / field.rep_best[i]

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -50,7 +51,10 @@ class WhitneyDecomposition:
 
     Cube data is stored columnar: ``levels[i]``, ``coords[i]`` describe cube
     i; ``rq_center[i]``/``rq_side[i]`` its enlarged cube (centered at the
-    nearest outside cell center, smallest side covering the cube).
+    nearest outside cell center, smallest side covering the cube);
+    ``rq_start[i]``/``rq_stop[i]`` the per-axis cell index ranges of closed
+    R_Q, clipped to the box; ``dist_min[i]``/``dist_max[i]`` the extremes
+    of the distance field over the cube's cells.
     """
 
     def __init__(self, domain: GridDomain, levels: np.ndarray, coords: np.ndarray):
@@ -65,14 +69,28 @@ class WhitneyDecomposition:
 
     # -- construction helpers ------------------------------------------------
 
+    def _blocks(self, arr: np.ndarray, k: int, ids: np.ndarray):
+        """(view, index) with view[index] the cell blocks of cubes ids, all
+        at level k: axes (cube, local cell per axis), C order in a block."""
+        m = 2 ** (self.domain.level - k)
+        view = arr.reshape((2**k, m) * self.domain.dim)
+        index = tuple(ix for a in range(self.domain.dim)
+                      for ix in (self.coords[ids, a], slice(None)))
+        return view, index
+
     def _build_owner_map(self):
         dom = self.domain
+        dim = dom.dim
         owner = np.full(dom.shape, -1, dtype=np.int64)
-        for i in range(self.n_cubes):
-            sl = self.cell_slice(i)
-            if (owner[sl] != -1).any():
-                raise WhitneyError("overlapping cubes in decomposition")
-            owner[sl] = i
+        cells = 0
+        for k in self.populated_levels():
+            ids = self.cubes_at_level(k)
+            view, index = self._blocks(owner, k, ids)
+            view[index] = ids.reshape((-1,) + (1,) * dim)
+            cells += len(ids) * 2 ** ((dom.level - k) * dim)
+        # cubes are disjoint exactly when they own as many cells as they hold
+        if int(np.count_nonzero(owner >= 0)) != cells:
+            raise WhitneyError("overlapping cubes in decomposition")
         self.owner = owner
 
     def _build_enlarged(self):
@@ -80,31 +98,81 @@ class WhitneyDecomposition:
 
         dom = self.domain
         h = dom.h
+        dim = dom.dim
+        n = 2**dom.level
         padded = dom.padded_inside()
         _, feat = ndimage.distance_transform_edt(
             padded, sampling=h, return_indices=True
         )
         # feat[:, idx] is the nearest outside cell (padded indices).
-        centers = np.zeros((self.n_cubes, dom.dim))
-        sides = np.zeros(self.n_cubes)
-        dist = dom.distance
-        for i in range(self.n_cubes):
-            sl = self.cell_slice(i)
-            block = dist[sl]
-            flat = int(np.argmin(block))  # C-order: lexicographic tie-break
-            local = np.unravel_index(flat, block.shape)
-            cell = tuple(s.start + off for s, off in zip(sl, local))
-            pidx = tuple(c + 1 for c in cell)
-            near = tuple(int(feat[a][pidx]) for a in range(dom.dim))
-            x0 = np.array([(near[a] - 1 + 0.5) * h for a in range(dom.dim)])
-            side_q = 2.0 ** (-int(self.levels[i]))
-            lo = np.array([c * side_q for c in self.coords[i]], dtype=float)
-            hi = lo + side_q
-            reach = np.maximum(np.abs(lo - x0), np.abs(hi - x0)).max()
-            centers[i] = x0
-            sides[i] = 2.0 * reach
-        self.rq_center = centers
-        self.rq_side = sides
+        cell = np.zeros((self.n_cubes, dim), dtype=np.int64)
+        dist_min = np.zeros(self.n_cubes)
+        dist_max = np.zeros(self.n_cubes)
+        for k in self.populated_levels():
+            ids = self.cubes_at_level(k)
+            m = 2 ** (dom.level - k)
+            view, index = self._blocks(dom.distance, k, ids)
+            block = view[index].reshape(len(ids), -1)
+            flat = np.argmin(block, axis=1)  # C-order: lexicographic tie-break
+            dist_min[ids] = block[np.arange(len(ids)), flat]
+            dist_max[ids] = block.max(axis=1)
+            local = np.stack(np.unravel_index(flat, (m,) * dim), axis=1)
+            cell[ids] = self.coords[ids] * m + local
+        near = feat[(slice(None),) + tuple(cell[:, a] + 1 for a in range(dim))].T
+        x0 = (near - 1 + 0.5) * h
+        side_q = self.sides()
+        lo = self.coords * side_q[:, None]
+        hi = lo + side_q[:, None]
+        reach = np.maximum(np.abs(lo - x0), np.abs(hi - x0)).max(axis=1)
+        self.rq_center = x0
+        self.rq_side = 2.0 * reach
+        self.dist_min = dist_min
+        self.dist_max = dist_max
+        # cells whose centers lie in closed R_Q, clipped to the box
+        eps = 1e-9 * h
+        rq_lo = self.rq_center - self.rq_side[:, None] / 2.0
+        rq_hi = self.rq_center + self.rq_side[:, None] / 2.0
+        start = np.ceil((rq_lo + eps) / h - 0.5).astype(np.int64)
+        last = np.floor((rq_hi - eps) / h - 0.5).astype(np.int64)
+        self.rq_start = np.maximum(start, 0)
+        self.rq_stop = np.minimum(last, n - 1) + 1
+
+    def rq_sums(self, weight: np.ndarray) -> np.ndarray:
+        """Per-cube sums of a cell field over the cells of closed R_Q.
+
+        One zero-padded N-D cumulative sum (a summed-area table, Crow 1984)
+        and 2^N corner lookups per cube.  Boolean and integer fields are
+        summed in int64, so counts are exact.  Float fields are summed in
+        np.longdouble (80-bit on x86-64, plain float64 on some platforms):
+        a box sum is a difference of prefix sums much larger than itself,
+        and the extra bits keep it within a few ulps of a direct slice sum.
+        Callers integrating over R_Q ∩ Ω pass a field that is zero outside.
+        """
+        dim = self.domain.dim
+        kind = np.int64 if weight.dtype.kind in "biu" else np.longdouble
+        table = np.zeros(tuple(s + 1 for s in weight.shape), dtype=kind)
+        table[(slice(1, None),) * dim] = weight
+        for ax in range(dim):
+            np.cumsum(table, axis=ax, out=table)
+        start = self.rq_start
+        stop = np.maximum(self.rq_stop, start)
+        total = np.zeros(self.n_cubes, dtype=kind)
+        for corner in product((0, 1), repeat=dim):
+            idx = tuple(stop[:, a] if c else start[:, a]
+                        for a, c in enumerate(corner))
+            if (dim - sum(corner)) % 2:
+                total -= table[idx]
+            else:
+                total += table[idx]
+        return total if kind is np.int64 else total.astype(np.float64)
+
+    def rq_distance_integrals(self, s: float, clamp: float) -> np.ndarray:
+        """Per-cube integral over R_Q ∩ Ω of max(delta, clamp)^-s dx (cell
+        sums); complement cells count at no s, so s = 0 gives |R_Q ∩ Ω|."""
+        dom = self.domain
+        weight = np.where(dom.inside, np.maximum(dom.distance, clamp) ** (-s),
+                          0.0)
+        return self.rq_sums(weight) * dom.h**dom.dim
 
     # -- per-cube accessors ----------------------------------------------------
 
@@ -124,29 +192,25 @@ class WhitneyDecomposition:
     def diam(self, i: int) -> float:
         return math.sqrt(self.domain.dim) * self.side(i)
 
+    def sides(self) -> np.ndarray:
+        """Side lengths of all cubes (side(i) for every i)."""
+        return 2.0 ** (-self.levels.astype(float))
+
+    def diams(self) -> np.ndarray:
+        """Diameters of all cubes (diam(i) for every i)."""
+        return math.sqrt(self.domain.dim) * self.sides()
+
     def min_distance(self, i: int) -> float:
-        return float(self.domain.distance[self.cell_slice(i)].min())
+        return float(self.dist_min[i])
 
     def max_distance(self, i: int) -> float:
-        return float(self.domain.distance[self.cell_slice(i)].max())
+        return float(self.dist_max[i])
 
     def rq_cell_range(self, i: int):
         """Index ranges (per axis) of cells whose centers lie in closed R_Q,
         clipped to the box."""
-        dom = self.domain
-        h = dom.h
-        n = 2**dom.level
-        lo = self.rq_center[i] - self.rq_side[i] / 2.0
-        hi = self.rq_center[i] + self.rq_side[i] / 2.0
-        eps = 1e-9 * h
-        ranges = []
-        for a in range(dom.dim):
-            i0 = int(math.ceil((lo[a] + eps) / h - 0.5))
-            i1 = int(math.floor((hi[a] - eps) / h - 0.5))
-            i0 = max(i0, 0)
-            i1 = min(i1, n - 1)
-            ranges.append((i0, i1 + 1))
-        return ranges
+        return [(int(a), int(b))
+                for a, b in zip(self.rq_start[i], self.rq_stop[i])]
 
     def rq_slice(self, i: int):
         return tuple(slice(a, b) for a, b in self.rq_cell_range(i))
@@ -167,27 +231,34 @@ class WhitneyDecomposition:
         return self._neighbors[i]
 
     def touching_pairs(self) -> np.ndarray:
-        """Pairs (i, j), i<j, of cubes whose closed cubes intersect."""
+        """Pairs (i, j), i<j, of cubes whose closed cubes intersect.
+
+        Two cubes touch exactly when one owns a cell that is a face, edge or
+        corner neighbour of a cell of the other, so the pairs are read off
+        the owner map shifted by each half of the 3^N - 1 neighbour offsets.
+        """
         if self._touch_pairs is not None:
             return self._touch_pairs
-        L = self.domain.level
-        n = 2**L
-        pairs = set()
-        for i in range(self.n_cubes):
-            sl = self.cell_slice(i)
-            ext = tuple(
-                slice(max(s.start - 1, 0), min(s.stop + 1, n)) for s in sl
-            )
-            ids = np.unique(self.owner[ext])
-            for j in ids:
-                j = int(j)
-                if j >= 0 and j != i:
-                    pairs.add((min(i, j), max(i, j)))
-        self._touch_pairs = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
+        dim = self.domain.dim
+        owner = self.owner
+        codes = []
+        for off in product((-1, 0, 1), repeat=dim):
+            if off <= (0,) * dim:
+                continue  # the opposite offset sees the same pairs
+            a = owner[tuple(slice(max(-o, 0), owner.shape[ax] - max(o, 0))
+                            for ax, o in enumerate(off))]
+            b = owner[tuple(slice(max(o, 0), owner.shape[ax] - max(-o, 0))
+                            for ax, o in enumerate(off))]
+            hit = (a >= 0) & (b >= 0) & (a != b)
+            a, b = a[hit], b[hit]
+            codes.append(np.minimum(a, b) * self.n_cubes + np.maximum(a, b))
+        codes = np.unique(np.concatenate(codes))
+        self._touch_pairs = np.stack(
+            [codes // self.n_cubes, codes % self.n_cubes], axis=1)
         return self._touch_pairs
 
     def populated_levels(self) -> list[int]:
-        return sorted(set(int(k) for k in self.levels))
+        return [int(k) for k in np.unique(self.levels)]
 
     def cubes_at_level(self, k: int) -> np.ndarray:
         return np.nonzero(self.levels == k)[0]
@@ -305,7 +376,8 @@ def packing_constant(dim: int) -> int:
 def summation_lemma_ratio(decomp: WhitneyDecomposition, f, s: float):
     """Both sides of the Whitney summation bound for a nonnegative function.
 
-    lhs = sum_Q (diam Q)^-s * integral_{R_Q} f * delta^s dx  (cell sums)
+    lhs = sum_Q (diam Q)^-s * integral_{R_Q} f * delta^s dx  (cell sums,
+          one summed-area table for all cubes)
     rhs_bound = packing_constant(N) / (1 - 2^-s) * integral f dx
 
     Returns (lhs, rhs_bound).  Requires s > 0, f >= 0, and f = 0 outside.
@@ -322,11 +394,7 @@ def summation_lemma_ratio(decomp: WhitneyDecomposition, f, s: float):
         raise ValueError("f must vanish on the complement")
     hN = dom.h**dom.dim
     delta_s = np.where(dom.inside, dom.distance, 0.0) ** s
-    g = values * delta_s
-    terms = []
-    for i in range(decomp.n_cubes):
-        sl = decomp.rq_slice(i)
-        terms.append(decomp.diam(i) ** (-s) * float(g[sl].sum()) * hN)
+    terms = decomp.diams() ** (-s) * decomp.rq_sums(values * delta_s) * hN
     lhs = fixed_order_sum(terms)
     total = float(values.sum()) * hN
     rhs = packing_constant(dom.dim) / (1.0 - 2.0 ** (-s)) * total
@@ -345,34 +413,33 @@ def check_decomposition(decomp: WhitneyDecomposition) -> dict:
     covered = decomp.owner >= 0
     cover_exact = bool((covered == dom.inside).all())
 
-    lower_ok = True
-    upper_ok = True
-    rq_ok = True
-    worst_ratio = 0.0
-    for i in range(decomp.n_cubes):
-        side = decomp.side(i)
-        dmin = decomp.min_distance(i)
-        if dmin < root_n * (side - h) - 1e-9 * h:
-            lower_ok = False
-        if dmin > 4.0 * root_n * side + 1e-9 * h:
-            upper_ok = False
-        if decomp.rq_side[i] > 10.0 * decomp.diam(i) + 2.0 * root_n * h + 1e-9 * h:
-            rq_ok = False
+    side = decomp.sides()
+    diam = decomp.diams()
+    lower_ok = not (decomp.dist_min < root_n * (side - h) - 1e-9 * h).any()
+    upper_ok = not (decomp.dist_min > 4.0 * root_n * side + 1e-9 * h).any()
+    rq_ok = not (decomp.rq_side
+                 > 10.0 * diam + 2.0 * root_n * h + 1e-9 * h).any()
 
+    worst_ratio = 0.0
     pairs = decomp.touching_pairs()
     if len(pairs):
-        d_i = np.array([decomp.diam(int(i)) for i in pairs[:, 0]])
-        d_j = np.array([decomp.diam(int(j)) for j in pairs[:, 1]])
+        d_i = diam[pairs[:, 0]]
+        d_j = diam[pairs[:, 1]]
         ratios = np.maximum(d_i / d_j, d_j / d_i)
         worst_ratio = float(ratios.max())
     ratio_ok = worst_ratio <= 4.0 + 1e-12
 
+    # diam Q' / diam Q = 2^(level Q - level Q'), so its largest value over
+    # the cubes Q' with a cell in R_Q belongs to the coarsest level owning a
+    # cell there: count each level's cells in every R_Q, coarsest first.
     cutoff = intersection_cutoff(dom.dim)
-    worst_nbr = 0.0
-    for i in range(decomp.n_cubes):
-        for j in decomp.neighbors(i):
-            r = decomp.diam(int(j)) / decomp.diam(i)
-            worst_nbr = max(worst_nbr, r)
+    owner_level = np.where(decomp.owner >= 0,
+                           decomp.levels[np.maximum(decomp.owner, 0)], -1)
+    coarsest = np.full(decomp.n_cubes, -1, dtype=np.int64)
+    for k in decomp.populated_levels():
+        found = (coarsest < 0) & (decomp.rq_sums(owner_level == k) > 0)
+        coarsest[found] = k
+    worst_nbr = float((2.0 ** (decomp.levels - coarsest).astype(float)).max())
     nbr_ok = worst_nbr <= cutoff + 1e-12
 
     return {

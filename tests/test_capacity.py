@@ -234,3 +234,42 @@ def test_theta_start_independent_of_arpack_state(dim, level, width):
     again = theta_capacity(cs, 1, 0, 2.0, 2.0, 0.1, level, dim, seed=2)
     assert again.to_record() == first.to_record()
     assert 0 < first.best_constant < math.inf
+
+
+def test_eigensolve_fallback_is_narrow(monkeypatch):
+    # a forced ARPACK failure above the dense limit is a CapacityError, and
+    # an unrelated error is not swallowed; nothing large is allocated
+    from hardylab import capacity
+
+    n = capacity.DENSE_EIGH_LIMIT + 1
+    S = sp.identity(n, format="csr")
+    free = np.ones(n, dtype=bool)
+
+    def no_convergence(*args, **kwargs):
+        raise spla.ArpackNoConvergence("forced", np.zeros(0), np.zeros((n, 0)))
+
+    monkeypatch.setattr(capacity.spla, "eigsh", no_convergence)
+    with pytest.raises(CapacityError, match="eigensolve failed"):
+        capacity._eigen_best_constant(S, free, 1.0)
+
+    def broken(*args, **kwargs):
+        raise ValueError("not an eigensolver failure")
+
+    monkeypatch.setattr(capacity.spla, "eigsh", broken)
+    with pytest.raises(ValueError):
+        capacity._eigen_best_constant(S, free, 1.0)
+
+
+def test_eigensolve_singular_factor_falls_back_to_dense(monkeypatch):
+    from hardylab import capacity
+
+    n = 500  # above the direct dense size, below the fallback limit
+    S = sp.identity(n, format="csr") * 4.0
+
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(capacity.spla, "eigsh", singular)
+    best, res, vec = capacity._eigen_best_constant(
+        S, np.ones(n, dtype=bool), 1.0)
+    assert best == pytest.approx(0.5) and res == 0.0 and vec.shape == (n,)

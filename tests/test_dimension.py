@@ -37,12 +37,40 @@ def test_gs_halfspace_divergent_growth(halfspace8):
 
 
 def test_gs_at_zero_bounded_by_enlargement(halfspace8):
-    # s=0 reduces to the relative volume (side R_Q / diam Q)^N <= 10^N N^(-N/2)
+    # s=0 integrates 1 over R_Q ∩ Ω, a volume at most (side R_Q)^N, so the
+    # value is at most (side R_Q / diam Q)^N <= 10^N N^(-N/2)
     sup, table = g_s(halfspace8, 0.0)
     bound = 10.0**2 * 2.0 ** (-1.0)  # N=2
     assert sup <= bound + 1e-9
     for _, v in table:
         assert v <= bound + 1e-9
+
+
+@pytest.mark.parametrize("kind,dim,level,iters", [
+    ("halfspace", 2, 7, 0),
+    ("koch-polygon", 2, 7, 3),
+    ("cantor-complement", 1, 8, 3),
+    ("cube-minus-compact", 3, 4, 0),
+])
+def test_gs_at_zero_is_volume_of_rq_in_domain(kind, dim, level, iters):
+    # the complement cells of R_Q count at no s, so s = 0 is the limit of
+    # small s and gives (diam Q)^-N |R_Q ∩ Ω|
+    dec = decompose(rasterize(DomainSpec(kind=kind, dim=dim, level=level,
+                                         iterations=iters)))
+    dom = dec.domain
+    vols = np.array([dom.inside[dec.rq_slice(i)].sum() * dom.h**dim
+                     for i in range(dec.n_cubes)])
+    vals = vols * dec.diams() ** (-dim)
+    oracle = [(k, float(vals[dec.levels == k].max()))
+              for k in dec.populated_levels()]
+    sup, table = g_s(dec, 0.0)
+    assert [k for k, _ in table] == [k for k, _ in oracle]
+    for (_, v), (_, w) in zip(table, oracle):
+        assert v == pytest.approx(w, rel=1e-12)
+    assert sup == max(v for _, v in table)
+    _, near = g_s(dec, 1e-12)
+    for (_, v), (_, w) in zip(table, near):
+        assert v == pytest.approx(w, rel=1e-9)
 
 
 def test_dim_loc_halfspace(halfspace8):

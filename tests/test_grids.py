@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from hardylab.grids import (DomainSpec, DomainError, GridDomain, rasterize,
-                            distance_transform, brute_force_distance,
+from hardylab.grids import (DomainSpec, DomainError, GridDomain, MAX_CELLS,
+                            rasterize, distance_transform, brute_force_distance,
                             coarsen_inside, read_ndgrid, write_ndgrid,
                             read_ndfn, write_ndfn, _cantor_intervals)
 
@@ -151,3 +151,17 @@ def test_spec_from_json_rejects_unknown_fields():
 def test_mask_shape_must_match_level():
     with pytest.raises(DomainError):
         GridDomain(dim=2, level=4, inside=np.ones((8, 8), dtype=bool))
+
+
+def test_cell_budget_rejects_before_allocating():
+    # only specs are built here: no raster of any of these sizes is made
+    with pytest.raises(DomainError, match="budget"):
+        DomainSpec(kind="cube-minus-compact", dim=3, level=14)
+    with pytest.raises(DomainError, match="budget"):
+        DomainSpec(kind="lshape", dim=2, level=13)
+    assert (2**12) ** 2 == MAX_CELLS
+    DomainSpec(kind="lshape", dim=2, level=12)
+    DomainSpec(kind="cube-minus-compact", dim=3, level=8)
+    DomainSpec(kind="interval", dim=1, level=14)
+    with pytest.raises(DomainError, match="budget"):
+        DomainSpec.from_json('{"kind": "halfspace", "dim": 3, "level": 9}')

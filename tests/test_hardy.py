@@ -168,6 +168,24 @@ def test_capacity_degenerate_flagged(interval8):
     assert any(row.get("skipped") == "degenerate" for row in rep.per_cube)
 
 
+def test_theta_floor_flagged():
+    # case D at p0 = 1 leaves every theta best constant on the floor
+    # THETA_C2_FLOOR_FRACTION * A0; case C on the same domain does not
+    dom = rasterize(DomainSpec(kind="interval", dim=1, level=6))
+    dec = decompose(dom)
+    params = HardyParams(m=1, s=0.3, case="D", p0=1.0, A0=0.1,
+                         dim_loc_value=0.0)
+    field = per_cube_capacity_field(dec, params, grid_level=4)
+    rep = constructive_bound(dec, params, field=field, grid_level=4)
+    on_floor = int((field.rep_best <= field.c2_floor).sum())
+    assert field.c2_floor == pytest.approx(1e-6 * 0.1)
+    assert on_floor > 0
+    assert f"theta-floor:{on_floor}" in rep.flags
+    repC = constructive_bound(dec, HardyParams(m=1, s=-1.0, case="C", A0=0.1),
+                              grid_level=4)
+    assert not any(flag.startswith("theta-floor") for flag in repC.flags)
+
+
 # -- direct estimates ----------------------------------------------------------------
 
 
