@@ -288,7 +288,8 @@ def admissible_kernel_element(constraints: ConstraintSet, m_cells: int,
     zero = constraints.zero_mask((m_cells,) * dim).reshape(-1)
     if zero.any():
         Bz = B[zero, :]
-        _, s, vt = np.linalg.svd(Bz, full_matrices=True)
+        # U is unused: the full V needs full matrices only for wide Bz
+        _, s, vt = np.linalg.svd(Bz, full_matrices=len(Bz) < Bz.shape[1])
         rank = int((s > 1e-10 * max(1.0, s[0] if len(s) else 1.0)).sum())
         null = vt[rank:].T
     else:
@@ -317,15 +318,19 @@ def admissible_kernel_element(constraints: ConstraintSet, m_cells: int,
 DENSE_EIGH_LIMIT = 2048
 
 
-def _eigen_best_constant(S: sp.csr_matrix, free: np.ndarray, hN: float):
-    """max ||u||_2^2 / u^T S u over the free subspace, via smallest
-    generalized eigenvalue of (S, hN*I) by shift-invert Lanczos.
+def _eigen_best_constant(S: sp.csr_matrix, free: np.ndarray,
+                         w: float | np.ndarray):
+    """max sqrt(u^T W u / u^T S u) over the free subspace, W = diag(w) with
+    w the cell volume or a per-entry array (as in the ratio core), via the
+    smallest generalized eigenvalue of (S, W): dense up to 400 free
+    entries, shift-invert Lanczos above.
 
     Returns (best, residual, maximiser on the free entries)."""
     idx = np.nonzero(free)[0]
-    Sf = S[idx][:, idx].tocsc()
     n = len(idx)
-    Mf = sp.identity(n, format="csc") * hN
+    # an all-free solve (the direct estimate) factors S without a copy
+    Sf = (S if n == len(free) else S[idx][:, idx]).tocsc()
+    Mf = sp.diags(np.broadcast_to(w, free.shape)[idx]).tocsc()
     if n <= 400:
         lam, vec = scipy.linalg.eigh(Sf.toarray(), Mf.toarray(),
                                      subset_by_index=[0, 0])

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -139,7 +138,7 @@ def cmd_dimloc(args) -> int:
     })
     emitter.add_text("gs-table.csv", export_gs_table(
         dec, [0.25 * j for j in range(1, 2 * dom.dim + 1)]))
-    emitter.add_text("boxcount-table.csv", export_boxcount_table(dec))
+    emitter.add_text("boxcount-table.csv", export_boxcount_table(dm))
     emitter.flush()
     return 0
 
@@ -198,23 +197,23 @@ def cmd_bound(args) -> int:
                       **report.to_record()})
     emitter.add_text("bound-percube.csv", _per_cube_csv(report))
     if field is not None:
-        emitter.add_text("lambda-field.svg",
-                         _lambda_svg(dec, field.multiplier_field(dec)))
+        emitter.add_text("lambda-field.svg", _lambda_svg(dec, field.lam))
     emitter.flush()
     return 0
 
 
-def _lambda_svg(dec, field: np.ndarray) -> str:
+def _lambda_svg(dec, lam: np.ndarray) -> str:
+    """Cubes shaded by their Lambda value (non-finite values unshaded)."""
     lines = ['<svg xmlns="http://www.w3.org/2000/svg" width="640" '
              'height="640" viewBox="0 0 1 1">']
-    finite = field[np.isfinite(field) & (field > 0)]
-    top = finite.max() if len(finite) else 1.0
+    lam = np.where(np.isfinite(lam), lam, 0.0)
+    positive = lam[lam > 0]
+    top = positive.max() if len(positive) else 1.0
     for i in range(dec.n_cubes):
         side = dec.side(i)
         x = dec.coords[i][0] * side
         y = dec.coords[i][1] * side
-        v = field[dec.cell_slice(i)].flat[0]
-        frac = min(v / top, 1.0) if math.isfinite(v) and top > 0 else 0.0
+        frac = min(lam[i] / top, 1.0)
         shade = int(255 - 205 * frac)
         lines.append(
             f'<rect x="{x:.6f}" y="{1 - y - side:.6f}" width="{side:.6f}" '

@@ -40,6 +40,8 @@ class DimensionEstimate:
     divergence_slope: float
     confidence_band: tuple[float, float]
     threshold: float = DIVERGENCE_SLOPE_THRESHOLD
+    # mc-loc only: {j: sup box count} at every counted scale (not recorded)
+    box_counts: dict | None = None
 
     def to_record(self) -> dict:
         return {
@@ -295,7 +297,8 @@ def dim_mc_loc(decomp: WhitneyDecomposition,
     table = [(j, sups[j]) for j in js]
     return DimensionEstimate(
         kind="mc-loc", value=value, s0_or_d=crossing, per_level_sups=table,
-        divergence_slope=base, confidence_band=band, threshold=theta)
+        divergence_slope=base, confidence_band=band, threshold=theta,
+        box_counts=sups)
 
 
 # -- self-similarity signature ---------------------------------------------------
@@ -385,8 +388,8 @@ def export_gs_table(decomp: WhitneyDecomposition, s_values) -> str:
     return "".join(lines)
 
 
-def export_boxcount_table(decomp: WhitneyDecomposition) -> str:
-    """CSV text of (eps, sup box count) rows."""
-    sups = _box_counts(decomp, boundary_cells_padded(decomp.domain))
+def export_boxcount_table(estimate: DimensionEstimate) -> str:
+    """CSV text of (eps, sup box count) rows of a dim_mc_loc estimate."""
+    sups = estimate.box_counts
     return "eps,sup_count\n" + "".join(
         f"{2.0 ** (-j)!r},{sups[j]!r}\n" for j in sorted(sups))

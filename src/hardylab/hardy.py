@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .grids import GridDomain
 from .whitney import WhitneyDecomposition, packing_constant
@@ -24,6 +23,7 @@ from .capacity import (
     CapacityError,
     ConstraintSet,
     default_theta_a0,
+    _eigen_best_constant,
     _ratio_descent,
     gamma_capacity,
     gradient_form_ops,
@@ -205,39 +205,55 @@ class CubeCapacities:
     records: list
 
     def multiplier_field(self, decomp: WhitneyDecomposition) -> np.ndarray:
-        """Lambda(x) as a piecewise-constant cell field (outside cells 0)."""
-        out = np.zeros(decomp.domain.shape)
-        for i in range(decomp.n_cubes):
-            v = self.lam[i]
-            out[decomp.cell_slice(i)] = v if math.isfinite(v) else 0.0
-        return out
+        """Lambda(x) as a piecewise-constant cell field (outside cells and
+        non-finite values 0)."""
+        lam = np.where(np.isfinite(self.lam), self.lam, 0.0)
+        return np.where(decomp.owner >= 0, lam[decomp.owner], 0.0)
 
 
-def _cube_constraint(decomp: WhitneyDecomposition, i: int, grid_level: int,
-                     cone: bool) -> ConstraintSet:
-    """Zero set of the rescaled admissible class: unit-lattice cells whose
-    centers map into complement cells or beyond the box."""
+def _constraint_classes(decomp: WhitneyDecomposition, grid_level: int,
+                        cone: bool) -> tuple[list, np.ndarray]:
+    """Congruence classes of the rescaled zero sets of all cubes.
+
+    Cube i's zero set holds the unit-lattice cells whose centers map into
+    complement cells (or beyond the box, under collar padding).  The rescale
+    maps are axis-aligned, so one gather builds every zero set; distinct
+    masks are then keyed once each by ConstraintSet.canonical_key.  Returns
+    (reps, cls): reps[c] is the ConstraintSet of the first cube of class c
+    (classes numbered in order of first cube) and cls[i] the class of cube i.
+    """
     dom = decomp.domain
+    n_cubes, n = decomp.n_cubes, 2**dom.level
     m_cells = 2**grid_level
-    rmap = decomp.rescale_map(i)
-    axes = [(np.arange(m_cells) + 0.5) / m_cells for _ in range(dom.dim)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    unit = np.stack([g.reshape(-1) for g in grids], axis=1)
-    phys = rmap.from_unit(unit)
-    n = 2**dom.level
-    idx = np.floor(phys / dom.h).astype(np.int64)
-    out_of_box = ((idx < 0) | (idx >= n)).any(axis=1)
-    idx_cl = np.clip(idx, 0, n - 1)
-    outside = ~dom.inside[tuple(idx_cl[:, a] for a in range(dom.dim))]
-    if dom.pad_mode == "replicate":
-        # beyond the box the domain continues by replication
-        rep = dom.inside[tuple(idx_cl[:, a] for a in range(dom.dim))]
-        K = np.where(out_of_box, ~rep, outside)
-    else:
-        K = out_of_box | outside
-    K = K.reshape((m_cells,) * dom.dim)
+    unit = (np.arange(m_cells) + 0.5) / m_cells
+    origin = decomp.rq_center - decomp.rq_side[:, None] / 2.0
+    idx = np.floor((unit * decomp.rq_side[:, None, None] + origin[:, :, None])
+                   / dom.h).astype(np.int64)
+    axes = [idx[:, a].reshape((n_cubes,) + (1,) * a + (m_cells,)
+                              + (1,) * (dom.dim - 1 - a))
+            for a in range(dom.dim)]
+    # replicate padding continues the domain beyond the box, which the
+    # clipped index reads; under collar padding beyond the box is complement
+    K = ~dom.inside[tuple(np.clip(ix, 0, n - 1) for ix in axes)]
+    if dom.pad_mode == "collar":
+        for ix in axes:
+            K |= (ix < 0) | (ix >= n)
+    rows = K.reshape(n_cubes, -1)
+    _, first, inverse = np.unique(
+        rows.view(np.dtype((np.void, rows.shape[1]))).ravel(),
+        return_index=True, return_inverse=True)
     kind = "zero-on-compact-and-nonnegative" if cone else "zero-on-compact"
-    return ConstraintSet(kind, K)
+    class_of: dict[bytes, int] = {}
+    mask_class = np.zeros(len(first), dtype=np.int64)
+    reps = []
+    for u in np.argsort(first):
+        cs = ConstraintSet(kind, K[first[u]].copy())
+        key = cs.canonical_key()
+        if key not in class_of:
+            class_of[key] = len(reps)
+            reps.append(cs)
+        mask_class[u] = class_of[key]
+    return reps, mask_class[inverse]
 
 
 THETA_C2_FLOOR_FRACTION = 1e-6
@@ -245,7 +261,8 @@ THETA_C2_FLOOR_FRACTION = 1e-6
 
 def per_cube_capacity_field(decomp: WhitneyDecomposition, params: HardyParams,
                             grid_level: int = 4, seed: int = 0) -> CubeCapacities:
-    """Capacities of the rescaled complements, cube by cube.
+    """Capacities of the rescaled complements, one solve per congruence
+    class of cubes (_constraint_classes), spread to the cubes by class.
 
     Reported Lambda(x) follows the case: gamma capacity at exponent p (A),
     p0 (B), theta capacity at p (C), p0 (D); case E uses the gamma capacity
@@ -254,8 +271,8 @@ def per_cube_capacity_field(decomp: WhitneyDecomposition, params: HardyParams,
     the reported solve when q matches, the common case).  Theta best
     constants are clamped below at a small fraction of A0, which keeps the
     capacity weights finite and only weakens the per-cube inequality.
-    Results are cached by the symmetry-canonical complement mask, so
-    congruent cubes solve once.
+    Classes are solved in order of their first cube; records is per cube,
+    and congruent cubes share their class's record.
     """
     dom = decomp.domain
     pcap = params.capacity_exponent()
@@ -275,16 +292,6 @@ def per_cube_capacity_field(decomp: WhitneyDecomposition, params: HardyParams,
     if theta and A0 is None:
         A0 = default_theta_a0(dom.dim, k_eff, p1_eff, grid_level)
     c2_floor = THETA_C2_FLOOR_FRACTION * A0 if theta else 0.0
-
-    n = decomp.n_cubes
-    lam = np.zeros(n)
-    lam1 = np.ones(n)
-    rep_best = np.zeros(n)
-    chain_best = np.zeros(n)
-    saturated = np.zeros(n, dtype=bool)
-    degenerate = np.zeros(n, dtype=bool)
-    records = [None] * n
-    cache: dict[bytes, tuple] = {}
 
     den_terms = [(params.m, pcap)] if single else [(k_eff + 1, p1_eff),
                                                    (params.m, pcap)]
@@ -312,36 +319,30 @@ def per_cube_capacity_field(decomp: WhitneyDecomposition, params: HardyParams,
             cs, grid_level, dom.dim, (0, params.q), den_terms, seed)
         return rep, chain
 
-    # one solve per congruence class
-    keys = []
-    for i in range(n):
-        cs = _cube_constraint(decomp, i, grid_level, params.cone)
-        keys.append(cs.canonical_key())
-        if keys[-1] not in cache:
-            cache[keys[-1]] = solve(cs)
-    for i in range(n):
-        rep, chain = cache[keys[i]]
-        records[i] = rep.to_record()
-        saturated[i] = rep.note == "saturated"
-        if theta:
-            rb = max(rep.best_constant if math.isfinite(rep.best_constant)
-                     else 0.0, c2_floor)
-            cb = max(chain if math.isfinite(chain) else 0.0, c2_floor)
-            rep_best[i] = rb
-            chain_best[i] = cb
-            lam[i] = rb ** (-pcap)
-            lam1[i] = lam[i]
-            degenerate[i] = False
-        else:
-            rep_best[i] = rep.best_constant
-            chain_best[i] = chain
-            lam[i] = rep.capacity
-            degenerate[i] = (rep.capacity == 0.0)
-    return CubeCapacities(lam=lam, lam1=lam1, rep_best=rep_best,
-                          chain_best=chain_best, saturated=saturated,
-                          degenerate=degenerate, A0=A0 if theta else 0.0,
-                          c2_floor=c2_floor, grid_level=grid_level,
-                          records=records)
+    # one solve per congruence class, in class order
+    reps, cls = _constraint_classes(decomp, grid_level, params.cone)
+    solved = [solve(cs) for cs in reps]
+    results = [rep for rep, _ in solved]
+    if theta:
+        rep_best = [max(r.best_constant if math.isfinite(r.best_constant)
+                        else 0.0, c2_floor) for r in results]
+        chain_best = [max(c if math.isfinite(c) else 0.0, c2_floor)
+                      for _, c in solved]
+        lam = np.asarray([rb ** (-pcap) for rb in rep_best])[cls]
+        degenerate = np.zeros(len(cls), dtype=bool)
+    else:
+        rep_best = [r.best_constant for r in results]
+        chain_best = [c for _, c in solved]
+        lam = np.asarray([r.capacity for r in results], dtype=float)[cls]
+        degenerate = lam == 0.0
+    records = [r.to_record() for r in results]
+    return CubeCapacities(
+        lam=lam, lam1=lam.copy() if theta else np.ones(len(cls)),
+        rep_best=np.asarray(rep_best, dtype=float)[cls],
+        chain_best=np.asarray(chain_best, dtype=float)[cls],
+        saturated=np.array([r.note == "saturated" for r in results])[cls],
+        degenerate=degenerate, A0=A0 if theta else 0.0, c2_floor=c2_floor,
+        grid_level=grid_level, records=[records[c] for c in cls])
 
 
 # -- bound assembly --------------------------------------------------------------
@@ -619,14 +620,15 @@ def _anchor_weight(domain: GridDomain, pad: int, exponent: float,
 
 
 def direct_best_constant(domain: GridDomain, params: HardyParams,
-                         seed: int = 0, maxiter: int | None = None) -> float:
+                         seed: int = 0) -> float:
     """Directly estimated best constant of the scale-matched inequality
 
         (int |u|^p delta^(s-mp))^(1/p) <= A (int |grad^m u|^p delta^s)^(1/p)
 
     over grid functions vanishing outside the domain (intersected with the
-    nonnegative cone when the admissible class demands).  Exact inverse-power
-    generalized eigensolve for p = 2, projected multi-start ascent otherwise.
+    nonnegative cone when the admissible class demands).  Exact generalized
+    eigensolve for p = 2 (capacity._eigen_best_constant, with the weighted
+    cell masses on the diagonal), projected multi-start ascent otherwise.
     The value is a lower bound for the true best constant.
     """
     if params.form != "integral-6.24":
@@ -652,19 +654,9 @@ def direct_best_constant(domain: GridDomain, params: HardyParams,
             opE = (op @ E).tocsr()
             term = opE.T @ sp.diags(w_top * mult) @ opE
             A_mat = term if A_mat is None else A_mat + term
-        B_mat = sp.diags(w_low).tocsc()
         A_mat = A_mat.tocsc()
-        ndof = A_mat.shape[0]
-        if ndof <= 900:
-            import scipy.linalg
-            lam = scipy.linalg.eigh(A_mat.toarray(), B_mat.toarray(),
-                                    subset_by_index=[0, 0], eigvals_only=True)[0]
-        else:
-            v0 = np.ones(ndof) / math.sqrt(ndof)
-            lam = float(spla.eigsh(A_mat, k=1, M=B_mat, sigma=0.0,
-                                   which="LM", v0=v0,
-                                   maxiter=maxiter)[0][0])
-        return (1.0 / max(lam, 1e-300)) ** (1.0 / p)
+        return _eigen_best_constant(A_mat, np.ones(len(w_low), dtype=bool),
+                                    w_low)[0]
 
     opEs = [(mult, (op @ E).tocsr()) for mult, op in ops]
     best, _ = _ratio_descent(np.zeros(E.shape[1], dtype=bool), params.cone,
@@ -701,19 +693,11 @@ def _case_a_lower_order_constant(decomp: WhitneyDecomposition,
     delta_b = np.where(dom.inside, np.maximum(dom.distance, clamp), 0.0) ** beta
 
     if "percube" not in cap_cache:
-        per_key: dict[bytes, list] = {}
-        keys = []
-        for i in range(decomp.n_cubes):
-            cs = _cube_constraint(decomp, i, grid_level, params.cone)
-            keys.append(cs.canonical_key())
-            if keys[-1] not in per_key:
-                consts = []
-                for k in range(m):
-                    best, _, _ = ratio_best_constant(
-                        cs, grid_level, dim, (k, p), [(m, p)], seed)
-                    consts.append(best)
-                per_key[keys[-1]] = consts
-        cap_cache["percube"] = [per_key[key] for key in keys]
+        reps, cls = _constraint_classes(decomp, grid_level, params.cone)
+        per_class = [[ratio_best_constant(cs, grid_level, dim, (k, p),
+                                          [(m, p)], seed)[0]
+                      for k in range(m)] for cs in reps]
+        cap_cache["percube"] = [per_class[c] for c in cls]
     percube = cap_cache["percube"]
 
     total = 0.0
@@ -858,12 +842,15 @@ COROLLARY_CASES = ("i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "ix", "x")
 def _projection_condition(decomp: WhitneyDecomposition, grid_level: int,
                           r_dim: int) -> float:
     """Smallest (over cubes) side of the largest r-dimensional cube inside
-    the coordinate-axis projections of the rescaled complement."""
+    the coordinate-axis projections of the rescaled complement.
+
+    The value is invariant under the cube symmetry group (axis permutations
+    permute the projections, flips keep the largest full sub-cube), so one
+    cube per congruence class stands for its class."""
     dom = decomp.domain
     from itertools import combinations
     worst = math.inf
-    for i in range(decomp.n_cubes):
-        cs = _cube_constraint(decomp, i, grid_level, cone=False)
+    for cs in _constraint_classes(decomp, grid_level, cone=False)[0]:
         K = cs.K
         best_here = 0.0
         if r_dim == 0:

@@ -6,6 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from hardylab.capacity import (CapacityError, ConstraintSet, gamma_capacity,
+                               admissible_kernel_element,
                                theta_capacity, dense_best_constant,
                                quadratic_form, default_theta_a0,
                                poincare_constant, norm_equivalence_constant,
@@ -81,6 +82,23 @@ def test_kernel_detection_linear_poly():
     K[0, :] = True
     r = gamma_capacity(ConstraintSet("zero-on-compact", K), 2, 1, 2.0, 2.0, 3, 2)
     assert r.capacity == 0.0 and r.note == "kernel-element"
+
+
+@pytest.mark.parametrize("zero_cells", [[(3, 4)], [(0, 0), (7, 7)],
+                                        [(0, 0), (7, 7), (0, 7)]])
+def test_kernel_detection_with_few_zero_cells(zero_cells):
+    # fewer zero cells than linear coefficients leave a kernel polynomial;
+    # three cells in general position pin a linear polynomial to zero
+    K = np.zeros((8, 8), dtype=bool)
+    for cell in zero_cells:
+        K[cell] = True
+    kern = admissible_kernel_element(ConstraintSet("zero-on-compact", K),
+                                     8, 2, 1)
+    if len(zero_cells) < 3:
+        assert np.abs(kern).max() > 1e-6
+        assert np.abs(kern.reshape(8, 8)[K]).max() < 1e-12
+    else:
+        assert kern is None
 
 
 def test_cone_kernel_detection():

@@ -37,6 +37,32 @@ def test_dimloc_outputs(tmp_path):
     assert (tmp_path / "gs-table.csv").read_text().startswith("s,level,sup")
 
 
+def test_dimloc_counts_boxes_once(tmp_path, monkeypatch):
+    # the box-count table reuses the counts of the dim_mc_loc estimate
+    from hardylab import dimension
+
+    calls = []
+    box_counts = dimension._box_counts
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return box_counts(*args, **kwargs)
+
+    monkeypatch.setattr(dimension, "_box_counts", counted)
+    code = run(["dimloc", "--domain",
+                '{"kind": "halfspace", "dim": 2, "level": 7}',
+                "--out", tmp_path])
+    assert code == 0 and len(calls) == 1
+    # the table lists every counted scale, the estimate's fit all but the
+    # finest
+    report = json.loads((tmp_path / "dimloc-report.json").read_text())
+    rows = (tmp_path / "boxcount-table.csv").read_text().splitlines()[1:]
+    fitted = report["dim_mc_loc"]["per_level_sups"]
+    assert len(rows) == len(fitted) + 1
+    assert [row.split(",")[1] for row in rows[:-1]] == [
+        repr(count) for _, count in fitted]
+
+
 def test_capacity_command(tmp_path):
     code = run(["capacity", "--m", 1, "--k", 0, "--p", 2, "--grid-level", 3,
                 "--slab", 2, "--out", tmp_path])

@@ -147,4 +147,5 @@ def test_selfsimilarity_rejects_bad_fraction(halfspace8):
 
 def test_csv_exports(halfspace8):
     assert export_gs_table(halfspace8, [0.5, 1.0]).startswith("s,level,sup")
-    assert export_boxcount_table(halfspace8).startswith("eps,sup_count")
+    table = export_boxcount_table(dim_mc_loc(halfspace8))
+    assert table.startswith("eps,sup_count")

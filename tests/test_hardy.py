@@ -1,8 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+from hardylab.capacity import CapacityError
 from hardylab.grids import DomainSpec, GridDomain, distance_transform, rasterize
 from hardylab.whitney import decompose
 from hardylab.norms import DiscreteFunction, WeightSpec, gradient_seminorm
@@ -212,6 +215,32 @@ def test_direct_requires_integral_form_and_qp():
     with pytest.raises(HardyError):
         direct_best_constant(dom, HardyParams(m=1, p=2.0, s=0.0,
                                               lam=0.4, form="holder-6.23"))
+
+
+def test_direct_eigensolve_failure_is_narrow(monkeypatch, tmp_path, capsys):
+    # a Lanczos solve that does not converge is redone densely up to
+    # DENSE_EIGH_LIMIT DOFs; above it the direct estimate raises
+    # CapacityError, which the CLI prints as an error record
+    from hardylab import capacity, cli
+
+    params = HardyParams(m=1, k=0, p=2.0, q=2.0, s=-1.0)
+    small = rasterize(DomainSpec(kind="lshape", dim=2, level=5))  # 768 DOFs
+    expected = direct_best_constant(small, params)
+
+    def no_convergence(*args, **kwargs):
+        raise spla.ArpackNoConvergence("forced", np.zeros(0), np.zeros((0, 0)))
+
+    monkeypatch.setattr(capacity.spla, "eigsh", no_convergence)
+    assert direct_best_constant(small, params) == pytest.approx(expected,
+                                                                rel=1e-9)
+    square = '{"kind": "square", "dim": 2, "level": 6}'  # 4096 DOFs
+    with pytest.raises(CapacityError, match="eigensolve failed"):
+        direct_best_constant(rasterize(DomainSpec.from_json(square)), params)
+    code = cli.main(["direct", "--domain", square, "--m", "1", "--p", "2",
+                     "--s", "-1", "--out", str(tmp_path)])
+    assert code == 2
+    assert json.loads(capsys.readouterr().out)["kind"] == "CapacityError"
+    assert not list(tmp_path.iterdir())
 
 
 def test_dilation_identity_scale_matched_weights():

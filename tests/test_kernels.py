@@ -1,13 +1,17 @@
-"""Whole-array geometry kernels pinned to the per-edge and per-cube loops
-they replace (the loops are kept here as oracles)."""
+"""Whole-array geometry kernels and the constraint-class map pinned to the
+per-edge and per-cube loops they replace (the loops are kept here as
+oracles)."""
 
 import math
 
 import numpy as np
 import pytest
 
+from hardylab.capacity import ConstraintSet
 from hardylab.grids import (DomainSpec, GridDomain, distance_transform,
                             rasterize, _koch_polygon, _points_in_polygon)
+from hardylab.hardy import (_constraint_classes, _largest_cube_side,
+                           _projection_condition)
 from hardylab.whitney import (WhitneyError, WhitneyDecomposition,
                               check_decomposition, decompose,
                               intersection_cutoff)
@@ -245,3 +249,106 @@ def test_overlapping_cubes_rejected():
     coords = np.array([[0, 0], [1, 1]], dtype=np.int64)
     with pytest.raises(WhitneyError):
         WhitneyDecomposition(dom, levels, coords)
+
+
+# -- constraint classes ------------------------------------------------------------
+
+
+def loop_cube_constraint(dec, i, grid_level, cone):
+    """Zero set of cube i's rescaled admissible class, built cube by cube."""
+    dom = dec.domain
+    m_cells = 2**grid_level
+    rmap = dec.rescale_map(i)
+    axes = [(np.arange(m_cells) + 0.5) / m_cells for _ in range(dom.dim)]
+    grids = np.meshgrid(*axes, indexing="ij")
+    unit = np.stack([g.reshape(-1) for g in grids], axis=1)
+    phys = rmap.from_unit(unit)
+    n = 2**dom.level
+    idx = np.floor(phys / dom.h).astype(np.int64)
+    out_of_box = ((idx < 0) | (idx >= n)).any(axis=1)
+    idx_cl = np.clip(idx, 0, n - 1)
+    outside = ~dom.inside[tuple(idx_cl[:, a] for a in range(dom.dim))]
+    if dom.pad_mode == "replicate":
+        rep = dom.inside[tuple(idx_cl[:, a] for a in range(dom.dim))]
+        K = np.where(out_of_box, ~rep, outside)
+    else:
+        K = out_of_box | outside
+    K = K.reshape((m_cells,) * dom.dim)
+    kind = "zero-on-compact-and-nonnegative" if cone else "zero-on-compact"
+    return ConstraintSet(kind, K)
+
+
+def loop_classes(dec, grid_level, cone):
+    """Classes keyed by canonical_key, cube by cube, in first-cube order."""
+    index: dict[bytes, int] = {}
+    reps, cls = [], []
+    for i in range(dec.n_cubes):
+        cs = loop_cube_constraint(dec, i, grid_level, cone)
+        key = cs.canonical_key()
+        if key not in index:
+            index[key] = len(reps)
+            reps.append(cs)
+        cls.append(index[key])
+    return reps, np.array(cls, dtype=np.int64)
+
+
+def loop_projection_condition(dec, grid_level, r_dim):
+    from itertools import combinations
+
+    dim = dec.domain.dim
+    worst = math.inf
+    for i in range(dec.n_cubes):
+        K = loop_cube_constraint(dec, i, grid_level, False).K
+        best = 1.0 if r_dim == 0 and K.any() else 0.0
+        for keep in combinations(range(dim), r_dim) if r_dim else ():
+            drop = tuple(a for a in range(dim) if a not in keep)
+            proj = K.any(axis=drop) if drop else K
+            best = max(best, _largest_cube_side(proj) / K.shape[0])
+        worst = min(worst, best)
+    return 0.0 if worst is math.inf else worst
+
+
+CLASS_DOMAINS = {
+    "halfspace-2d": dict(kind="halfspace", dim=2, level=6),
+    "halfspace-3d": dict(kind="halfspace", dim=3, level=4),
+    "square": dict(kind="square", dim=2, level=6),
+    "lshape": dict(kind="lshape", dim=2, level=6),
+    "interval": dict(kind="interval", dim=1, level=8),
+    "cantor": dict(kind="cantor-complement", dim=1, level=9, iterations=4),
+    "koch": dict(kind="koch-polygon", dim=2, level=8, iterations=4),
+    "cube-minus-compact-3d": dict(kind="cube-minus-compact", dim=3, level=5),
+}
+
+
+@pytest.fixture(scope="module")
+def class_decomps():
+    return {name: decompose(rasterize(DomainSpec(**spec)))
+            for name, spec in CLASS_DOMAINS.items()}
+
+
+@pytest.mark.parametrize("cone", [False, True])
+@pytest.mark.parametrize("grid_level", [3, 4])
+@pytest.mark.parametrize("name", list(CLASS_DOMAINS))
+def test_constraint_classes_match_loop(class_decomps, name, grid_level, cone):
+    dec = class_decomps[name]
+    reps, cls = _constraint_classes(dec, grid_level, cone)
+    oracle_reps, oracle_cls = loop_classes(dec, grid_level, cone)
+    assert np.array_equal(cls, oracle_cls)
+    assert len(reps) == len(oracle_reps)
+    for got, want in zip(reps, oracle_reps):
+        assert got.kind == want.kind
+        assert got.K.shape == want.K.shape
+        assert got.K.tobytes() == want.K.tobytes()
+    # classes are numbered in order of their first cube
+    firsts = [int(np.argmax(cls == c)) for c in range(len(reps))]
+    assert firsts == sorted(firsts)
+
+
+@pytest.mark.parametrize("name", ["halfspace-2d", "lshape", "koch",
+                                  "interval", "halfspace-3d",
+                                  "cube-minus-compact-3d"])
+def test_projection_condition_per_class_matches_per_cube(class_decomps, name):
+    dec = class_decomps[name]
+    for r_dim in range(dec.domain.dim + 1):
+        assert (_projection_condition(dec, 3, r_dim)
+                == loop_projection_condition(dec, 3, r_dim))
