@@ -10,15 +10,31 @@ Capacity = best_constant^-p, with capacity 0 when the constant is unbounded
 (a nonzero polynomial of degree <= k is admissible) and +inf when the
 admissible set is trivial ("saturated").
 
-For p = p1 = 2 without cone constraints the best constant is computed by an
-inverse-power (shift-invert Lanczos) generalized eigensolve on the
-constrained quadratic forms; every other case uses projected normalized
-ascent with Armijo steps and multiple deterministic starts.
+For p = p1 = 2 without cone constraints the best constant is the smallest
+generalized eigenvalue of the constrained quadratic forms, solved on a
+ladder (timings on a 2-core x86 VM, one BLAS thread):
+
+- up to 400 free entries, dense `eigh`: exact, and faster than any
+  factorisation at that size;
+- above, shift-invert Lanczos (ARPACK) on one SuperLU factor in symmetric
+  mode (minimum-degree ordering of S + S^T, diagonal pivots), which the SPD
+  forms allow: it fills a 32 488-entry 3-D form far less than the default
+  column ordering (direct estimate 4.1 s instead of 13 s);
+- the 3-D direct estimate alone uses Jacobi-preconditioned LOBPCG
+  (`_lobpcg_best_constant`), because 3-D factors fill badly: 0.41 s
+  against 4.1 s on those 32 488 entries.  In 2-D, and for the 1-4k-entry
+  per-cube capacity solves, the factor is cheap and LOBPCG is slower
+  (2-D 4096 entries: 0.23 s against 0.05 s; the 3-D L5 capacity field
+  at grid level 4: 3.4 s against 2.2 s).
+
+Every other case uses projected normalized ascent with Armijo steps and
+multiple deterministic starts.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import product
@@ -275,6 +291,18 @@ def _poly_basis(m_cells: int, dim: int, degree: int) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
+def _null_space(B: np.ndarray, zero: np.ndarray) -> np.ndarray:
+    """Coefficient basis (columns) of the combinations of B's columns that
+    vanish on the zero cells."""
+    if not zero.any():
+        return np.eye(B.shape[1])
+    Bz = B[zero, :]
+    # U is unused: the full V needs full matrices only for wide Bz
+    _, s, vt = np.linalg.svd(Bz, full_matrices=len(Bz) < Bz.shape[1])
+    rank = int((s > 1e-10 * max(1.0, s[0] if len(s) else 1.0)).sum())
+    return vt[rank:].T
+
+
 def admissible_kernel_element(constraints: ConstraintSet, m_cells: int,
                               dim: int, degree: int) -> np.ndarray | None:
     """A nonzero degree-<=degree polynomial in the admissible set, if any.
@@ -285,15 +313,7 @@ def admissible_kernel_element(constraints: ConstraintSet, m_cells: int,
     if degree < 0:
         return None
     B = _poly_basis(m_cells, dim, degree)
-    zero = constraints.zero_mask((m_cells,) * dim).reshape(-1)
-    if zero.any():
-        Bz = B[zero, :]
-        # U is unused: the full V needs full matrices only for wide Bz
-        _, s, vt = np.linalg.svd(Bz, full_matrices=len(Bz) < Bz.shape[1])
-        rank = int((s > 1e-10 * max(1.0, s[0] if len(s) else 1.0)).sum())
-        null = vt[rank:].T
-    else:
-        null = np.eye(B.shape[1])
+    null = _null_space(B, constraints.zero_mask((m_cells,) * dim).reshape(-1))
     if null.shape[1] == 0:
         return None
     for i in range(null.shape[1]):
@@ -313,6 +333,9 @@ def admissible_kernel_element(constraints: ConstraintSet, m_cells: int,
 # -- solvers -------------------------------------------------------------------
 
 
+# Largest free subspace solved densely from the start; above it the
+# symmetric-mode factor is cheaper.
+DENSE_EIGH_CUTOFF = 400
 # Largest free subspace the failed sparse eigensolve may redo densely: two
 # dense n x n matrices, 64 MiB at n = 2048.
 DENSE_EIGH_LIMIT = 2048
@@ -322,8 +345,15 @@ def _eigen_best_constant(S: sp.csr_matrix, free: np.ndarray,
                          w: float | np.ndarray):
     """max sqrt(u^T W u / u^T S u) over the free subspace, W = diag(w) with
     w the cell volume or a per-entry array (as in the ratio core), via the
-    smallest generalized eigenvalue of (S, W): dense up to 400 free
-    entries, shift-invert Lanczos above.
+    smallest generalized eigenvalue of (S, W).
+
+    Up to DENSE_EIGH_CUTOFF free entries the pencil is solved densely.
+    Above, ARPACK runs shift-invert Lanczos at sigma = 0 on one SuperLU
+    factor of the free block: S is SPD there, so the factor uses symmetric
+    mode (minimum-degree ordering of S + S^T, diagonal pivots), which fills
+    far less than the default column ordering on 3-D lattices.  A singular
+    factor or an unconverged Lanczos run is redone densely up to
+    DENSE_EIGH_LIMIT entries and raises CapacityError above.
 
     Returns (best, residual, maximiser on the free entries)."""
     idx = np.nonzero(free)[0]
@@ -331,22 +361,26 @@ def _eigen_best_constant(S: sp.csr_matrix, free: np.ndarray,
     # an all-free solve (the direct estimate) factors S without a copy
     Sf = (S if n == len(free) else S[idx][:, idx]).tocsc()
     Mf = sp.diags(np.broadcast_to(w, free.shape)[idx]).tocsc()
-    if n <= 400:
+    if n <= DENSE_EIGH_CUTOFF:
         lam, vec = scipy.linalg.eigh(Sf.toarray(), Mf.toarray(),
                                      subset_by_index=[0, 0])
         # dense re-solve residual is below fp noise; report 0
         return math.sqrt(1.0 / max(lam[0], 1e-300)), 0.0, vec[:, 0]
     try:
+        lu = spla.splu(Sf, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options=dict(SymmetricMode=True))
+        OPinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
         v0 = np.ones(n) / math.sqrt(n)  # deterministic Lanczos start
-        lam, vec = spla.eigsh(Sf, k=1, M=Mf, sigma=0.0, which="LM", v0=v0)
+        lam, vec = spla.eigsh(Sf, k=1, M=Mf, sigma=0.0, which="LM", v0=v0,
+                              OPinv=OPinv)
         lam = float(lam[0])
         v = vec[:, 0]
         res = float(np.linalg.norm(Sf @ v - lam * (Mf @ v)) /
                     max(np.linalg.norm(Mf @ v), 1e-300))
         return math.sqrt(1.0 / max(lam, 1e-300)), res, v
     except RuntimeError as exc:
-        # ARPACK did not converge, or SuperLU found the shifted matrix
-        # singular; anything else is a fault and propagates.
+        # ARPACK did not converge, or SuperLU found the matrix singular;
+        # anything else is a fault and propagates.
         if not (isinstance(exc, spla.ArpackNoConvergence)
                 or "singular" in str(exc)):
             raise
@@ -355,6 +389,39 @@ def _eigen_best_constant(S: sp.csr_matrix, free: np.ndarray,
                                          subset_by_index=[0, 0])
             return math.sqrt(1.0 / max(lam[0], 1e-300)), 0.0, vec[:, 0]
         raise CapacityError(f"eigensolve failed: {exc}") from exc
+
+
+def _lobpcg_best_constant(S: sp.spmatrix, w: float | np.ndarray):
+    """max sqrt(u^T W u / u^T S u) over all entries, W = diag(w), by
+    Jacobi-preconditioned LOBPCG on the scaled pencil W^-1/2 S W^-1/2.
+
+    It starts from the constant function and stops at residual 1e-9 or
+    after 2000 iterations.  The value is the Rayleigh quotient of the
+    returned vector, so it is a lower bound for the best constant even
+    short of convergence.  An unconverged run (LOBPCG warns) is redone by
+    _eigen_best_constant, and so is a pencil small enough to solve densely.
+
+    Returns (best, residual, maximiser) as _eigen_best_constant does."""
+    n = S.shape[0]
+    w = np.broadcast_to(w, (n,))
+    if n <= DENSE_EIGH_CUTOFF:
+        return _eigen_best_constant(S, np.ones(n, dtype=bool), w)
+    sw = np.sqrt(w)
+    scale = sp.diags(1.0 / sw)
+    A = (scale @ S @ scale).tocsr()
+    x0 = (sw / np.linalg.norm(sw))[:, None]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _, X = spla.lobpcg(A, x0, M=sp.diags(1.0 / A.diagonal()), tol=1e-9,
+                           maxiter=2000, largest=False)
+    if caught:
+        return _eigen_best_constant(S, np.ones(n, dtype=bool), w)
+    v = X[:, 0] / sw
+    Sv, Wv = S @ v, w * v
+    vWv, vSv = float(v @ Wv), float(v @ Sv)
+    res = float(np.linalg.norm(Sv - (vSv / vWv) * Wv) /
+                max(np.linalg.norm(Wv), 1e-300))
+    return math.sqrt(vWv / max(vSv, 1e-300)), res, v
 
 
 def dense_best_constant(S: np.ndarray, free: np.ndarray, hN: float) -> float:
@@ -580,13 +647,7 @@ def _a0_violation(constraints, m_cells, dim, m, k, p, p1, A0, hN) -> bool:
     """True when some admissible polynomial of degree <= m-1 has
     ||P||_p > A0 ||grad^(k+1) P||_p1 with grad^m P = 0 (sup unbounded)."""
     B = _poly_basis(m_cells, dim, m - 1)
-    zero = constraints.zero_mask((m_cells,) * dim).reshape(-1)
-    if zero.any():
-        _, s, vt = np.linalg.svd(B[zero, :], full_matrices=True)
-        rank = int((s > 1e-10 * max(1.0, s[0] if len(s) else 1.0)).sum())
-        null = vt[rank:].T
-    else:
-        null = np.eye(B.shape[1])
+    null = _null_space(B, constraints.zero_mask((m_cells,) * dim).reshape(-1))
     if null.shape[1] == 0:
         return False
     basis = B @ null  # admissible polynomial space, columns

@@ -24,6 +24,7 @@ from .capacity import (
     ConstraintSet,
     default_theta_a0,
     _eigen_best_constant,
+    _lobpcg_best_constant,
     _ratio_descent,
     gamma_capacity,
     gradient_form_ops,
@@ -203,12 +204,6 @@ class CubeCapacities:
     c2_floor: float
     grid_level: int
     records: list
-
-    def multiplier_field(self, decomp: WhitneyDecomposition) -> np.ndarray:
-        """Lambda(x) as a piecewise-constant cell field (outside cells and
-        non-finite values 0)."""
-        lam = np.where(np.isfinite(self.lam), self.lam, 0.0)
-        return np.where(decomp.owner >= 0, lam[decomp.owner], 0.0)
 
 
 def _constraint_classes(decomp: WhitneyDecomposition, grid_level: int,
@@ -626,10 +621,19 @@ def direct_best_constant(domain: GridDomain, params: HardyParams,
         (int |u|^p delta^(s-mp))^(1/p) <= A (int |grad^m u|^p delta^s)^(1/p)
 
     over grid functions vanishing outside the domain (intersected with the
-    nonnegative cone when the admissible class demands).  Exact generalized
-    eigensolve for p = 2 (capacity._eigen_best_constant, with the weighted
-    cell masses on the diagonal), projected multi-start ascent otherwise.
-    The value is a lower bound for the true best constant.
+    nonnegative cone when the admissible class demands).  The value is a
+    lower bound for the true best constant.
+
+    For p = 2 without the cone it is a generalized eigensolve with the
+    weighted cell masses on the diagonal.  In 1-D and 2-D that is
+    capacity._eigen_best_constant (dense up to 400 DOFs, symmetric-mode
+    shift-invert above).  In 3-D the shift-invert factor fills badly, so
+    capacity._lobpcg_best_constant runs Jacobi-preconditioned LOBPCG and
+    returns the Rayleigh quotient of its vector (cube-minus-compact L5,
+    32 488 DOFs: 0.41 s against 4.1 s for symmetric-mode shift-invert and
+    13 s for the default SuperLU ordering, 2-core x86 VM).  In 2-D LOBPCG
+    is the slower one (4096 DOFs: 0.23 s against 0.05 s).  Other p, and the
+    cone, use projected multi-start ascent.
     """
     if params.form != "integral-6.24":
         raise HardyError("direct estimates use the integral form")
@@ -654,7 +658,8 @@ def direct_best_constant(domain: GridDomain, params: HardyParams,
             opE = (op @ E).tocsr()
             term = opE.T @ sp.diags(w_top * mult) @ opE
             A_mat = term if A_mat is None else A_mat + term
-        A_mat = A_mat.tocsc()
+        if domain.dim >= 3:
+            return _lobpcg_best_constant(A_mat, w_low)[0]
         return _eigen_best_constant(A_mat, np.ones(len(w_low), dtype=bool),
                                     w_low)[0]
 

@@ -291,3 +291,95 @@ def test_eigensolve_singular_factor_falls_back_to_dense(monkeypatch):
     best, res, vec = capacity._eigen_best_constant(
         S, np.ones(n, dtype=bool), 1.0)
     assert best == pytest.approx(0.5) and res == 0.0 and vec.shape == (n,)
+
+
+def test_singular_factor_raises_before_eigsh_and_falls_back(monkeypatch):
+    # SuperLU itself finds the symmetric-mode factor singular; the dense
+    # fallback still answers and ARPACK never runs
+    from hardylab import capacity
+
+    n = 500
+    S = sp.diags(np.r_[0.0, np.full(n - 1, 4.0)]).tocsr()
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("eigsh ran on a singular factor")
+
+    monkeypatch.setattr(capacity.spla, "eigsh", unreachable)
+    best, res, vec = capacity._eigen_best_constant(
+        S, np.ones(n, dtype=bool), 1.0)
+    assert best > 1e100 and res == 0.0
+    assert abs(vec[0]) == pytest.approx(1.0)
+
+
+def test_symmetric_mode_shift_invert_matches_dense_3d(monkeypatch):
+    # a 3-D grid-level-4 mask with 400 < free cells <= 2048 takes the
+    # symmetric-mode shift-invert path and agrees with dense eigh
+    from hardylab import capacity
+
+    calls = []
+    splu = spla.splu
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(capacity.spla, "splu", spy)
+    free = np.zeros((16,) * 3, dtype=bool)
+    free[2:13, 3:14, 1:12] = True
+    free[6:9, 6:9, 6:9] = False
+    free = free.reshape(-1)
+    n = int(free.sum())
+    assert capacity.DENSE_EIGH_CUTOFF < n <= capacity.DENSE_EIGH_LIMIT
+    hN = 16.0 ** -3
+    S = quadratic_form(16, 3, 1)
+    best, res, vec = capacity._eigen_best_constant(S, free, hN)
+    idx = np.nonzero(free)[0]
+    dense = dense_best_constant(S[idx][:, idx].toarray(),
+                                np.ones(n, dtype=bool), hN)
+    assert best == pytest.approx(dense, rel=1e-10)
+    assert res < 1e-8 and vec.shape == (n,)
+    assert calls == [dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                          options=dict(SymmetricMode=True))]
+
+
+A0_MASKS = {
+    "wide": [(3, 4)],                         # 1 zero cell, 3 coefficients
+    "tall": [(0, j) for j in range(8)],       # one column: x - 1/16 survives
+    "tall-pinned": [(i, j) for i in (0, 1) for j in range(8)],
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("name", sorted(A0_MASKS))
+def test_a0_violation_verdict_with_reduced_svd(monkeypatch, name):
+    # full matrices only for a wide zero-cell block; the verdict matches an
+    # always-full SVD on wide, tall and empty masks
+    from hardylab import capacity
+
+    K = np.zeros((8, 8), dtype=bool)
+    for cell in A0_MASKS[name]:
+        K[cell] = True
+    kind = "zero-on-compact" if K.any() else "full-space"
+    cs = ConstraintSet(kind, K if K.any() else None)
+    svd = np.linalg.svd
+
+    def verdicts():
+        return [capacity._a0_violation(cs, 8, 2, 2, 0, 2.0, 2.0, A0, 1 / 64)
+                for A0 in (1e-3, 1e3)]
+
+    flags = []
+
+    def spy(a, full_matrices=True, **kwargs):
+        flags.append(full_matrices)
+        return svd(a, full_matrices=full_matrices, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    reduced = verdicts()
+    assert flags == [len(A0_MASKS[name]) < 3] * (2 if K.any() else 0)
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda a, full_matrices=True, **kw:
+                        svd(a, full_matrices=True, **kw))
+    assert reduced == verdicts()
+    # a small A0 is violated by any admissible non-constant linear function
+    assert reduced == ([False, False] if name == "tall-pinned"
+                       else [True, False])

@@ -386,3 +386,70 @@ def test_holder_form_bound_sound_on_probes(interval8):
         constructive_bound(dec, HardyParams(m=1, s=-1.0, case="C", A0=0.1,
                                             lam=0.4, form="holder-6.23"),
                            grid_level=4)
+
+
+# -- 3-D direct estimate by LOBPCG ------------------------------------------------
+
+
+CUBE4 = DomainSpec(kind="cube-minus-compact", dim=3, level=4)
+DIRECT_P2 = HardyParams(m=1, k=0, p=2.0, q=2.0, s=-1.0)
+
+
+def _shift_invert_direct(monkeypatch, dom):
+    from hardylab import capacity, hardy
+
+    with monkeypatch.context() as patch:
+        patch.setattr(hardy, "_lobpcg_best_constant",
+                      lambda S, w: capacity._eigen_best_constant(
+                          S, np.ones(S.shape[0], dtype=bool), w))
+        return direct_best_constant(dom, DIRECT_P2)
+
+
+def test_direct_lobpcg_3d_matches_shift_invert(monkeypatch):
+    from hardylab import capacity
+
+    dom = rasterize(CUBE4)
+    assert int(dom.inside.sum()) > capacity.DENSE_EIGH_CUTOFF
+    shift_invert = _shift_invert_direct(monkeypatch, dom)
+    runs = []
+    lobpcg = spla.lobpcg
+
+    def spy(*args, **kwargs):
+        runs.append(kwargs)
+        return lobpcg(*args, **kwargs)
+
+    monkeypatch.setattr(capacity.spla, "lobpcg", spy)
+    est = direct_best_constant(dom, DIRECT_P2)
+    assert len(runs) == 1 and runs[0]["largest"] is False
+    assert est == pytest.approx(shift_invert, rel=1e-10)
+    # a Rayleigh quotient stays below the supremum
+    assert est <= shift_invert * (1 + 1e-13)
+
+
+def test_direct_lobpcg_3d_repeats_bit_for_bit():
+    dom = rasterize(CUBE4)
+    first = direct_best_constant(dom, DIRECT_P2)
+    assert direct_best_constant(dom, DIRECT_P2) == first
+
+
+def test_direct_lobpcg_unconverged_falls_back_silently(monkeypatch):
+    import warnings
+
+    from hardylab import capacity
+
+    dom = rasterize(CUBE4)
+    shift_invert = _shift_invert_direct(monkeypatch, dom)
+
+    runs = []
+
+    def unconverged(A, X, **kwargs):
+        runs.append(kwargs)
+        warnings.warn("not reaching the requested tolerance", UserWarning)
+        return np.ones(1), X
+
+    monkeypatch.setattr(capacity.spla, "lobpcg", unconverged)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        est = direct_best_constant(dom, DIRECT_P2)
+    assert caught == [] and len(runs) == 1
+    assert est == shift_invert
