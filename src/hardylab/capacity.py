@@ -37,7 +37,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import scipy.linalg
@@ -95,34 +95,33 @@ class ConstraintSet:
         """Cache key invariant under the cube symmetry group."""
         if self.K is None:
             return self.kind.encode()
-        best = None
-        for arr in _symmetry_images(self.K):
-            b = arr.tobytes()
-            if best is None or b < best:
-                best = b
-        return self.kind.encode() + b"|" + best + str(self.K.shape).encode()
+        return canonical_keys(self.kind, self.K[None])[0]
 
 
-def _symmetry_images(mask: np.ndarray):
-    dim = mask.ndim
-    for perm in _permutations(dim):
-        base = np.transpose(mask, perm)
+def canonical_keys(kind: str, masks: np.ndarray) -> list[bytes]:
+    """ConstraintSet(kind, K).canonical_key() for every mask K of a stack
+    (axis 0): the lexicographically least byte image of K under the
+    transposes and flips of the cube, kept as a running row-wise minimum
+    over the images of the whole stack, one image at a time."""
+    n, dim = len(masks), masks.ndim - 1
+    best = None
+    for perm in permutations(range(dim)):
+        base = np.transpose(masks, (0,) + tuple(a + 1 for a in perm))
         for flips in product((False, True), repeat=dim):
-            arr = base
+            img = base
             for ax, f in enumerate(flips):
                 if f:
-                    arr = np.flip(arr, axis=ax)
-            yield np.ascontiguousarray(arr)
-
-
-def _permutations(n):
-    if n == 1:
-        return [(0,)]
-    if n == 2:
-        return [(0, 1), (1, 0)]
-    return [
-        (0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0),
-    ]
+                    img = np.flip(img, axis=ax + 1)
+            rows = img.reshape(n, -1)
+            if best is None:
+                best = rows.copy()
+                continue
+            # rows that differ first at a cell where this image has the 0
+            first = (rows != best).argmax(axis=1)
+            less = best[np.arange(n), first] > rows[np.arange(n), first]
+            best[less] = rows[less]
+    tail = str(masks.shape[1:]).encode()
+    return [kind.encode() + b"|" + row.tobytes() + tail for row in best]
 
 
 @dataclass

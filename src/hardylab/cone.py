@@ -8,6 +8,17 @@ cut off at the 16/9-enlarged cubes and summed.  Exactness (u1 - u2 = u,
 both nonnegative) holds cellwise by construction; the norm control is an
 itemized product of the bounded-overlap constant, the per-cube majorant
 factors, and per-cube interpolation ratios, all measured on the split.
+
+Per cube, the work runs on the cube's windows: the piece eta_Q*u and its
+cutoff on the 4/3 window, the majorant's outer cutoff, defect repair,
+accumulation and seminorms on the 16/9 window (padded by the stencil order
+for the differences).  The profiles are exactly 0 off those windows, so the
+split is the same to the bit; only the seminorm sums add their terms in
+another order.  The Tikhonov deconvolution alone stays on the whole grid,
+zero-padded to a power-of-two FFT shape: its filter makes the source global,
+so a window would move the majorant.  One split computes each kernel
+spectrum once per kernel and FFT shape and each weight field once, and
+keeps nothing after it returns.
 """
 
 from __future__ import annotations
@@ -18,7 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import GridDomain, rasterize
-from .norms import DiscreteFunction, WeightSpec, gradient_seminorm
+from .norms import (DiscreteFunction, WeightSpec, block_seminorms,
+                    gradient_magnitude, gradient_seminorm, _weight_on_anchors)
 from .whitney import WhitneyDecomposition
 
 ALPHA_ENLARGE = 4.0 / 3.0        # support of the cutoff pieces
@@ -46,10 +58,14 @@ class CutoffFamily:
         return smoothstep((self.alpha - rel) / (self.alpha - 1.0))
 
     def on_grid(self, domain: GridDomain, center: np.ndarray,
-                side: float) -> np.ndarray:
-        out = np.ones(domain.shape)
+                side: float, window=None) -> np.ndarray:
+        """The cutoff of the cube (center, side) on the grid, or on the box
+        slice window of it (the same per-cell values)."""
+        if window is None:
+            window = (slice(None),) * domain.dim
+        out = np.ones(domain.inside[window].shape)
         for a in range(domain.dim):
-            x = domain.cell_centers(a)
+            x = domain.cell_centers(a)[window[a]]
             rel = np.abs(x - center[a]) / (side / 2.0)
             prof = self.profile(rel)
             shape = [1] * domain.dim
@@ -72,17 +88,22 @@ def _cube_center(decomp: WhitneyDecomposition, i: int) -> np.ndarray:
     return (decomp.coords[i].astype(float) + 0.5) * side
 
 
-def _enlarged_slice(domain: GridDomain, decomp: WhitneyDecomposition, i: int,
-                    enlarge: float):
+def _box_slice(domain: GridDomain, center: np.ndarray, side: float):
+    """Cells meeting the box of the given side around center, clipped to
+    the grid; a cutoff of that support is exactly 0 on every other cell."""
     n = 2**domain.level
-    side = decomp.side(i) * enlarge
-    center = _cube_center(decomp, i)
     sl = []
     for a in range(domain.dim):
         lo = int(math.floor((center[a] - side / 2.0) / domain.h))
         hi = int(math.ceil((center[a] + side / 2.0) / domain.h))
         sl.append(slice(max(lo, 0), min(hi, n)))
     return tuple(sl)
+
+
+def _enlarged_slice(domain: GridDomain, decomp: WhitneyDecomposition, i: int,
+                    enlarge: float):
+    return _box_slice(domain, _cube_center(decomp, i),
+                      decomp.side(i) * enlarge)
 
 
 def _iterated_kernel(m: int, radius_cells: int) -> np.ndarray:
@@ -93,6 +114,35 @@ def _iterated_kernel(m: int, radius_cells: int) -> np.ndarray:
     for _ in range(m - 1):
         ker = np.convolve(ker, base)
     return ker / ker.sum()
+
+
+def _kernel_spectrum(ker1d: np.ndarray, dim: int, fshape, tau: float):
+    """(Kf, |Kf|^2 + tau, condition) of the dim-fold tensor kernel centred
+    at the origin of the fshape FFT grid."""
+    K = np.zeros(fshape)
+    kernel_nd = ker1d
+    for _ in range(dim - 1):
+        kernel_nd = np.multiply.outer(kernel_nd, ker1d)
+    K[tuple(slice(0, len(ker1d)) for _ in fshape)] = kernel_nd
+    K = np.roll(K, [-(len(ker1d) // 2)] * dim, axis=tuple(range(dim)))
+    Kf = np.fft.rfftn(K)
+    denom = np.abs(Kf) ** 2 + tau
+    cond = float((np.abs(Kf).max() ** 2 + tau) / (np.abs(Kf).min() ** 2 + tau))
+    return Kf, denom, cond
+
+
+def _support_box(vals: np.ndarray):
+    """(lo, hi) cell indices bounding the nonzeros of vals, or None."""
+    nonzero = vals != 0.0
+    lo, hi = [], []
+    for a in range(vals.ndim):
+        hit = np.flatnonzero(nonzero.any(
+            axis=tuple(b for b in range(vals.ndim) if b != a)))
+        if not len(hit):
+            return None
+        lo.append(int(hit[0]))
+        hi.append(int(hit[-1]))
+    return np.array(lo), np.array(hi)
 
 
 @dataclass
@@ -106,7 +156,8 @@ class MajorantResult:
 def local_majorant(u_q: DiscreteFunction, m: int, p: float,
                    cube_side: float | None = None,
                    cube_center: np.ndarray | None = None,
-                   tikhonov: float | None = None) -> MajorantResult:
+                   tikhonov: float | None = None, *,
+                   spectra: dict | None = None) -> MajorantResult:
     """Nonnegative majorant of a cube-local piece via a positive kernel.
 
     Writes u_q = G*f with G an m-fold iterated box mollifier at the cube's
@@ -115,20 +166,31 @@ def local_majorant(u_q: DiscreteFunction, m: int, p: float,
     defect's positive part, which preserves nonnegativity and support.
     Returns the majorant with its measured norm factor, repair size, and
     deconvolution condition estimate.  Rejects p <= 1.
+
+    The deconvolution and the convolution back run on the whole grid,
+    zero-padded to a power-of-two FFT shape: the Tikhonov filter makes the
+    source global, and a window would change the majorant.  Everything
+    after it runs on the window of the 16/9-enlarged cube (widened to the
+    support of u_q if that reaches further): the outer cutoff, the defect
+    repair and both seminorms, whose terms vanish off the window.  spectra
+    is a cache of kernel spectra shared by calls with the same kernel and
+    FFT shape; cone_split passes one per split.
     """
     if p <= 1.0:
         raise ConeError("the positive-kernel representation needs p > 1")
     dom = u_q.domain
     vals = u_q.values
-    if not vals.any():
+    box = _support_box(vals)
+    if box is None:
         return MajorantResult(np.zeros_like(vals), 1.0, 0.0, 1.0)
-    if cube_side is None or cube_center is None:
-        supp = np.argwhere(vals != 0.0)
-        if cube_side is None:
-            extent = (supp.max(axis=0) - supp.min(axis=0) + 1).max()
-            cube_side = extent * dom.h / ALPHA_ENLARGE
-        if cube_center is None:
-            cube_center = (supp.min(axis=0) + supp.max(axis=0) + 1) * dom.h / 2.0
+    lo, hi = box
+    if cube_side is None:
+        cube_side = (hi - lo + 1).max() * dom.h / ALPHA_ENLARGE
+    if cube_center is None:
+        cube_center = (lo + hi + 1) * dom.h / 2.0
+    outer = _box_slice(dom, cube_center, cube_side * BETA_ENLARGE)
+    win = tuple(slice(min(s.start, a), max(s.stop, b + 1))
+                for s, a, b in zip(outer, lo, hi))
     # kernel reach must keep supp(G*f+) inside the 16/9 enlargement
     margin_cells = max(int((BETA_ENLARGE - ALPHA_ENLARGE) * cube_side
                            / (2.0 * dom.h)), 1)
@@ -137,48 +199,46 @@ def local_majorant(u_q: DiscreteFunction, m: int, p: float,
 
     shape = vals.shape
     pad = len(ker1d)
-    fshape = [int(2 ** math.ceil(math.log2(s + 2 * pad))) for s in shape]
-    K = np.zeros(fshape)
-    sl = tuple(slice(0, len(ker1d)) for _ in shape)
-    kernel_nd = ker1d
-    for _ in range(dom.dim - 1):
-        kernel_nd = np.multiply.outer(kernel_nd, ker1d)
-    K[sl] = kernel_nd
-    shift = [len(ker1d) // 2 for _ in shape]
-    K = np.roll(K, [-s for s in shift], axis=tuple(range(dom.dim)))
-    Kf = np.fft.rfftn(K)
-
-    U = np.zeros(fshape)
-    U[tuple(slice(0, s) for s in shape)] = vals
-    Uf = np.fft.rfftn(U)
+    fshape = tuple(int(2 ** math.ceil(math.log2(s + 2 * pad))) for s in shape)
     tau = (dom.h**2) if tikhonov is None else tikhonov
-    denom = np.abs(Kf) ** 2 + tau
-    cond = float((np.abs(Kf).max() ** 2 + tau) / (np.abs(Kf).min() ** 2 + tau))
+    key = (m, radius, fshape, tau)
+    spectrum = spectra.get(key) if spectra is not None else None
+    if spectrum is None:
+        spectrum = _kernel_spectrum(ker1d, dom.dim, fshape, tau)
+        if spectra is not None:
+            spectra[key] = spectrum
+    Kf, denom, cond = spectrum
+
+    u_win = vals[win]
+    U = np.zeros(fshape)
+    U[win] = u_win
+    # numpy's complex product is not bitwise commutative, and a temporary
+    # right factor is reused with the operands swapped: keep Uf named
+    Uf = np.fft.rfftn(U)
     Ff = np.conj(Kf) * Uf / denom
     axes = tuple(range(dom.dim))
     f_src = np.fft.irfftn(Ff, s=fshape, axes=axes)
     f_plus = np.maximum(f_src, 0.0)
     v_raw = np.fft.irfftn(np.fft.rfftn(f_plus) * Kf, s=fshape, axes=axes)
-    v = np.maximum(v_raw[tuple(slice(0, s) for s in shape)], 0.0)
+    v = np.maximum(v_raw[win], 0.0)
     # short-range support: cut off at the 16/9 enlargement (the deconvolved
     # source is global through the Tikhonov filter)
     eta_outer = CutoffFamily().on_grid(dom, np.asarray(cube_center),
-                                       cube_side * ALPHA_ENLARGE)
+                                       cube_side * ALPHA_ENLARGE, win)
     v = eta_outer * v
 
-    defect = np.maximum(vals - v, 0.0)
+    defect = np.maximum(u_win - v, 0.0)
     hN = dom.h**dom.dim
     defect_norm = float((defect**p).sum() * hN) ** (1.0 / p)
     v = v + defect
 
-    norm_u = _local_sobolev(u_q, m, p)
-    norm_v = _local_sobolev(DiscreteFunction(dom, v, u_q.boundary_policy), m, p)
+    policy = u_q.boundary_policy
+    norm_u = sum(block_seminorms(dom, u_win, win, m, p, policy))
+    norm_v = sum(block_seminorms(dom, v, win, m, p, policy))
     factor = norm_v / norm_u if norm_u > 0 else 1.0
-    return MajorantResult(v, factor, defect_norm, cond)
-
-
-def _local_sobolev(u: DiscreteFunction, m: int, p: float) -> float:
-    return sum(gradient_seminorm(u, k, p) for k in range(m + 1))
+    values = np.zeros(shape)
+    values[win] = v
+    return MajorantResult(values, factor, defect_norm, cond)
 
 
 @dataclass
@@ -251,18 +311,20 @@ def cone_split(u: DiscreteFunction, decomp: WhitneyDecomposition, m: int,
     wspec = WeightSpec(exponent=s)
     wlow = WeightSpec(exponent=s - m * p)
     hN = dom.h**dom.dim
+    w_field = wspec.field(dom)
     wlow_field = wlow.field(dom)
+    spectra: dict = {}
+    policy = u.boundary_policy
 
     # global top-order anchor integrand |grad^m u|^p * delta^s * dx, summed
     # per cube over the anchor window of the 4/3 enlargement; window sums
     # against the measured anchor multiplicity keep every chain step an
     # exact inequality
-    from .norms import gradient_magnitude, _weight_on_anchors
     mag, widx = gradient_magnitude(u, m)
-    wanch = _weight_on_anchors(wspec.field(dom), widx)
+    wanch = _weight_on_anchors(w_field, widx)
     g_top = mag**p * wanch * hN
     low_field = np.abs(u.values) ** p * wlow_field * hN
-    pad = m if u.boundary_policy == "zero-extension" else 0
+    pad = m if policy == "zero-extension" else 0
     mult_top = np.zeros(g_top.shape, dtype=np.int32)
     mult_low = np.zeros(dom.shape, dtype=np.int32)
 
@@ -273,23 +335,28 @@ def cone_split(u: DiscreteFunction, decomp: WhitneyDecomposition, m: int,
                              min(s_.stop + 2 * pad, g_top.shape[ax])))
         return tuple(out)
 
+    # the piece eta_Q*u lives on the 4/3 window and its majorant on the
+    # 16/9 window; cutoffs, accumulation and seminorms stay on them
     for i in range(decomp.n_cubes):
         side = decomp.side(i)
         center = _cube_center(decomp, i)
-        eta = cutoffs.on_grid(dom, center, side)
-        u_q_vals = eta * u.values
-        if not u_q_vals.any():
-            continue
-        u_q = DiscreteFunction(dom, u_q_vals, u.boundary_policy)
-        res = local_majorant(u_q, m, p, cube_side=side, cube_center=center)
-        v += res.values
         sl43 = _enlarged_slice(dom, decomp, i, ALPHA_ENLARGE)
+        u_q_win = cutoffs.on_grid(dom, center, side, sl43) * u.values[sl43]
+        if not u_q_win.any():
+            continue
+        u_q_vals = np.zeros(dom.shape)
+        u_q_vals[sl43] = u_q_win
+        u_q = DiscreteFunction(dom, u_q_vals, policy)
+        res = local_majorant(u_q, m, p, cube_side=side, cube_center=center,
+                             spectra=spectra)
+        sl169 = _enlarged_slice(dom, decomp, i, BETA_ENLARGE)
+        maj = res.values[sl169]
+        v[sl169] += maj
         awin = anchor_window(sl43)
         mult_low[sl43] += 1
         mult_top[awin] += 1
-        num = sum(gradient_seminorm(
-            DiscreteFunction(dom, res.values, u.boundary_policy), k, p, wspec
-        ) ** p for k in range(m + 1))
+        num = sum(x ** p for x in block_seminorms(dom, maj, sl169, m, p,
+                                                  policy, w_field))
         local_low = float(low_field[sl43].sum())
         local_top = float(g_top[awin].sum())
         denom = local_low + local_top
@@ -334,12 +401,6 @@ def cone_split(u: DiscreteFunction, decomp: WhitneyDecomposition, m: int,
     }
     return ConeSplit(u1=u1, u2=u2, norm_factor=nf, per_cube_log=per_cube,
                      factors=factors)
-
-
-def _mask_from_slice(dom: GridDomain, sl) -> np.ndarray:
-    mask = np.zeros(dom.shape, dtype=bool)
-    mask[sl] = True
-    return mask
 
 
 def chain_inequality_sides(u: DiscreteFunction, split: ConeSplit, m: int,

@@ -22,6 +22,7 @@ from .whitney import WhitneyDecomposition, packing_constant
 from .capacity import (
     CapacityError,
     ConstraintSet,
+    canonical_keys,
     default_theta_a0,
     _eigen_best_constant,
     _lobpcg_best_constant,
@@ -212,8 +213,8 @@ def _constraint_classes(decomp: WhitneyDecomposition, grid_level: int,
 
     Cube i's zero set holds the unit-lattice cells whose centers map into
     complement cells (or beyond the box, under collar padding).  The rescale
-    maps are axis-aligned, so one gather builds every zero set; distinct
-    masks are then keyed once each by ConstraintSet.canonical_key.  Returns
+    maps are axis-aligned, so one gather builds every zero set; the distinct
+    masks are then keyed together by canonical_keys.  Returns
     (reps, cls): reps[c] is the ConstraintSet of the first cube of class c
     (classes numbered in order of first cube) and cls[i] the class of cube i.
     """
@@ -241,12 +242,11 @@ def _constraint_classes(decomp: WhitneyDecomposition, grid_level: int,
     class_of: dict[bytes, int] = {}
     mask_class = np.zeros(len(first), dtype=np.int64)
     reps = []
-    for u in np.argsort(first):
-        cs = ConstraintSet(kind, K[first[u]].copy())
-        key = cs.canonical_key()
+    order = np.argsort(first)
+    for u, key in zip(order, canonical_keys(kind, K[first[order]])):
         if key not in class_of:
             class_of[key] = len(reps)
-            reps.append(cs)
+            reps.append(ConstraintSet(kind, K[first[u]].copy()))
         mask_class[u] = class_of[key]
     return reps, mask_class[inverse]
 

@@ -107,29 +107,40 @@ def difference_fields(u: DiscreteFunction, order: int):
     from (clipped at the box for virtual anchors).
     """
     dom = u.domain
-    n = dom.shape[0]
-    h = dom.h
+    return _differences(u.values, order, dom.h, u.boundary_policy,
+                        (0,) * dom.dim, dom.shape[0])
+
+
+def _differences(values: np.ndarray, order: int, h: float, policy: str,
+                 start, n: int):
+    """Array core of difference_fields for a block of an n^dim grid whose
+    first cell sits at index start[a] on axis a; the weight index is in
+    whole-grid cells.  With the full grid as the block this is
+    difference_fields itself."""
     j = order
     if j == 0:
-        idx = [np.arange(n) for _ in range(dom.dim)]
-        return {(0,) * dom.dim: u.values.copy()}, idx
-    if u.boundary_policy == "zero-extension":
-        base = np.pad(u.values, j, mode="constant")
-        out_n = n + j
+        idx = [np.arange(s, s + k) for s, k in zip(start, values.shape)]
+        return {(0,) * values.ndim: values.copy()}, idx
+    if policy == "zero-extension":
+        base = np.zeros(tuple(k + 2 * j for k in values.shape),
+                        dtype=values.dtype)
+        base[(slice(j, -j),) * values.ndim] = values
+        out = [k + j for k in values.shape]
         offset = -j
     else:
-        base = u.values
-        out_n = n - j
+        base = values
+        out = [k - j for k in values.shape]
         offset = 0
     fields = {}
-    for alpha in multi_indices(dom.dim, j):
+    for alpha in multi_indices(values.ndim, j):
         f = base
         for ax, a in enumerate(alpha):
             for _ in range(a):
                 f = np.diff(f, axis=ax)
-        f = f[tuple(slice(0, out_n) for _ in range(dom.dim))]
+        f = f[tuple(slice(0, o) for o in out)]
         fields[alpha] = f / h**j
-    widx = [np.clip(np.arange(out_n) + offset, 0, n - 1) for _ in range(dom.dim)]
+    widx = [np.minimum(np.maximum(np.arange(o) + offset + s, 0), n - 1)
+            for o, s in zip(out, start)]
     return fields, widx
 
 
@@ -140,14 +151,18 @@ def _weight_on_anchors(w: np.ndarray, widx) -> np.ndarray:
     return out
 
 
-def gradient_magnitude(u: DiscreteFunction, order: int):
-    """Pointwise |grad^j u| field and its anchor weight index."""
-    fields, widx = difference_fields(u, order)
+def _magnitude(fields: dict) -> np.ndarray:
     acc = None
     for alpha, f in fields.items():
         term = multinomial(alpha) * f * f
         acc = term if acc is None else acc + term
-    return np.sqrt(acc), widx
+    return np.sqrt(acc)
+
+
+def gradient_magnitude(u: DiscreteFunction, order: int):
+    """Pointwise |grad^j u| field and its anchor weight index."""
+    fields, widx = difference_fields(u, order)
+    return _magnitude(fields), widx
 
 
 def gradient_seminorm(u: DiscreteFunction, order: int, p: float,
@@ -162,6 +177,37 @@ def gradient_seminorm(u: DiscreteFunction, order: int, p: float,
     wfield = _weight_on_anchors(w.field(dom), widx)
     hN = dom.h**dom.dim
     return float((mag**p * wfield).sum() * hN) ** (1.0 / p)
+
+
+def block_seminorms(domain: GridDomain, block: np.ndarray, sl, m: int,
+                    p: float, boundary_policy: str = "zero-extension",
+                    weight: np.ndarray | None = None) -> list[float]:
+    """gradient_seminorm for orders 0..m of the function equal to block on
+    the box slice sl and zero elsewhere (masked to the domain like a
+    DiscreteFunction), evaluated on sl grown by m cells.
+
+    weight is the whole-grid weight field; None is the unit weight.  Every
+    nonzero anchor term equals gradient_seminorm's, so only the summation
+    order differs.
+    """
+    n = domain.shape[0]
+    grown = tuple(slice(max(s.start - m, 0), min(s.stop + m, n)) for s in sl)
+    vals = np.zeros(tuple(g.stop - g.start for g in grown))
+    vals[tuple(slice(s.start - g.start, s.stop - g.start)
+               for s, g in zip(sl, grown))] = block
+    if boundary_policy == "zero-extension":
+        vals = np.where(domain.inside[grown], vals, 0.0)
+    start = tuple(g.start for g in grown)
+    hN = domain.h**domain.dim
+    out = []
+    for k in range(m + 1):
+        fields, widx = _differences(vals, k, domain.h, boundary_policy,
+                                    start, n)
+        terms = _magnitude(fields) ** p
+        if weight is not None:
+            terms = terms * _weight_on_anchors(weight, widx)
+        out.append(float(terms.sum() * hN) ** (1.0 / p))
+    return out
 
 
 def sobolev_norm(u: DiscreteFunction, m: int, p: float,

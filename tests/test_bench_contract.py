@@ -5,6 +5,7 @@ rather than in a benchmark run."""
 
 import importlib
 import importlib.util
+import json
 import math
 from pathlib import Path
 
@@ -61,8 +62,9 @@ def _commands(tmp_path):
 def test_traced_calls_and_return_shapes(tracing, tmp_path):
     rec = tracing.Recorder()
     rec.install()
+    commands = _commands(tmp_path)
     try:
-        for i, argv in enumerate(_commands(tmp_path)):
+        for i, argv in enumerate(commands):
             assert cli.main(argv + ["--out", str(tmp_path / str(i))]) == 0
     finally:
         rec.uninstall()
@@ -79,6 +81,15 @@ def test_traced_calls_and_return_shapes(tracing, tmp_path):
         if name == "hardy.per_cube_capacity_field":
             assert facts["cubes"] > 0 and facts["clamped"] >= 0
     assert rec.counts["capacity.gradient_norm_grad"] > 0
+    # one local_majorant span per logged cube, each inside the split
+    assert commands[-1][0] == "cone-split"
+    report = json.loads(
+        (tmp_path / str(len(commands) - 1) / "cone-report.json").read_text())
+    splits = [i for i, s in enumerate(rec.spans) if s[0] == "cone.cone_split"]
+    majorants = [s for s in rec.spans if s[0] == "cone.local_majorant"]
+    assert len(splits) == 1
+    assert len(majorants) == len(report["per_cube_log"]) > 0
+    assert all(s[3] == splits[0] for s in majorants)
 
     metrics = tracing.layer_metrics(rec)
     assert metrics["hardy.capacity_field_calls"] == 5

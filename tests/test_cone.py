@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -196,3 +197,23 @@ def test_conjecture_experiment_table(square6):
     assert [row["m"] for row in table["rows"]] == [1, 2, 3]
     assert all(row["parity"] in ("odd", "even") for row in table["rows"])
     assert "no assertion" in table["note"]
+
+
+def test_cone_split_independent_of_call_order():
+    """Splits on two domains give the same bytes whichever runs first (the
+    kernel-spectrum cache lives and dies with one call)."""
+    cases = {}
+    for kind, dim, level in (("square", 2, 5), ("lshape", 2, 6)):
+        dom = rasterize(DomainSpec(kind=kind, dim=dim, level=level))
+        cases[kind] = (make_probe(dom, 4, margin_cells=3), decompose(dom))
+
+    def run(order):
+        out = {}
+        for name in order:
+            u, dec = cases[name]
+            split = cone_split(u, dec, m=1, p=2.0, s=0.0)
+            out[name] = (split.u1.values.tobytes(), split.u2.values.tobytes(),
+                         json.dumps(split.to_record(), sort_keys=True))
+        return out
+
+    assert run(["square", "lshape"]) == run(["lshape", "square"])

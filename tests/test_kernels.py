@@ -1,13 +1,22 @@
-"""Whole-array geometry kernels and the constraint-class map pinned to the
-per-edge and per-cube loops they replace (the loops are kept here as
-oracles)."""
+"""Whole-array geometry kernels, the constraint-class map, the batched
+canonical keys and the window-local cone split, pinned to the per-edge,
+per-cube, per-image and full-grid loops they replace (the loops are kept
+here as oracles)."""
 
+import importlib.util
 import math
+from itertools import permutations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hardylab.capacity import ConstraintSet
+from hardylab.capacity import ConstraintSet, canonical_keys
+from hardylab.cone import (ALPHA_ENLARGE, BETA_ENLARGE, CutoffFamily, ConeSplit,
+                           MajorantResult, _cube_center, _enlarged_slice,
+                           _iterated_kernel, cone_split, make_probe)
+from hardylab.norms import (DiscreteFunction, WeightSpec, gradient_magnitude,
+                            gradient_seminorm, _weight_on_anchors)
 from hardylab.grids import (DomainSpec, GridDomain, distance_transform,
                             rasterize, _koch_polygon, _points_in_polygon)
 from hardylab.hardy import (_constraint_classes, _largest_cube_side,
@@ -352,3 +361,262 @@ def test_projection_condition_per_class_matches_per_cube(class_decomps, name):
     for r_dim in range(dec.domain.dim + 1):
         assert (_projection_condition(dec, 3, r_dim)
                 == loop_projection_condition(dec, 3, r_dim))
+
+
+# -- canonical keys ----------------------------------------------------------------
+
+
+def loop_canonical_key(cs):
+    """Least byte string over the 2^d d! transposed and flipped images,
+    each materialised."""
+    K = cs.K
+    best = None
+    for perm in permutations(range(K.ndim)):
+        base = np.transpose(K, perm)
+        for flips in product((False, True), repeat=K.ndim):
+            arr = base
+            for ax, f in enumerate(flips):
+                if f:
+                    arr = np.flip(arr, axis=ax)
+            b = np.ascontiguousarray(arr).tobytes()
+            if best is None or b < best:
+                best = b
+    return cs.kind.encode() + b"|" + best + str(K.shape).encode()
+
+
+@pytest.mark.parametrize("shape", [(16,), (9,), (8, 8), (6, 10), (4, 4, 4),
+                                   (5, 3, 4)])
+def test_canonical_keys_match_image_loop(shape):
+    rng = np.random.default_rng(len(shape) * 100 + shape[0])
+    masks = [rng.random(shape) < q for q in (0.1, 0.5, 0.9)]
+    masks.append(np.zeros(shape, dtype=bool))
+    masks.append(np.ones(shape, dtype=bool))
+    slab = np.zeros(shape, dtype=bool)
+    slab[-1] = True
+    masks += [slab, np.flip(slab, axis=0)]
+    if len(shape) > 1 and shape[0] == shape[1]:
+        masks.append(np.swapaxes(slab, 0, 1))
+    for kind in ("zero-on-compact", "zero-on-compact-and-nonnegative"):
+        sets = [ConstraintSet(kind, K) for K in masks]
+        want = [loop_canonical_key(cs) for cs in sets]
+        assert [cs.canonical_key() for cs in sets] == want
+        assert canonical_keys(kind, np.stack(masks)) == want
+    # images of one mask share its key
+    cs = ConstraintSet("zero-on-compact", slab)
+    assert ConstraintSet("zero-on-compact",
+                         np.flip(slab, axis=0)).canonical_key() \
+        == cs.canonical_key()
+
+
+# -- window-local cone split -------------------------------------------------------
+
+
+def loop_local_majorant(u_q, m, p, cube_side, cube_center):
+    """local_majorant with every step on the whole grid and the kernel
+    spectrum rebuilt per call."""
+    dom = u_q.domain
+    vals = u_q.values
+    if not vals.any():
+        return MajorantResult(np.zeros_like(vals), 1.0, 0.0, 1.0)
+    margin_cells = max(int((BETA_ENLARGE - ALPHA_ENLARGE) * cube_side
+                           / (2.0 * dom.h)), 1)
+    radius = max(margin_cells // max(m, 1), 1)
+    ker1d = _iterated_kernel(m, radius)
+    shape = vals.shape
+    pad = len(ker1d)
+    fshape = [int(2 ** math.ceil(math.log2(s + 2 * pad))) for s in shape]
+    K = np.zeros(fshape)
+    kernel_nd = ker1d
+    for _ in range(dom.dim - 1):
+        kernel_nd = np.multiply.outer(kernel_nd, ker1d)
+    K[tuple(slice(0, len(ker1d)) for _ in shape)] = kernel_nd
+    K = np.roll(K, [-(len(ker1d) // 2)] * dom.dim, axis=tuple(range(dom.dim)))
+    Kf = np.fft.rfftn(K)
+    U = np.zeros(fshape)
+    U[tuple(slice(0, s) for s in shape)] = vals
+    Uf = np.fft.rfftn(U)
+    tau = dom.h**2
+    denom = np.abs(Kf) ** 2 + tau
+    cond = float((np.abs(Kf).max() ** 2 + tau) / (np.abs(Kf).min() ** 2 + tau))
+    Ff = np.conj(Kf) * Uf / denom
+    axes = tuple(range(dom.dim))
+    f_src = np.fft.irfftn(Ff, s=fshape, axes=axes)
+    f_plus = np.maximum(f_src, 0.0)
+    v_raw = np.fft.irfftn(np.fft.rfftn(f_plus) * Kf, s=fshape, axes=axes)
+    v = np.maximum(v_raw[tuple(slice(0, s) for s in shape)], 0.0)
+    v = CutoffFamily().on_grid(dom, np.asarray(cube_center),
+                               cube_side * ALPHA_ENLARGE) * v
+    defect = np.maximum(vals - v, 0.0)
+    defect_norm = float((defect**p).sum() * dom.h**dom.dim) ** (1.0 / p)
+    v = v + defect
+
+    def sobolev(f):
+        return sum(gradient_seminorm(f, k, p) for k in range(m + 1))
+
+    norm_u = sobolev(u_q)
+    norm_v = sobolev(DiscreteFunction(dom, v, u_q.boundary_policy))
+    factor = norm_v / norm_u if norm_u > 0 else 1.0
+    return MajorantResult(v, factor, defect_norm, cond)
+
+
+def loop_cone_split(u, decomp, m, p, s):
+    """cone_split with the cutoffs, the accumulation and the seminorms of
+    every cube on the whole grid (hypothesis test left out)."""
+    dom = u.domain
+    cutoffs = CutoffFamily()
+    v = np.zeros(dom.shape)
+    per_cube = []
+    sup_rho = sup_a0 = 0.0
+    wspec = WeightSpec(exponent=s)
+    hN = dom.h**dom.dim
+    mag, widx = gradient_magnitude(u, m)
+    g_top = mag**p * _weight_on_anchors(wspec.field(dom), widx) * hN
+    low_field = (np.abs(u.values) ** p
+                 * WeightSpec(exponent=s - m * p).field(dom) * hN)
+    pad = m if u.boundary_policy == "zero-extension" else 0
+    mult_top = np.zeros(g_top.shape, dtype=np.int32)
+    mult_low = np.zeros(dom.shape, dtype=np.int32)
+    for i in range(decomp.n_cubes):
+        side = decomp.side(i)
+        center = _cube_center(decomp, i)
+        u_q_vals = cutoffs.on_grid(dom, center, side) * u.values
+        if not u_q_vals.any():
+            continue
+        u_q = DiscreteFunction(dom, u_q_vals, u.boundary_policy)
+        res = loop_local_majorant(u_q, m, p, side, center)
+        v += res.values
+        sl43 = _enlarged_slice(dom, decomp, i, ALPHA_ENLARGE)
+        awin = tuple(slice(max(a.start, 0), min(a.stop + 2 * pad, g_top.shape[ax]))
+                     for ax, a in enumerate(sl43))
+        mult_low[sl43] += 1
+        mult_top[awin] += 1
+        num = sum(gradient_seminorm(
+            DiscreteFunction(dom, res.values, u.boundary_policy), k, p, wspec
+        ) ** p for k in range(m + 1))
+        denom = float(low_field[sl43].sum()) + float(g_top[awin].sum())
+        rho = num / denom if denom > 0 else 0.0
+        sup_rho = max(sup_rho, rho)
+        sup_a0 = max(sup_a0, res.norm_factor)
+        per_cube.append({
+            "cube": i, "level": int(decomp.levels[i]),
+            "input_norm": float(denom) ** (1.0 / p),
+            "majorant_norm": float(num) ** (1.0 / p),
+            "majorant_factor": res.norm_factor,
+            "defect": res.defect_norm,
+            "condition": res.condition,
+        })
+    u1 = DiscreteFunction(dom, v, u.boundary_policy)
+    u1.values = np.maximum(u1.values, 0.0)
+    u2 = DiscreteFunction(dom, np.where(dom.inside, u1.values - u.values, 0.0),
+                          u.boundary_policy)
+    overlap = cutoffs.overlap_count(dom, decomp, BETA_ENLARGE)
+    window_mult = max(int(mult_low.max()), int(mult_top.max()))
+    norm_u = sum(gradient_seminorm(u, k, p, wspec) for k in range(m + 1))
+    nf = 0.0
+    if norm_u > 0:
+        nf = max(
+            sum(gradient_seminorm(u1, k, p, wspec) for k in range(m + 1)),
+            sum(gradient_seminorm(u2, k, p, wspec) for k in range(m + 1)),
+        ) / norm_u
+    factors = {
+        "overlap_count": overlap,
+        "window_multiplicity": window_mult,
+        "order_split": (m + 1.0) ** (p - 1.0),
+        "sup_per_cube_ratio": sup_rho,
+        "sup_majorant_factor": sup_a0,
+        "chain_bound": (m + 1.0) ** (p - 1.0) * overlap ** (p - 1.0)
+                       * sup_rho * window_mult,
+        "alpha_enlarge": ALPHA_ENLARGE,
+        "beta_enlarge": BETA_ENLARGE,
+    }
+    return ConeSplit(u1=u1, u2=u2, norm_factor=nf, per_cube_log=per_cube,
+                     factors=factors)
+
+
+SPLIT_RTOL = 1e-14   # the windowed sums add the same terms in another order
+
+
+def assert_rel(got, want, what):
+    assert got == want or abs(got - want) <= SPLIT_RTOL * max(abs(got),
+                                                              abs(want)), what
+
+
+def assert_split_matches_loop(u, dec, m, p, s):
+    got = cone_split(u, dec, m, p, s)
+    want = loop_cone_split(u, dec, m, p, s)
+    assert got.u1.values.tobytes() == want.u1.values.tobytes()
+    assert got.u2.values.tobytes() == want.u2.values.tobytes()
+    assert_rel(got.norm_factor, want.norm_factor, "norm_factor")
+    assert got.factors.keys() == want.factors.keys()
+    for key, val in want.factors.items():
+        assert_rel(got.factors[key], val, key)
+    assert ([r["cube"] for r in got.per_cube_log]
+            == [r["cube"] for r in want.per_cube_log])
+    for g, w in zip(got.per_cube_log, want.per_cube_log):
+        assert g.keys() == w.keys()
+        for key in w:
+            assert_rel(g[key], w[key], (w["cube"], key))
+    return got
+
+
+def _clipped(dec, enlarge):
+    """Whether some cube's enlarged window reaches past the box."""
+    dom = dec.domain
+    n = 2**dom.level
+    for i in range(dec.n_cubes):
+        center, half = _cube_center(dec, i), dec.side(i) * enlarge / 2.0
+        if ((np.floor((center - half) / dom.h) < 0).any()
+                or (np.ceil((center + half) / dom.h) > n).any()):
+            return True
+    return False
+
+
+@pytest.fixture(scope="module")
+def square6_split():
+    dom = rasterize(DomainSpec(kind="square", dim=2, level=6))
+    dec = decompose(dom)
+    assert _clipped(dec, BETA_ENLARGE)
+    return dom, dec
+
+
+@pytest.mark.parametrize("s", [0.0, -1.0])
+@pytest.mark.parametrize("p", [1.5, 2.0])
+@pytest.mark.parametrize("m", [1, 2])
+def test_windowed_split_matches_loop_square(square6_split, m, p, s):
+    dom, dec = square6_split
+    assert_split_matches_loop(make_probe(dom, 3), dec, m, p, s)
+
+
+@pytest.mark.parametrize("kind,dim,level,policy,m,margin", [
+    ("square", 2, 6, "none", 2, 2),
+    ("halfspace", 2, 6, "none", 1, 2),
+    ("halfspace", 2, 6, "zero-extension", 2, 2),
+    ("cube-minus-compact", 3, 4, "zero-extension", 1, 2),
+    ("cube-minus-compact", 3, 4, "none", 2, 4),
+])
+def test_windowed_split_matches_loop_policies(kind, dim, level, policy, m,
+                                              margin):
+    dom = rasterize(DomainSpec(kind=kind, dim=dim, level=level))
+    dec = decompose(dom)
+    assert _clipped(dec, BETA_ENLARGE)
+    u = DiscreteFunction(dom, make_probe(dom, 7, margin_cells=margin).values,
+                         policy)
+    split = assert_split_matches_loop(u, dec, m, 2.0, 0.0)
+    assert split.per_cube_log
+
+
+def _benchmark_probe(seed):
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads",
+        Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    wl = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(wl)
+    dom = rasterize(DomainSpec.from_json(wl.LSHAPE7))
+    vals = wl._probe_values(dom.inside, dom.distance, dom.h, seed)
+    return dom, DiscreteFunction(dom, vals)
+
+
+@pytest.mark.parametrize("m,p,s", [(2, 2.0, 0.0), (1, 1.5, -1.0)])
+def test_windowed_split_matches_loop_benchmark_probe(m, p, s):
+    dom, u = _benchmark_probe(1)
+    assert_split_matches_loop(u, decompose(dom), m, p, s)
