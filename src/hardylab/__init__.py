@@ -3,7 +3,6 @@ capacities, and constructive Hardy-inequality constants on dyadic rasters."""
 
 from .grids import DomainSpec, GridDomain, rasterize, distance_transform
 from .whitney import (
-    DyadicCube,
     RescaleMap,
     WhitneyDecomposition,
     decompose,
@@ -17,7 +16,6 @@ __all__ = [
     "GridDomain",
     "rasterize",
     "distance_transform",
-    "DyadicCube",
     "RescaleMap",
     "WhitneyDecomposition",
     "decompose",

@@ -27,8 +27,13 @@ ladder (timings on a 2-core x86 VM, one BLAS thread):
   (2-D 4096 entries: 0.23 s against 0.05 s; the 3-D L5 capacity field
   at grid level 4: 3.4 s against 2.2 s).
 
-Every other case uses projected normalized ascent with Armijo steps and
-multiple deterministic starts.
+Every other case maximises one objective, the ratio core `_ratio`:
+(num - a0 low) / sum of den over terms (ops, q, w), each a weighted
+gradient q-norm or a plain Lp norm.  `_ratio_descent` is the one ascent:
+projected normalized ascent with Armijo steps from eight seeded random
+starts and the caller's starts.  The Hölder-form chain constant enters as
+an l-infinity term of one stacked difference operator, and the p != 2
+Poincaré constant as a term behind the projection off the polynomials.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import permutations, product
 
 import numpy as np
@@ -44,7 +49,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .norms import multi_indices, multinomial
+from .norms import _pair_views, multi_indices, multinomial
 
 CONSTRAINT_KINDS = (
     "zero-on-compact",
@@ -222,7 +227,11 @@ def gradient_norm_value(u_flat: np.ndarray, ops, q: float, w) -> float:
 
 
 def gradient_norm_grad(u_flat: np.ndarray, ops, q: float, w):
-    """Value and d/du of the weighted gradient q-norm (w as above)."""
+    """Value and d/du of the weighted gradient q-norm (w as above).
+
+    At q = inf the value is the square root of the largest aggregate (w is
+    unused) and the gradient is that of the first anchor attaining it.
+    ops may hold any operator with `@` and `.T`."""
     vs = []
     agg = None
     for mult, op in ops:
@@ -230,10 +239,17 @@ def gradient_norm_grad(u_flat: np.ndarray, ops, q: float, w):
         vs.append((mult, op, v))
         term = mult * v * v
         agg = term if agg is None else agg + term
-    val = float((agg ** (q / 2.0) * w).sum()) ** (1.0 / q)
+    if q == math.inf:
+        top = int(np.argmax(agg))
+        val = math.sqrt(agg[top])
+    else:
+        val = float((agg ** (q / 2.0) * w).sum()) ** (1.0 / q)
     if val <= 0:
         return 0.0, np.zeros_like(u_flat)
-    if q != 2.0:
+    if q == math.inf:
+        w = np.zeros_like(agg)
+        w[top] = 1.0 / val
+    elif q != 2.0:
         # zero where the aggregate vanishes (the q < 2 power is infinite there)
         pos = agg > 0
         scale = np.zeros_like(agg)
@@ -242,7 +258,8 @@ def gradient_norm_grad(u_flat: np.ndarray, ops, q: float, w):
     grad = np.zeros_like(u_flat)
     for mult, op, v in vs:
         grad += mult * (op.T @ (w * v))
-    grad *= val ** (1.0 - q)
+    if q != math.inf:
+        grad *= val ** (1.0 - q)
     return val, grad
 
 
@@ -338,6 +355,10 @@ DENSE_EIGH_CUTOFF = 400
 # Largest free subspace the failed sparse eigensolve may redo densely: two
 # dense n x n matrices, 64 MiB at n = 2048.
 DENSE_EIGH_LIMIT = 2048
+# Hölder-form chain solves: largest pair distance in cells, and ascent steps
+# per start.
+HOLDER_RADIUS_CELLS = 2
+HOLDER_MAX_ITERS = 200
 
 
 def _eigen_best_constant(S: sp.csr_matrix, free: np.ndarray,
@@ -438,60 +459,6 @@ def _project(u, zero_flat, cone):
     return u
 
 
-def _descent_best_constant(objective, n_dofs, zero_flat, cone, seed,
-                           starts_extra=(), max_iters=300, n_random=8):
-    """Multi-start projected normalized ascent on a ratio objective.
-
-    objective(u) -> (value, gradient).  Returns (best value, residual of the
-    projected gradient at the best point, best u).
-    """
-    rng = np.random.default_rng(seed)
-    starts = [rng.standard_normal(n_dofs) for _ in range(n_random)]
-    starts += [np.asarray(s, dtype=float) for s in starts_extra]
-    best_val, best_res, best_u = 0.0, math.inf, None
-    for u0 in starts:
-        u = _project(u0.copy(), zero_flat, cone)
-        nrm = np.linalg.norm(u)
-        if nrm == 0:
-            continue
-        u /= nrm
-        val, grad = objective(u)
-        if not math.isfinite(val):
-            raise CapacityError("ascent diverged (non-finite objective)")
-        step = 0.5
-        res = math.inf
-        for _ in range(max_iters):
-            # projected gradient of the scale-invariant objective
-            g = _project(grad, zero_flat, False)
-            g -= np.dot(g, u) * u
-            if cone:
-                # keep feasible directions only where u sits on the boundary
-                g = np.where((u <= 0) & (g < 0), 0.0, g)
-            res = float(np.linalg.norm(g))
-            if res <= 1e-10 * max(1.0, abs(val)):
-                break
-            improved = False
-            while step > 1e-12:
-                cand = _project(u + step * g, zero_flat, cone)
-                nc = np.linalg.norm(cand)
-                if nc > 0:
-                    cand /= nc
-                    cval, cgrad = objective(cand)
-                    if cval > val + 1e-14 * abs(val):
-                        u, val, grad = cand, cval, cgrad
-                        improved = True
-                        step *= 1.3
-                        break
-                step *= 0.5
-            if not improved:
-                break
-        if val > best_val:
-            best_val, best_res, best_u = val, res, u.copy()
-    if best_u is None:
-        return 0.0, 0.0, None
-    return best_val, best_res, best_u
-
-
 def _sum_terms(u, terms):
     """Summed values and gradients of ratio terms."""
     val, grad = 0.0, np.zeros_like(u)
@@ -524,13 +491,55 @@ def _ratio(u, num, den, low=None, a0=0.0, vanishing=math.inf):
 
 def _ratio_descent(zero_flat, cone, seed, num, den, low=None, a0=0.0,
                    vanishing=math.inf, starts=(), max_iters=300):
-    """Projected multi-start ascent on _ratio; returns (best, residual)."""
-    objective = partial(_ratio, num=num, den=den, low=low, a0=a0,
-                        vanishing=vanishing)
-    best, res, _ = _descent_best_constant(
-        objective, len(zero_flat), zero_flat, cone, seed, starts,
-        max_iters=max_iters)
-    return best, res
+    """Multi-start projected normalized ascent on _ratio with Armijo steps.
+
+    The starts are eight seeded standard-normal vectors, then `starts`.
+    Returns (best value, residual of the projected gradient at the best
+    point); (0, 0) when no start reaches a positive value.
+    """
+    rng = np.random.default_rng(seed)
+    starts = ([rng.standard_normal(len(zero_flat)) for _ in range(8)]
+              + [np.asarray(s, dtype=float) for s in starts])
+    best_val, best_res = 0.0, 0.0
+    for u0 in starts:
+        u = _project(u0.copy(), zero_flat, cone)
+        nrm = np.linalg.norm(u)
+        if nrm == 0:
+            continue
+        u /= nrm
+        val, grad = _ratio(u, num, den, low, a0, vanishing)
+        if not math.isfinite(val):
+            raise CapacityError("ascent diverged (non-finite objective)")
+        step = 0.5
+        res = math.inf
+        for _ in range(max_iters):
+            # projected gradient of the scale-invariant objective
+            g = _project(grad, zero_flat, False)
+            g -= np.dot(g, u) * u
+            if cone:
+                # keep feasible directions only where u sits on the boundary
+                g = np.where((u <= 0) & (g < 0), 0.0, g)
+            res = float(np.linalg.norm(g))
+            if res <= 1e-10 * max(1.0, abs(val)):
+                break
+            improved = False
+            while step > 1e-12:
+                cand = _project(u + step * g, zero_flat, cone)
+                nc = np.linalg.norm(cand)
+                if nc > 0:
+                    cand /= nc
+                    cval, cgrad = _ratio(cand, num, den, low, a0, vanishing)
+                    if cval > val + 1e-14 * abs(val):
+                        u, val, grad = cand, cval, cgrad
+                        improved = True
+                        step *= 1.3
+                        break
+                step *= 0.5
+            if not improved:
+                break
+        if val > best_val:
+            best_val, best_res = val, res
+    return best_val, best_res
 
 
 def validate_exponents(dim, m, k, p, p1):
@@ -676,7 +685,7 @@ def _a0_violation(constraints, m_cells, dim, m, k, p, p1, A0, hN) -> bool:
 
 def ratio_best_constant(constraints: ConstraintSet, grid_level: int, dim: int,
                         num_spec, den_terms, seed: int = 0,
-                        a0: float = 0.0, max_iters: int = 300):
+                        a0: float = 0.0):
     """General constrained ratio maximization on the unit-cube lattice.
 
     num_spec = (order, q): numerator ||grad^order u||_q (order 0: plain norm).
@@ -723,28 +732,44 @@ def ratio_best_constant(constraints: ConstraintSet, grid_level: int, dim: int,
 
     best, res = _ratio_descent(zero, constraints.has_cone, seed, num, den,
                                low=low, a0=a0,
-                               starts=list(_poly_basis(m_cells, dim, 2).T),
-                               max_iters=max_iters)
+                               starts=list(_poly_basis(m_cells, dim, 2).T))
     return best, res, "descent"
+
+
+def _holder_operator(m_cells: int, dim: int, h_order: int,
+                     lam: float) -> sp.csr_matrix:
+    """Sparse stack of the rows (D^a u(x) - D^a u(y)) / |x - y|^lam on the
+    unit lattice, over the distinct |a| = h_order (outer) and the offsets
+    0 < |y - x| <= HOLDER_RADIUS_CELLS cells (inner), anchors x in C order:
+    its l-infinity norm is the grid Hölder quotient."""
+    h_c = 1.0 / m_cells
+    r = HOLDER_RADIUS_CELLS
+    cells = np.arange(m_cells**dim).reshape((m_cells,) * dim)
+    rows = []
+    for _, op in gradient_form_ops(m_cells, dim, h_order):
+        for off in product(range(-r, r + 1), repeat=dim):
+            d2 = sum(o * o for o in off)
+            if 0 < d2 <= r**2:
+                x, y = _pair_views(cells, off)
+                rows.append((op[x.reshape(-1)] - op[y.reshape(-1)])
+                            / (math.sqrt(d2) * h_c) ** lam)
+    return sp.vstack(rows, format="csr")
 
 
 def holder_ratio_best_constant(constraints: ConstraintSet, grid_level: int,
                                dim: int, h_order: int, lam: float,
-                               den_terms, seed: int = 0,
-                               radius_cells: int = 2,
-                               max_iters: int = 200):
+                               den_terms, seed: int = 0):
     """Best constant of the pointwise-Hölder-quotient Poincaré inequality on
-    the unit lattice: sup of the order-h quotient with exponent lam over the
-    admissible class against the usual gradient-sum denominator.
+    the unit lattice: sup of the order-h quotient with exponent lam (pairs
+    up to HOLDER_RADIUS_CELLS cells apart) over the admissible class against
+    the usual gradient-sum denominator.
 
-    Projected subgradient ascent (the numerator is a max over finitely many
-    difference pairs).  Returns (best, residual, solver).
+    The numerator is the l-infinity term of `_holder_operator`, so the
+    ratio-core ascent is a projected subgradient ascent; it runs
+    HOLDER_MAX_ITERS steps per start.  Returns (best, residual, solver).
     """
     m_cells = 2**grid_level
-    h_c = 1.0 / m_cells
-    shape = (m_cells,) * dim
-    zero = constraints.zero_mask(shape).reshape(-1)
-    n = m_cells**dim
+    zero = constraints.zero_mask((m_cells,) * dim).reshape(-1)
     if zero.all():
         return 0.0, 0.0, "saturated"
     kern_deg = min(o for o, _ in den_terms) - 1
@@ -752,93 +777,56 @@ def holder_ratio_best_constant(constraints: ConstraintSet, grid_level: int,
     if kern is not None and kern_deg >= h_order + 1:
         return math.inf, 0.0, "kernel-element"
 
-    num_ops = gradient_form_ops(m_cells, dim, h_order)
-    dens = [_unit_term(m_cells, dim, o, q) for o, q in den_terms]
-    shifts = []
-    for off in product(range(-radius_cells, radius_cells + 1), repeat=dim):
-        d2 = sum(o * o for o in off)
-        if 0 < d2 <= radius_cells**2:
-            shifts.append((off, (math.sqrt(d2) * h_c) ** lam))
-
-    def quotient(u):
-        """(value, sparse-op, x-index, y-index, sign, dist_pow) at argmax."""
-        best = (0.0, None, 0, 0, 1.0, 1.0)
-        for mult, op in num_ops:
-            F = (op @ u).reshape(shape)
-            for off, dist_pow in shifts:
-                dst_sl, src_sl = [], []
-                for ax, o in enumerate(off):
-                    nn = shape[ax]
-                    dst_sl.append(slice(max(0, -o), nn - max(0, o)))
-                    src_sl.append(slice(max(0, o), nn - max(0, -o)))
-                diff = F[tuple(dst_sl)] - F[tuple(src_sl)]
-                if diff.size == 0:
-                    continue
-                idx = np.argmax(np.abs(diff))
-                val = diff.reshape(-1)[idx] / dist_pow
-                if abs(val) > best[0]:
-                    loc = np.unravel_index(idx, diff.shape)
-                    x_idx = np.ravel_multi_index(
-                        tuple(l + s.start for l, s in zip(loc, dst_sl)), shape)
-                    y_idx = np.ravel_multi_index(
-                        tuple(l + s.start for l, s in zip(loc, src_sl)), shape)
-                    best = (abs(val), op, int(x_idx), int(y_idx),
-                            math.copysign(1.0, val), dist_pow)
-        return best
-
-    def objective(u):
-        val, op, xi, yi, sign, dist_pow = quotient(u)
-        if op is None:
-            return 0.0, np.zeros_like(u)
-        e = np.zeros(op.shape[0])
-        e[xi] = sign / dist_pow
-        e[yi] = -sign / dist_pow
-        gnum = op.T @ e
-        den, gden = _sum_terms(u, dens)
-        if den <= 1e-300:
-            return math.inf, gnum
-        ratio = val / den
-        return ratio, gnum / den - ratio * gden / den
-
-    poly_starts = [c for c in _poly_basis(m_cells, dim, 2).T]
-    best, res, _ = _descent_best_constant(
-        objective, n, zero, constraints.has_cone, seed, poly_starts,
-        max_iters=max_iters)
+    num = ([(1, _holder_operator(m_cells, dim, h_order, lam))], math.inf, 1.0)
+    den = [_unit_term(m_cells, dim, o, q) for o, q in den_terms]
+    best, res = _ratio_descent(zero, constraints.has_cone, seed, num, den,
+                               starts=list(_poly_basis(m_cells, dim, 2).T),
+                               max_iters=HOLDER_MAX_ITERS)
     return best, res, "descent"
+
+
+class _PolyComplement:
+    """u -> u - Q Q^T u for Q with orthonormal columns: the projection off
+    their span.  It is symmetric, so it is its own transpose.  A scipy
+    LinearOperator would do, but its argument checks cost 21-24% of a
+    Poincaré solve (best of 4, dims 1-3, 2-core x86 VM)."""
+
+    def __init__(self, Q: np.ndarray):
+        self.Q = Q
+
+    def __matmul__(self, u):
+        return u - self.Q @ (self.Q.T @ u)
+
+    @property
+    def T(self):
+        return self
 
 
 def poincare_constant(dim: int, order: int, p: float, p1: float,
                       grid_level: int, seed: int = 0) -> float:
     """Unconstrained order-gradient Poincaré constant of the unit cube:
     sup ||u - proj_poly u||_p / ||grad^order u||_p1 with the L2 projection
-    onto polynomials of degree < order.  Used for the default theta A0."""
+    onto polynomials of degree < order.  Used for the default theta A0.
+
+    At p = p1 = 2 it is a dense generalized eigenproblem; otherwise the
+    ratio-core ascent maximises ||P u||_p / ||grad^order u||_p1 with P the
+    projection (a vanishing denominator counts as 0)."""
     m_cells = 2**grid_level
     hN = (1.0 / m_cells) ** dim
-    B = _poly_basis(m_cells, dim, order - 1)
-    Qb, _ = np.linalg.qr(B)
-    ops = gradient_form_ops(m_cells, dim, order)
+    Qb, _ = np.linalg.qr(_poly_basis(m_cells, dim, order - 1))
+    n = m_cells**dim
     if abs(p - 2) < 1e-12 and abs(p1 - 2) < 1e-12:
         S = quadratic_form(m_cells, dim, order).toarray()
-        n = m_cells**dim
         proj = np.eye(n) - Qb @ Qb.T
         Mproj = hN * (proj.T @ proj)
         lam = scipy.linalg.eigh(Mproj, S + 1e-14 * np.eye(n),
                                 eigvals_only=True)[-1]
         return math.sqrt(max(lam, 0.0))
 
-    def objective(u):
-        w = u - Qb @ (Qb.T @ u)
-        num, gnum_w = lp_norm_grad(w, p, hN)
-        gnum = gnum_w - Qb @ (Qb.T @ gnum_w)
-        den, gden = gradient_norm_grad(u, ops, p1, hN)
-        if den <= 1e-300:
-            return 0.0, gnum
-        val = num / den
-        return val, gnum / den - val * gden / den
-
-    n = m_cells**dim
-    best, _, _ = _descent_best_constant(
-        objective, n, np.zeros(n, dtype=bool), False, seed)
+    best, _ = _ratio_descent(np.zeros(n, dtype=bool), False, seed,
+                             ([(1, _PolyComplement(Qb))], p, hN),
+                             [_unit_term(m_cells, dim, order, p1)],
+                             vanishing=0.0)
     return best
 
 
@@ -849,15 +837,15 @@ def default_theta_a0(dim: int, k: int, p1: float, grid_level: int) -> float:
 
 def norm_equivalence_constant(q_sub_corner, q_sub_side: float, m: int, k: int,
                               p: float, p1: float, grid_level: int,
-                              dim: int = 2, seed: int = 0,
-                              n_random: int = 24) -> float:
+                              dim: int = 2, seed: int = 0) -> float:
     """Probe-estimated smallest A with
 
         ||grad^(k+1) u||_Lp1(Q0) <= A (||grad^(k+1) u||_Lp1(Q) +
                                         ||grad^m u||_Lp(Q0))
 
-    over polynomials to degree m and random smooth fields, for a subcube Q
-    at q_sub_corner (unit coordinates) with side q_sub_side >= 2 cells.
+    over polynomials to degree m and 24 seeded random smooth fields, for a
+    subcube Q at q_sub_corner (unit coordinates) with side q_sub_side >= 2
+    cells.
     """
     if m <= k + 1:
         raise CapacityError("norm equivalence requires m > k+1")
@@ -891,7 +879,7 @@ def norm_equivalence_constant(q_sub_corner, q_sub_side: float, m: int, k: int,
         probes.append(B[:, i])
     xs = (np.arange(m_cells) + 0.5) / m_cells
     grids = np.meshgrid(*([xs] * dim), indexing="ij")
-    for _ in range(n_random):
+    for _ in range(24):
         coef = rng.standard_normal((3,) * dim + (2,))
         f = np.zeros((m_cells,) * dim)
         for freq in product(range(3), repeat=dim):

@@ -155,14 +155,13 @@ class MajorantResult:
 
 def local_majorant(u_q: DiscreteFunction, m: int, p: float,
                    cube_side: float | None = None,
-                   cube_center: np.ndarray | None = None,
-                   tikhonov: float | None = None, *,
+                   cube_center: np.ndarray | None = None, *,
                    spectra: dict | None = None) -> MajorantResult:
     """Nonnegative majorant of a cube-local piece via a positive kernel.
 
     Writes u_q = G*f with G an m-fold iterated box mollifier at the cube's
-    scale (Tikhonov-regularized FFT deconvolution), forms G*f_+ and cuts it
-    off; any residual violation of v >= u_q is repaired by adding the
+    scale (FFT deconvolution, Tikhonov parameter h^2), forms G*f_+ and cuts
+    it off; any residual violation of v >= u_q is repaired by adding the
     defect's positive part, which preserves nonnegativity and support.
     Returns the majorant with its measured norm factor, repair size, and
     deconvolution condition estimate.  Rejects p <= 1.
@@ -200,7 +199,7 @@ def local_majorant(u_q: DiscreteFunction, m: int, p: float,
     shape = vals.shape
     pad = len(ker1d)
     fshape = tuple(int(2 ** math.ceil(math.log2(s + 2 * pad))) for s in shape)
-    tau = (dom.h**2) if tikhonov is None else tikhonov
+    tau = dom.h**2
     key = (m, radius, fshape, tau)
     spectrum = spectra.get(key) if spectra is not None else None
     if spectrum is None:
@@ -286,8 +285,7 @@ def finiteness_slope(u: DiscreteFunction, m: int, p: float, s: float) -> float |
 
 
 def cone_split(u: DiscreteFunction, decomp: WhitneyDecomposition, m: int,
-               p: float, s: float = 0.0,
-               check_hypothesis: bool = True) -> ConeSplit:
+               p: float, s: float = 0.0) -> ConeSplit:
     """Split u = u1 - u2 with both parts nonnegative in the weighted space.
 
     Fails when the weighted low-order integral diverges under refinement
@@ -296,12 +294,11 @@ def cone_split(u: DiscreteFunction, decomp: WhitneyDecomposition, m: int,
     dom = u.domain
     if p <= 1.0:
         raise ConeError("cone splitting needs p > 1")
-    if check_hypothesis:
-        slope = finiteness_slope(u, m, p, s)
-        if slope is not None and slope > FINITENESS_SLOPE_THRESHOLD:
-            raise ConeError(
-                f"hypothesis-divergent: weighted mass grows by 2^{slope:.2f} "
-                "per refinement level")
+    slope = finiteness_slope(u, m, p, s)
+    if slope is not None and slope > FINITENESS_SLOPE_THRESHOLD:
+        raise ConeError(
+            f"hypothesis-divergent: weighted mass grows by 2^{slope:.2f} "
+            "per refinement level")
 
     cutoffs = CutoffFamily()
     v = np.zeros(dom.shape)

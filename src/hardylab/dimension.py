@@ -194,10 +194,11 @@ def boundary_cells_padded(dom: GridDomain) -> np.ndarray:
 
 
 MIN_BOX_CELLS = 8
+# Finest box-count scale: eps = 2^-MAX_BOX_SCALES of R_Q's side.
+MAX_BOX_SCALES = 8
 
 
-def _box_counts(decomp: WhitneyDecomposition, bcells: np.ndarray,
-                max_scales: int = 8):
+def _box_counts(decomp: WhitneyDecomposition, bcells: np.ndarray):
     """Per cube, box counts of the rescaled boundary piece at dyadic scales.
 
     Returns {j: sup over cubes of N_eps}, eps = 2^-j relative to R_Q's side.
@@ -212,7 +213,7 @@ def _box_counts(decomp: WhitneyDecomposition, bcells: np.ndarray,
         side = float(decomp.rq_side[i])
         cells_across = side / h
         jmax = int(math.floor(math.log2(max(cells_across / MIN_BOX_CELLS, 1.0))))
-        jmax = min(jmax, max_scales)
+        jmax = min(jmax, MAX_BOX_SCALES)
         if jmax < 1:
             continue
         lo = decomp.rq_center[i] - side / 2.0
@@ -305,12 +306,13 @@ def dim_mc_loc(decomp: WhitneyDecomposition,
 
 
 SIGNATURE_MIN_RADIUS_CELLS = 32
+# concentric annuli per signature, and the pairwise discrepancy flagged
+SIGNATURE_ANNULI = 4
+SIGNATURE_FLAG_THRESHOLD = 0.7
 
 
 def selfsimilarity_signature(decomp: WhitneyDecomposition,
-                             ball_fraction: float = 0.5,
-                             n_annuli: int = 4,
-                             flag_threshold: float = 0.7):
+                             ball_fraction: float = 0.5):
     """Heuristic necessary-condition check for complement self-similarity.
 
     Extracts the ball of the given radius fraction at each enlarged cube's
@@ -321,7 +323,7 @@ def selfsimilarity_signature(decomp: WhitneyDecomposition,
     maximum discrepancy is consistent with self-similarity at grid scale; a
     large value refutes it.  Balls below SIGNATURE_MIN_RADIUS_CELLS cells or
     truncated by the raster edge are skipped.  Returns (max_discrepancy,
-    flagged_pairs) with pairs exceeding flag_threshold.
+    flagged_pairs) with pairs exceeding SIGNATURE_FLAG_THRESHOLD.
     """
     if not (0.0 < ball_fraction <= 0.5):
         raise ValueError("ball_fraction must lie in (0, 1/2]")
@@ -355,8 +357,9 @@ def selfsimilarity_signature(decomp: WhitneyDecomposition,
         grids = np.meshgrid(*axes, indexing="ij")
         r2 = sum(g * g for g in grids)
         sig = []
-        for j in range(1, n_annuli + 1):
-            shell = (r2 <= (j / n_annuli) ** 2) & (r2 > ((j - 1) / n_annuli) ** 2)
+        for j in range(1, SIGNATURE_ANNULI + 1):
+            shell = ((r2 <= (j / SIGNATURE_ANNULI) ** 2)
+                     & (r2 > ((j - 1) / SIGNATURE_ANNULI) ** 2))
             tot = int(shell.sum())
             hit = int((shell & block).sum())
             sig.append(math.log2((hit + 1.0) / (tot + 1.0)))
@@ -368,8 +371,8 @@ def selfsimilarity_signature(decomp: WhitneyDecomposition,
     diff = np.abs(S[:, None, :] - S[None, :, :]).max(axis=2)
     max_disc = float(diff.max())
     flagged = []
-    if max_disc > flag_threshold:
-        ii, jj = np.nonzero(diff > flag_threshold)
+    if max_disc > SIGNATURE_FLAG_THRESHOLD:
+        ii, jj = np.nonzero(diff > SIGNATURE_FLAG_THRESHOLD)
         for a, b in zip(ii.tolist(), jj.tolist()):
             if a < b:
                 flagged.append((ids[a], ids[b], float(diff[a, b])))

@@ -165,9 +165,6 @@ class GridDomain:
         axes = [self.cell_centers(a) for a in range(self.dim)]
         return np.meshgrid(*axes, indexing="ij")
 
-    def with_distance(self) -> "GridDomain":
-        return distance_transform(self)
-
 
 def rasterize(spec: DomainSpec) -> GridDomain:
     """Rasterize a domain spec: inside flags at cell centers plus distance.

@@ -18,6 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .grids import GridDomain
+from .norms import _weight_on_anchors
 from .whitney import WhitneyDecomposition, packing_constant
 from .capacity import (
     CapacityError,
@@ -38,6 +39,8 @@ from .capacity import (
 CASES = ("A", "B", "C", "D", "E")
 FORMS = ("holder-6.23", "integral-6.24")
 DIRECT_WEIGHT_CLAMP_CELLS = 0.75
+# upper end of the case-E bisection for the weight shift beta
+CASE_E_BETA_MAX = 2.0
 
 
 class HardyError(ValueError):
@@ -602,18 +605,6 @@ def _embedding_matrix(domain: GridDomain, pad: int) -> sp.csr_matrix:
                          shape=(np_**domain.dim, len(coords)))
 
 
-def _anchor_weight(domain: GridDomain, pad: int, exponent: float,
-                   clamp: float) -> np.ndarray:
-    """max(delta, clamp)^exponent sampled at padded anchors (clipped cells)."""
-    n = 2**domain.level
-    base = np.maximum(domain.distance, clamp) ** exponent
-    idx = np.clip(np.arange(n + 2 * pad) - pad, 0, n - 1)
-    out = base
-    for ax in range(domain.dim):
-        out = np.take(out, idx, axis=ax)
-    return out.reshape(-1)
-
-
 def direct_best_constant(domain: GridDomain, params: HardyParams,
                          seed: int = 0) -> float:
     """Directly estimated best constant of the scale-matched inequality
@@ -645,9 +636,13 @@ def direct_best_constant(domain: GridDomain, params: HardyParams,
     # cell by ~4/3; 3h/4 restores the conforming boundary-cell mass.
     clamp = DIRECT_WEIGHT_CLAMP_CELLS * domain.h
     hN = domain.h**domain.dim
-    ops = gradient_form_ops(2**domain.level + 2 * m, domain.dim, m, domain.h)
+    n = 2**domain.level
+    ops = gradient_form_ops(n + 2 * m, domain.dim, m, domain.h)
     E = _embedding_matrix(domain, m)
-    w_top = _anchor_weight(domain, m, s, clamp) * hN
+    # padded anchors read the weight of the nearest cell of the box
+    pad_idx = np.clip(np.arange(n + 2 * m) - m, 0, n - 1)
+    w_top = _weight_on_anchors(np.maximum(domain.distance, clamp) ** s,
+                               [pad_idx] * domain.dim).reshape(-1) * hN
     inside_flat = domain.inside.reshape(-1)
     w_low = (np.maximum(domain.distance, clamp).reshape(-1)[inside_flat]
              ** (s - m * p)) * hN
@@ -725,16 +720,16 @@ def _case_a_lower_order_constant(decomp: WhitneyDecomposition,
 
 
 def _commutator_norm(decomp: WhitneyDecomposition, params: HardyParams,
-                     beta: float, seed: int, n_probes: int = 12) -> float:
+                     beta: float, seed: int) -> float:
     """Measured operator constant A'' of the change-of-variable defect:
 
         || |grad^m (u delta^g)| - delta^g |grad^m u| ||_{L^p(delta^-beta)}
             <= A'' * (2 beta / p) * sum_{k<m} ||grad^k u||_{L^p(delta^(-beta-(m-k)p))}
 
-    with g = -2 beta / p, maximized over random bump probes.
+    with g = -2 beta / p, maximized over 12 seeded random bump probes.
     """
     from .norms import DiscreteFunction, WeightSpec, gradient_seminorm, \
-        gradient_magnitude, _weight_on_anchors
+        gradient_magnitude
     dom = decomp.domain
     m, p = params.m, params.p
     rng = np.random.default_rng(seed + 7)
@@ -744,7 +739,7 @@ def _commutator_norm(decomp: WhitneyDecomposition, params: HardyParams,
     dreg = np.maximum(dom.distance, clamp)
     worst = 0.0
     grids = dom.center_grid()
-    for _ in range(n_probes):
+    for _ in range(12):
         c = rng.uniform(0.25, 0.75, size=dom.dim)
         w = rng.uniform(0.08, 0.3)
         r2 = sum((g - cc) ** 2 for g, cc in zip(grids, c)) / w**2
@@ -768,8 +763,7 @@ def _commutator_norm(decomp: WhitneyDecomposition, params: HardyParams,
 
 
 def case_e_shift(decomp: WhitneyDecomposition, params: HardyParams,
-                 grid_level: int = 4, seed: int = 0,
-                 beta_max: float = 2.0) -> HardyBoundReport:
+                 grid_level: int = 4, seed: int = 0) -> HardyBoundReport:
     """Largest positive weight exponent s0 reachable from the negative-s
     bounds by the dependent-variable change u -> u * delta^(-2 beta / p).
 
@@ -777,6 +771,7 @@ def case_e_shift(decomp: WhitneyDecomposition, params: HardyParams,
     beta * A''(beta) * A~(beta) <= p/4, whose left side collapses to a
     positive power of beta only for p > 1; for p = 1 no positive s0 is
     claimed.  Requires a uniform capacity floor b > 0 at index (m, m-1).
+    beta is bisected on (0, CASE_E_BETA_MAX].
     """
     dom = decomp.domain
     p = params.p
@@ -809,7 +804,7 @@ def case_e_shift(decomp: WhitneyDecomposition, params: HardyParams,
         a_dd = _commutator_norm(decomp, params, beta, seed)
         return beta * a_dd * a_tilde <= p / 4.0, a_tilde, a_dd
 
-    lo, hi = 0.0, beta_max
+    lo, hi = 0.0, CASE_E_BETA_MAX
     ok_hi, at_hi, add_hi = feasible(hi)
     if ok_hi:
         beta_star, a_tilde, a_dd = hi, at_hi, add_hi
@@ -842,6 +837,8 @@ def case_e_shift(decomp: WhitneyDecomposition, params: HardyParams,
 
 
 COROLLARY_CASES = ("i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "ix", "x")
+# smallest r-cube side the projection cases v-viii accept
+PROJECTION_MIN_SIDE = 0.05
 
 
 def _projection_condition(decomp: WhitneyDecomposition, grid_level: int,
@@ -906,7 +903,6 @@ def corollary_619_check(domain: GridDomain, decomp: WhitneyDecomposition,
                         grid_level: int = 4, seed: int = 0,
                         b_threshold: float = 1e-4,
                         r_dim: int | None = None,
-                        geometric_b: float = 0.05,
                         asserted_selfsimilar: bool = False):
     """Hypothesis gate + bound instantiation for the one-term corollary cases.
 
@@ -957,10 +953,10 @@ def corollary_619_check(domain: GridDomain, decomp: WhitneyDecomposition,
                 failures.append("exponent vs N-r condition fails")
             b_geo = _projection_condition(decomp, grid_level, r_dim)
             details["projection_b"] = b_geo
-            if not (b_geo >= geometric_b):
+            if not (b_geo >= PROJECTION_MIN_SIDE):
                 failures.append(
                     f"projection condition fails: min r-cube side {b_geo:.3g} "
-                    f"< {geometric_b:.3g}")
+                    f"< {PROJECTION_MIN_SIDE:.3g}")
 
     if case_id in ("ix", "x"):
         from .dimension import selfsimilarity_signature

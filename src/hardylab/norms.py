@@ -51,15 +51,13 @@ class DiscreteFunction:
 
 @dataclass
 class WeightSpec:
-    """Weight delta^s with the distance clamped below, times an optional
-    per-cell multiplier field (piecewise-constant capacities in practice).
+    """Weight delta^s with the distance clamped below.
 
     clamp=None resolves to half a cell width of the domain it is applied to.
     """
 
     exponent: float = 0.0
     clamp: float | None = None
-    multiplier: np.ndarray | None = None
 
     def resolve_clamp(self, domain: GridDomain) -> float:
         return 0.5 * domain.h if self.clamp is None else self.clamp
@@ -68,12 +66,7 @@ class WeightSpec:
         clamp = self.resolve_clamp(domain)
         if clamp <= 0:
             raise ValueError("clamp must be positive")
-        base = np.maximum(domain.distance, clamp) ** self.exponent
-        if self.multiplier is not None:
-            if (np.asarray(self.multiplier) < 0).any():
-                raise ValueError("multiplier must be nonnegative")
-            base = base * self.multiplier
-        return base
+        return np.maximum(domain.distance, clamp) ** self.exponent
 
 
 UNIT_WEIGHT = WeightSpec(exponent=0.0, clamp=1.0)

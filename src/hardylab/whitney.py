@@ -32,20 +32,6 @@ class WhitneyError(RuntimeError):
     """Degenerate raster: no admissible cube exists."""
 
 
-@dataclass(frozen=True)
-class DyadicCube:
-    level: int
-    coords: tuple[int, ...]
-
-    @property
-    def side(self) -> float:
-        return 2.0 ** (-self.level)
-
-    @property
-    def diam(self) -> float:
-        return math.sqrt(len(self.coords)) * self.side
-
-
 class WhitneyDecomposition:
     """Set of accepted dyadic cubes with enlarged cubes and rescaling maps.
 
@@ -175,9 +161,6 @@ class WhitneyDecomposition:
         return self.rq_sums(weight) * dom.h**dom.dim
 
     # -- per-cube accessors ----------------------------------------------------
-
-    def cube(self, i: int) -> DyadicCube:
-        return DyadicCube(int(self.levels[i]), tuple(int(c) for c in self.coords[i]))
 
     def cell_slice(self, i: int):
         """Grid-cell block occupied by cube i."""

@@ -11,7 +11,8 @@ from hardylab.capacity import (CapacityError, ConstraintSet, gamma_capacity,
                                quadratic_form, default_theta_a0,
                                poincare_constant, norm_equivalence_constant,
                                open_question_21_experiment,
-                               ratio_best_constant, gradient_form_ops, _ratio)
+                               ratio_best_constant, gradient_form_ops, _ratio,
+                               holder_ratio_best_constant)
 
 
 def slab_set(m_cells, width, dim=2, cone=False):
@@ -208,31 +209,46 @@ def test_ratio_best_constant_kernel_and_saturated():
     assert best == math.inf and solver == "kernel-element"
 
 
-@pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("q", [1.5, 2.0, 3.0, math.inf])
 @pytest.mark.parametrize("weighted", [False, True])
 def test_ratio_core_value_and_gradient(q, weighted):
     # (||u||_q - a0 ||grad u||_q) / (||grad^2 u||_q + ||grad u||_2) on a
-    # 4x4 lattice, against dense evaluation and central differences
+    # 4x4 lattice, against dense evaluation and central differences; at
+    # q = inf the plain norm is the l-infinity term of the identity
     m_cells, dim = 4, 2
-    rng = np.random.default_rng(int(10 * q))
+    rng = np.random.default_rng(int(10 * min(q, 9.0)))
     n = m_cells**dim
     w = rng.uniform(0.5, 2.0, n) if weighted else (1.0 / m_cells) ** dim
     ops1 = gradient_form_ops(m_cells, dim, 1)
     ops2 = gradient_form_ops(m_cells, dim, 2)
-    num, low = (None, q, w), (ops1, q, w)
+    num = (None, q, w) if q < math.inf else ([(1, sp.identity(n))], q, 1.0)
+    low = (ops1, q, w)
     den = [(ops2, q, w), (ops1, 2.0, w)]
     a0 = 0.01
 
+    def dense_agg(u, ops):
+        return sum(mult * (op.toarray() @ u) ** 2 for mult, op in ops)
+
     def dense_norm(u, ops, r):
-        agg = sum(mult * (op.toarray() @ u) ** 2 for mult, op in ops)
+        agg = dense_agg(u, ops)
+        if r == math.inf:
+            return math.sqrt(agg.max())
         return float((agg ** (r / 2) * w).sum()) ** (1 / r)
 
     def dense_ratio(u):
-        top = float((np.abs(u) ** q * w).sum()) ** (1 / q) \
-            - a0 * dense_norm(u, ops1, q)
+        if q == math.inf:
+            top = float(np.abs(u).max())
+        else:
+            top = float((np.abs(u) ** q * w).sum()) ** (1 / q)
+        top -= a0 * dense_norm(u, ops1, q)
         return top / (dense_norm(u, ops2, q) + dense_norm(u, ops1, 2.0))
 
     u = rng.standard_normal(n)
+    if q == math.inf:
+        # central differences need each maximum well clear of a tie
+        for vals in (np.abs(u), dense_agg(u, ops1), dense_agg(u, ops2)):
+            top2 = np.sort(vals)[-2:]
+            assert top2[1] - top2[0] > 1e-3 * top2[1]
     val, grad = _ratio(u, num, den, low=low, a0=a0)
     assert val > 0
     assert val == pytest.approx(dense_ratio(u), rel=1e-12)
@@ -240,6 +256,37 @@ def test_ratio_core_value_and_gradient(q, weighted):
     fd = np.array([(dense_ratio(u + step * e) - dense_ratio(u - step * e))
                    / (2 * step) for e in np.eye(n)])
     np.testing.assert_allclose(grad, fd, rtol=0, atol=1e-6 * np.abs(fd).max())
+
+
+def test_every_ascent_runs_on_the_ratio_core(monkeypatch):
+    from hardylab import capacity
+    from hardylab.grids import DomainSpec, rasterize
+    from hardylab.hardy import HardyParams, direct_best_constant
+    assert not hasattr(capacity, "_descent_best_constant")
+    calls = []
+    ratio = capacity._ratio
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return ratio(*args, **kwargs)
+
+    monkeypatch.setattr(capacity, "_ratio", counted)
+    cs = slab_set(8, 2, dim=1)
+    dom = rasterize(DomainSpec(kind="interval", dim=1, level=5))
+    solves = {
+        "gamma": lambda: gamma_capacity(cs, 1, 0, 1.5, 1.5, 3, 1),
+        "theta": lambda: theta_capacity(cs, 1, 0, 2.0, 2.0, 0.1, 3, 1),
+        "ratio": lambda: ratio_best_constant(cs, 3, 1, (0, 1.5), [(1, 2.0)]),
+        "holder": lambda: holder_ratio_best_constant(cs, 3, 1, 0, 0.5,
+                                                     [(1, 2.0)]),
+        "poincare": lambda: poincare_constant(1, 1, 1.5, 1.5, 3),
+        "direct": lambda: direct_best_constant(
+            dom, HardyParams(m=1, p=1.5, q=1.5, s=-1.0)),
+    }
+    for name, solve in solves.items():
+        calls.clear()
+        solve()
+        assert calls, name
 
 
 @pytest.mark.parametrize("dim,level,width", [(2, 3, 2), (1, 9, 40)])

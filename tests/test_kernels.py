@@ -1,7 +1,8 @@
 """Whole-array geometry kernels, the constraint-class map, the batched
-canonical keys and the window-local cone split, pinned to the per-edge,
-per-cube, per-image and full-grid loops they replace (the loops are kept
-here as oracles)."""
+canonical keys, the window-local cone split and the ratio-core Hölder and
+Poincaré solves, pinned to the per-edge, per-cube, per-image and full-grid
+loops and the hand-written objectives they replace (kept here as
+oracles)."""
 
 import importlib.util
 import math
@@ -11,7 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hardylab.capacity import ConstraintSet, canonical_keys
+from hardylab.capacity import (ConstraintSet, _poly_basis, _project,
+                               _sum_terms, _unit_term, canonical_keys,
+                               gradient_form_ops, gradient_norm_grad,
+                               holder_ratio_best_constant, lp_norm_grad,
+                               poincare_constant)
 from hardylab.cone import (ALPHA_ENLARGE, BETA_ENLARGE, CutoffFamily, ConeSplit,
                            MajorantResult, _cube_center, _enlarged_slice,
                            _iterated_kernel, cone_split, make_probe)
@@ -620,3 +625,176 @@ def _benchmark_probe(seed):
 def test_windowed_split_matches_loop_benchmark_probe(m, p, s):
     dom, u = _benchmark_probe(1)
     assert_split_matches_loop(u, decompose(dom), m, p, s)
+
+
+# -- Hölder and Poincaré solves on the ratio core ----------------------------------
+
+
+def loop_ascent(objective, n_dofs, zero_flat, cone, seed, starts_extra=(),
+                max_iters=300):
+    """The projected normalized ascent on a hand-written objective(u) ->
+    (value, gradient), as it ran before the ratio core served every
+    solve."""
+    rng = np.random.default_rng(seed)
+    starts = [rng.standard_normal(n_dofs) for _ in range(8)]
+    starts += [np.asarray(s, dtype=float) for s in starts_extra]
+    best_val, best_res = 0.0, 0.0
+    for u0 in starts:
+        u = _project(u0.copy(), zero_flat, cone)
+        nrm = np.linalg.norm(u)
+        if nrm == 0:
+            continue
+        u /= nrm
+        val, grad = objective(u)
+        step = 0.5
+        res = math.inf
+        for _ in range(max_iters):
+            g = _project(grad, zero_flat, False)
+            g -= np.dot(g, u) * u
+            if cone:
+                g = np.where((u <= 0) & (g < 0), 0.0, g)
+            res = float(np.linalg.norm(g))
+            if res <= 1e-10 * max(1.0, abs(val)):
+                break
+            improved = False
+            while step > 1e-12:
+                cand = _project(u + step * g, zero_flat, cone)
+                nc = np.linalg.norm(cand)
+                if nc > 0:
+                    cand /= nc
+                    cval, cgrad = objective(cand)
+                    if cval > val + 1e-14 * abs(val):
+                        u, val, grad = cand, cval, cgrad
+                        improved = True
+                        step *= 1.3
+                        break
+                step *= 0.5
+            if not improved:
+                break
+        if val > best_val:
+            best_val, best_res = val, res
+    return best_val, best_res
+
+
+def loop_holder_best_constant(cs, grid_level, dim, h_order, lam, den_terms,
+                              seed):
+    """The Hölder chain solve with its own argmax over difference pairs
+    (one slice pair per order and offset) and its own subgradient."""
+    m_cells = 2**grid_level
+    h_c = 1.0 / m_cells
+    shape = (m_cells,) * dim
+    zero = cs.zero_mask(shape).reshape(-1)
+    num_ops = gradient_form_ops(m_cells, dim, h_order)
+    dens = [_unit_term(m_cells, dim, o, q) for o, q in den_terms]
+    shifts = []
+    for off in product(range(-2, 3), repeat=dim):
+        d2 = sum(o * o for o in off)
+        if 0 < d2 <= 4:
+            shifts.append((off, (math.sqrt(d2) * h_c) ** lam))
+
+    def quotient(u):
+        best = (0.0, None, 0, 0, 1.0, 1.0)
+        for _, op in num_ops:
+            F = (op @ u).reshape(shape)
+            for off, dist_pow in shifts:
+                dst_sl, src_sl = [], []
+                for ax, o in enumerate(off):
+                    nn = shape[ax]
+                    dst_sl.append(slice(max(0, -o), nn - max(0, o)))
+                    src_sl.append(slice(max(0, o), nn - max(0, -o)))
+                diff = F[tuple(dst_sl)] - F[tuple(src_sl)]
+                if diff.size == 0:
+                    continue
+                idx = np.argmax(np.abs(diff))
+                val = diff.reshape(-1)[idx] / dist_pow
+                if abs(val) > best[0]:
+                    loc = np.unravel_index(idx, diff.shape)
+                    x_idx = np.ravel_multi_index(
+                        tuple(l + s.start for l, s in zip(loc, dst_sl)), shape)
+                    y_idx = np.ravel_multi_index(
+                        tuple(l + s.start for l, s in zip(loc, src_sl)), shape)
+                    best = (abs(val), op, int(x_idx), int(y_idx),
+                            math.copysign(1.0, val), dist_pow)
+        return best
+
+    def objective(u):
+        val, op, xi, yi, sign, dist_pow = quotient(u)
+        if op is None:
+            return 0.0, np.zeros_like(u)
+        e = np.zeros(op.shape[0])
+        e[xi] = sign / dist_pow
+        e[yi] = -sign / dist_pow
+        gnum = op.T @ e
+        den, gden = _sum_terms(u, dens)
+        if den <= 1e-300:
+            return math.inf, gnum
+        ratio = val / den
+        return ratio, gnum / den - ratio * gden / den
+
+    return loop_ascent(objective, m_cells**dim, zero, cs.has_cone, seed,
+                       list(_poly_basis(m_cells, dim, 2).T), max_iters=200)
+
+
+def loop_poincare_constant(dim, order, p, p1, grid_level, seed):
+    """The p != 2 Poincaré constant with its own projected objective."""
+    m_cells = 2**grid_level
+    hN = (1.0 / m_cells) ** dim
+    Qb, _ = np.linalg.qr(_poly_basis(m_cells, dim, order - 1))
+    ops = gradient_form_ops(m_cells, dim, order)
+
+    def objective(u):
+        w = u - Qb @ (Qb.T @ u)
+        num, gnum_w = lp_norm_grad(w, p, hN)
+        gnum = gnum_w - Qb @ (Qb.T @ gnum_w)
+        den, gden = gradient_norm_grad(u, ops, p1, hN)
+        if den <= 1e-300:
+            return 0.0, gnum
+        val = num / den
+        return val, gnum / den - val * gden / den
+
+    n = m_cells**dim
+    return loop_ascent(objective, n, np.zeros(n, dtype=bool), False, seed)[0]
+
+
+RATIO_CORE_RTOL = 1e-13  # stacked-row products round differently
+
+
+def _holder_set(dim, grid_level, cone):
+    m_cells = 2**grid_level
+    K = np.zeros((m_cells,) * dim, dtype=bool)
+    K[:2] = True
+    kind = "zero-on-compact-and-nonnegative" if cone else "zero-on-compact"
+    return ConstraintSet(kind, K)
+
+
+# every (grid, order, denominator, cone) combination, lambda in turn
+HOLDER_CASES = [
+    (dim, level, h_order, (0.25, 0.4, 0.5)[i % 3], den_terms, cone)
+    for i, ((dim, level), h_order, den_terms, cone) in enumerate(product(
+        [(1, 4), (2, 3), (2, 4)], [0, 1], [[(1, 2.0)], [(1, 1.5), (2, 2.0)]],
+        [False, True]))
+]
+
+
+@pytest.mark.parametrize("dim,grid_level,h_order,lam,den_terms,cone",
+                         HOLDER_CASES)
+def test_holder_ratio_matches_loop(dim, grid_level, h_order, lam, den_terms,
+                                   cone):
+    cs = _holder_set(dim, grid_level, cone)
+    best, _, solver = holder_ratio_best_constant(
+        cs, grid_level, dim, h_order, lam, den_terms, seed=3)
+    want, _ = loop_holder_best_constant(
+        cs, grid_level, dim, h_order, lam, den_terms, seed=3)
+    assert solver == "descent"
+    assert 0 < best < math.inf
+    assert abs(best - want) <= RATIO_CORE_RTOL * want, (best, want)
+
+
+@pytest.mark.parametrize("dim,order,grid_level,p", [
+    (1, 1, 4, 1.5), (1, 2, 4, 3.0), (2, 1, 3, 3.0), (2, 2, 3, 1.5),
+    (3, 1, 2, 1.5), (3, 1, 2, 3.0), (3, 2, 2, 1.5)])
+def test_poincare_ratio_matches_loop(dim, order, grid_level, p):
+    got = poincare_constant(dim, order, p, p, grid_level, seed=1)
+    want = loop_poincare_constant(dim, order, p, p, grid_level, seed=1)
+    assert 0 < got < math.inf
+    assert abs(got - want) <= RATIO_CORE_RTOL * want, (got, want)
