@@ -16,7 +16,7 @@ import numpy as np
 from .grids import DomainSpec, rasterize
 from .whitney import decompose, check_decomposition, summation_lemma_ratio, \
     intersection_cutoff
-from .dimension import dim_loc, dim_mc_loc
+from .dimension import DimensionError, dim_loc, dim_mc_loc
 from .capacity import (ConstraintSet, gamma_capacity, dense_best_constant,
                        quadratic_form)
 from .hardy import (HardyParams, constructive_bound, direct_best_constant,
@@ -216,16 +216,21 @@ def criterion_hardy_anchor(level: int = 12) -> dict:
                       "runtime": dt}]}
 
 
-def _combo_dim_loc(kind, dim, level) -> float:
+def _combo_dim_loc(kind, dim, level) -> dict:
     """Local-dimension input for the case B/D combos, measured on the same
-    domain family at a level with enough informative cube levels."""
+    domain family at the combo's level, else one level finer when the
+    decomposition has too few informative cube levels; with neither it
+    falls back to dim - 1.  Returns the value, the level that gave it (None
+    on the fallback) and whether the fallback ran."""
     for lev in (level, level + 1):
         try:
-            dec = decompose(_domain(kind, dim, lev))
-            return dim_loc(dec).value
-        except Exception:
+            value = dim_loc(decompose(_domain(kind, dim, lev))).value
+        except DimensionError:
             continue
-    return float(dim - 1)
+        return {"dim_loc": value, "dim_loc_level": lev,
+                "dim_loc_fallback": False}
+    return {"dim_loc": float(dim - 1), "dim_loc_level": None,
+            "dim_loc_fallback": True}
 
 
 def criterion_soundness(seed: int = 0) -> dict:
@@ -240,11 +245,13 @@ def criterion_soundness(seed: int = 0) -> dict:
         kw = dict(k=None, p=2.0, q=2.0)
         kw.update(overrides)
         params = HardyParams(**kw)
+        dim_info = {}
         if params.case in ("B", "D"):
             key = (kind, dim)
             if key not in dim_cache:
                 dim_cache[key] = _combo_dim_loc(kind, dim, level)
-            params.dim_loc_value = dim_cache[key]
+            dim_info = dim_cache[key]
+            params.dim_loc_value = dim_info["dim_loc"]
         try:
             rep = constructive_bound(dec, params, grid_level=4, seed=seed,
                                      with_direct=True)
@@ -254,12 +261,12 @@ def criterion_soundness(seed: int = 0) -> dict:
                 "m": params.m, "s": params.s,
                 "constant_A": rep.constant_A,
                 "direct": rep.direct_estimate, "sound": rep.sound,
-                "runtime": time.time() - t0, "ok": ok,
+                "runtime": time.time() - t0, "ok": ok, **dim_info,
             })
         except HardyError as exc:
             ok = False
             rows.append({"domain": kind, "case": overrides.get("case"),
-                         "error": str(exc), "ok": False})
+                         "error": str(exc), "ok": False, **dim_info})
         passed &= ok
     return {"criterion": 6, "name": "soundness", "passed": passed,
             "rows": rows}

@@ -49,7 +49,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .norms import _pair_views, multi_indices, multinomial
+from .norms import _holder_pairs, multi_indices, multinomial
 
 CONSTRAINT_KINDS = (
     "zero-on-compact",
@@ -355,9 +355,7 @@ DENSE_EIGH_CUTOFF = 400
 # Largest free subspace the failed sparse eigensolve may redo densely: two
 # dense n x n matrices, 64 MiB at n = 2048.
 DENSE_EIGH_LIMIT = 2048
-# Hölder-form chain solves: largest pair distance in cells, and ascent steps
-# per start.
-HOLDER_RADIUS_CELLS = 2
+# ascent steps per start of the Hölder-form chain solves
 HOLDER_MAX_ITERS = 200
 
 
@@ -739,20 +737,20 @@ def ratio_best_constant(constraints: ConstraintSet, grid_level: int, dim: int,
 def _holder_operator(m_cells: int, dim: int, h_order: int,
                      lam: float) -> sp.csr_matrix:
     """Sparse stack of the rows (D^a u(x) - D^a u(y)) / |x - y|^lam on the
-    unit lattice, over the distinct |a| = h_order (outer) and the offsets
-    0 < |y - x| <= HOLDER_RADIUS_CELLS cells (inner), anchors x in C order:
-    its l-infinity norm is the grid Hölder quotient."""
+    unit lattice, over the distinct |a| = h_order (outer) and the pairs of
+    `norms._holder_pairs` (inner) among the anchors where every order-h
+    difference is defined, the (m_cells - h_order)^dim corner window: its
+    l-infinity norm is the grid Hölder quotient."""
     h_c = 1.0 / m_cells
-    r = HOLDER_RADIUS_CELLS
-    cells = np.arange(m_cells**dim).reshape((m_cells,) * dim)
+    window = (slice(0, m_cells - h_order),) * dim
+    cells = np.arange(m_cells**dim).reshape((m_cells,) * dim)[window]
+    cells = cells.reshape(-1)
+    pairs = list(_holder_pairs((m_cells - h_order,) * dim))
     rows = []
     for _, op in gradient_form_ops(m_cells, dim, h_order):
-        for off in product(range(-r, r + 1), repeat=dim):
-            d2 = sum(o * o for o in off)
-            if 0 < d2 <= r**2:
-                x, y = _pair_views(cells, off)
-                rows.append((op[x.reshape(-1)] - op[y.reshape(-1)])
-                            / (math.sqrt(d2) * h_c) ** lam)
+        for x, y, dist_cells in pairs:
+            rows.append((op[cells[x]] - op[cells[y]])
+                        / (dist_cells * h_c) ** lam)
     return sp.vstack(rows, format="csr")
 
 
@@ -761,8 +759,8 @@ def holder_ratio_best_constant(constraints: ConstraintSet, grid_level: int,
                                den_terms, seed: int = 0):
     """Best constant of the pointwise-Hölder-quotient Poincaré inequality on
     the unit lattice: sup of the order-h quotient with exponent lam (pairs
-    up to HOLDER_RADIUS_CELLS cells apart) over the admissible class against
-    the usual gradient-sum denominator.
+    up to norms.HOLDER_RADIUS_CELLS cells apart) over the admissible class
+    against the usual gradient-sum denominator.
 
     The numerator is the l-infinity term of `_holder_operator`, so the
     ratio-core ascent is a projected subgradient ascent; it runs
@@ -898,29 +896,3 @@ def norm_equivalence_constant(q_sub_corner, q_sub_side: float, m: int, k: int,
         worst = max(worst, lhs / rhs)
     return worst
 
-
-def open_question_21_experiment(corpus, m: int, k: int, p: float, p1: float,
-                                grid_level: int, dim: int = 2,
-                                A0: float | None = None, seed: int = 0):
-    """Gamma vs theta capacities over a corpus of constraint sets.
-
-    Evidence only: reports the two capacities and their ratio (None when
-    undefined because both vanish).
-    """
-    if A0 is None:
-        A0 = default_theta_a0(dim, k, p1, grid_level)
-    rows = []
-    for i, cs in enumerate(corpus):
-        g = gamma_capacity(cs, m, k, p, p1, grid_level, dim, seed)
-        t = theta_capacity(cs, m, k, p, p1, A0, grid_level, dim, seed)
-        if g.capacity > 0 and math.isfinite(g.capacity) and t.capacity > 0:
-            ratio = t.capacity / g.capacity
-        else:
-            ratio = None
-        rows.append({
-            "index": i, "kind": cs.kind,
-            "gamma": g.capacity, "theta": t.capacity, "ratio": ratio,
-            "gamma_note": g.note, "theta_note": t.note, "A0": A0,
-        })
-    return {"rows": rows, "m": m, "k": k, "p": p, "p1": p1,
-            "grid_level": grid_level, "dim": dim, "A0": A0}

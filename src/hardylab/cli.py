@@ -10,7 +10,6 @@ record naming the violated precondition, with no partial outputs.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 

@@ -24,7 +24,7 @@ keeps nothing after it returns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -443,58 +443,6 @@ def make_cusp_probe(domain: GridDomain) -> DiscreteFunction:
     r = np.sqrt(sum((g - c) ** 2 for g, c in zip(grids, x0)))
     vals = np.maximum(1.0 - r / 0.2, 0.0)
     return DiscreteFunction(domain, vals)
-
-
-def cone_generation_check(domain: GridDomain, decomp: WhitneyDecomposition,
-                          m: int, p: float, s: float, corollary_case: str,
-                          params=None, n_probes: int = 5, seed: int = 0,
-                          grid_level: int = 4):
-    """Hypothesis gate + split experiment for the cone-generation theorems.
-
-    Runs the corollary hypothesis check for the named case; on success
-    splits probe functions satisfying the weighted-mass finiteness proxy and
-    reports, for the two-sided statement, that split success co-occurs with
-    finiteness and that a boundary-touching probe is rejected.
-    """
-    from .hardy import HardyParams, corollary_619_check
-
-    if params is None:
-        params = HardyParams(m=m, p=p, s=s, case="A" if s < 0 else "E")
-    ok, bound, details = corollary_619_check(domain, decomp, corollary_case,
-                                             params, grid_level=grid_level,
-                                             seed=seed)
-    rows = []
-    if not ok:
-        return {"hypotheses_ok": False, "details": details, "rows": rows}
-    for j in range(n_probes):
-        u = make_probe(domain, seed * 101 + j)
-        slope = finiteness_slope(u, m, p, s)
-        try:
-            split = cone_split(u, decomp, m, p, s)
-            exact = float(np.abs((split.u1.values - split.u2.values)
-                                 - u.values)[domain.inside].max())
-            rows.append({
-                "probe": j, "finite_proxy": True,
-                "slope": slope, "split_ok": True,
-                "exactness": exact,
-                "norm_factor": split.norm_factor,
-            })
-        except ConeError as exc:
-            rows.append({"probe": j, "finite_proxy": False,
-                         "slope": slope, "split_ok": False,
-                         "error": str(exc)})
-    cusp = make_cusp_probe(domain)
-    cusp_slope = finiteness_slope(cusp, m, p, s)
-    cusp_rejected = False
-    try:
-        cone_split(cusp, decomp, m, p, s)
-    except ConeError:
-        cusp_rejected = True
-    rows.append({"probe": "cusp", "slope": cusp_slope,
-                 "split_ok": not cusp_rejected,
-                 "rejected": cusp_rejected})
-    return {"hypotheses_ok": True, "details": details, "rows": rows,
-            "bound": bound.to_record() if bound is not None else None}
 
 
 def conjecture_experiment(domain: GridDomain, decomp: WhitneyDecomposition,

@@ -254,20 +254,6 @@ def brute_force_distance(domain: GridDomain) -> np.ndarray:
     return out
 
 
-def coarsen_inside(inside: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One-level coarsening: (value where all 2^N children agree, agreement mask)."""
-    dim = inside.ndim
-    view = inside
-    for ax in range(dim):
-        n = view.shape[ax]
-        view = view.reshape(view.shape[:ax] + (n // 2, 2) + view.shape[ax + 1 :])
-        view = np.moveaxis(view, ax + 1, -1)
-    flat = view.reshape(view.shape[:dim] + (-1,))
-    agree = flat.all(axis=-1) | (~flat).all(axis=-1)
-    value = flat.all(axis=-1)
-    return value, agree
-
-
 # -- built-in corpus geometry ------------------------------------------------
 
 

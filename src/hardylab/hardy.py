@@ -12,7 +12,7 @@ carries a directly estimated best constant for the soundness comparison.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -591,18 +591,18 @@ def constructive_bound(decomp: WhitneyDecomposition, params: HardyParams,
 # -- direct Rayleigh estimate ------------------------------------------------------
 
 
-def _embedding_matrix(domain: GridDomain, pad: int) -> sp.csr_matrix:
-    """Sparse map from inside-cell DOFs to the zero-padded full grid."""
+def _inside_ops(domain: GridDomain, m: int):
+    """[(multinomial weight, D^alpha)] for the order-m gradient of the
+    inside-cell values (C order) zero-extended by m cells on every side:
+    the padded-lattice operators restricted to the inside cells' columns,
+    with one row per anchor of the padded lattice."""
     n = 2**domain.level
-    np_ = n + 2 * pad
-    inside_idx = np.nonzero(domain.inside.reshape(-1))[0]
-    coords = np.array(np.unravel_index(inside_idx, domain.shape)).T + pad
-    flat = np.zeros(len(coords), dtype=np.int64)
-    for a in range(domain.dim):
-        flat = flat * np_ + coords[:, a]
-    data = np.ones(len(coords))
-    return sp.csr_matrix((data, (flat, np.arange(len(coords)))),
-                         shape=(np_**domain.dim, len(coords)))
+    n_pad = n + 2 * m
+    box = (slice(m, m + n),) * domain.dim
+    cols = np.arange(n_pad**domain.dim).reshape((n_pad,) * domain.dim)[box]
+    cols = cols[domain.inside]
+    return [(mult, op[:, cols])
+            for mult, op in gradient_form_ops(n_pad, domain.dim, m, domain.h)]
 
 
 def direct_best_constant(domain: GridDomain, params: HardyParams,
@@ -637,8 +637,7 @@ def direct_best_constant(domain: GridDomain, params: HardyParams,
     clamp = DIRECT_WEIGHT_CLAMP_CELLS * domain.h
     hN = domain.h**domain.dim
     n = 2**domain.level
-    ops = gradient_form_ops(n + 2 * m, domain.dim, m, domain.h)
-    E = _embedding_matrix(domain, m)
+    ops = _inside_ops(domain, m)
     # padded anchors read the weight of the nearest cell of the box
     pad_idx = np.clip(np.arange(n + 2 * m) - m, 0, n - 1)
     w_top = _weight_on_anchors(np.maximum(domain.distance, clamp) ** s,
@@ -650,17 +649,15 @@ def direct_best_constant(domain: GridDomain, params: HardyParams,
     if abs(p - 2) < 1e-12 and not params.cone:
         A_mat = None
         for mult, op in ops:
-            opE = (op @ E).tocsr()
-            term = opE.T @ sp.diags(w_top * mult) @ opE
+            term = op.T @ sp.diags(w_top * mult) @ op
             A_mat = term if A_mat is None else A_mat + term
         if domain.dim >= 3:
             return _lobpcg_best_constant(A_mat, w_low)[0]
         return _eigen_best_constant(A_mat, np.ones(len(w_low), dtype=bool),
                                     w_low)[0]
 
-    opEs = [(mult, (op @ E).tocsr()) for mult, op in ops]
-    best, _ = _ratio_descent(np.zeros(E.shape[1], dtype=bool), params.cone,
-                             seed, (None, p, w_low), [(opEs, p, w_top)],
+    best, _ = _ratio_descent(np.zeros(len(w_low), dtype=bool), params.cone,
+                             seed, (None, p, w_low), [(ops, p, w_top)],
                              max_iters=400)
     return best
 

@@ -12,7 +12,7 @@ multiplicities on distinct multi-indices).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -231,45 +231,32 @@ def sobolev_norm(u: DiscreteFunction, m: int, p: float,
 
 
 def holder_quotient(u: DiscreteFunction, h_order: int, lam: float,
-                    w: WeightSpec = UNIT_WEIGHT, radius: float | None = None,
-                    distance_unit: str = "physical") -> float:
+                    w: WeightSpec = UNIT_WEIGHT) -> float:
     """Pointwise Hölder quotient, grid form.
 
-    sup over inside anchors x, distinct |alpha| = h_order, and offsets y with
-    0 < |x-y| <= radius of |D^a u(x) - D^a u(y)| / |x-y|^lam * weight(x).
+    sup over inside anchors x, distinct |alpha| = h_order, and the pairs
+    (x, y) of `_holder_pairs` of |D^a u(x) - D^a u(y)| / |x-y|^lam * weight(x).
     The limsup of the continuum definition is replaced by this finite-
-    neighborhood sup; radius defaults to two cells and must be at least one
-    cell.  distance_unit "cells" measures |x-y| in cell units (used by the
-    lambda-monotonicity property).
+    neighborhood sup, with y up to HOLDER_RADIUS_CELLS cells from x.
     """
     if not (0.0 < lam <= 1.0):
         raise ValueError("lambda must lie in (0, 1]")
     dom = u.domain
-    h = dom.h
-    if radius is None:
-        radius = 2.0 * h
-    if radius < h - 1e-12 * h:
-        raise ValueError("radius must be at least one cell")
-    rc = int(math.floor(radius / h + 1e-9))
     fields, widx = difference_fields(u, h_order)
-    wfield = _weight_on_anchors(w.field(dom), widx)
-    inside_anchor = _weight_on_anchors(dom.inside.astype(float), widx) > 0.5
-
-    offsets = []
-    for off in product(range(-rc, rc + 1), repeat=dom.dim):
-        if any(off) and math.sqrt(sum(o * o for o in off)) <= rc + 1e-9:
-            offsets.append(off)
+    wfield = _weight_on_anchors(w.field(dom), widx).reshape(-1)
+    inside_anchor = (_weight_on_anchors(dom.inside.astype(float), widx)
+                     > 0.5).reshape(-1)
+    shape = next(iter(fields.values())).shape
+    pairs = list(_holder_pairs(shape))
     best = 0.0
     for f in fields.values():
-        for off in offsets:
-            dist_cells = math.sqrt(sum(o * o for o in off))
-            dist = dist_cells if distance_unit == "cells" else dist_cells * h
-            dst, src = _pair_views(f, off)
-            wloc, _ = _pair_views(wfield, off)
-            mask, _ = _pair_views(inside_anchor, off)
+        f = f.reshape(-1)
+        for x, y, dist_cells in pairs:
+            mask = inside_anchor[x]
             if not mask.any():
                 continue
-            q = np.abs(dst - src) / dist**lam * wloc
+            dist = dist_cells * dom.h
+            q = np.abs(f[x] - f[y]) / dist**lam * wfield[x]
             best = max(best, float(q[mask].max()))
     return best
 
@@ -284,22 +271,19 @@ def _pair_views(arr: np.ndarray, off):
     return arr[tuple(dst_sl)], arr[tuple(src_sl)]
 
 
-def elementary_sum_inequalities(a, r: float):
-    """The two elementary comparisons between sum |a_n|^r and (sum |a_n|)^r.
-
-    Returns (lhs, rhs, direction): for r >= 1 the direction is "<=", for
-    r <= 1 it is ">=" (at r = 1 both hold with equality).
-    """
-    if r <= 0:
-        raise ValueError("r must be positive")
-    a = np.abs(np.asarray(a, dtype=float))
-    lhs = float((a**r).sum())
-    rhs = float(a.sum() ** r)
-    return lhs, rhs, ("<=" if r >= 1 else ">=")
+# largest distance, in cells, of the pairs in a grid Hölder quotient
+HOLDER_RADIUS_CELLS = 2
 
 
-def quasinorm_constant(r: float) -> float:
-    """A(r) with (a^r + b^r)^(1/r) <= A(r) (a + b): max(1, 2^(1/r - 1))."""
-    if r <= 0:
-        raise ValueError("r must be positive")
-    return max(1.0, 2.0 ** (1.0 / r - 1.0))
+def _holder_pairs(shape):
+    """The Hölder pair rule on an anchor array of this shape.  For each
+    offset 0 < |off| <= HOLDER_RADIUS_CELLS, in product order, yields
+    (x, y, |off|): the flat C-order indices of the anchors x (in C order)
+    and y = x + off over all x for which both lie in the array."""
+    r = HOLDER_RADIUS_CELLS
+    cells = np.arange(math.prod(shape)).reshape(shape)
+    for off in product(range(-r, r + 1), repeat=len(shape)):
+        d2 = sum(o * o for o in off)
+        if 0 < d2 <= r**2:
+            x, y = _pair_views(cells, off)
+            yield x.reshape(-1), y.reshape(-1), math.sqrt(d2)

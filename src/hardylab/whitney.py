@@ -18,7 +18,7 @@ the coarsest level where it is all-inside and satisfies the lower bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
@@ -50,7 +50,6 @@ class WhitneyDecomposition:
         self.n_cubes = len(levels)
         self._build_owner_map()
         self._build_enlarged()
-        self._neighbors = None
         self._touch_pairs = None
 
     # -- construction helpers ------------------------------------------------
@@ -203,15 +202,6 @@ class WhitneyDecomposition:
         return RescaleMap(origin=lo, scale=float(self.rq_side[i]))
 
     # -- index structures -------------------------------------------------------
-
-    def neighbors(self, i: int) -> np.ndarray:
-        """Indices of cubes Q' with a cell center in closed R_Q(i)."""
-        if self._neighbors is None:
-            self._neighbors = [None] * self.n_cubes
-        if self._neighbors[i] is None:
-            ids = np.unique(self.owner[self.rq_slice(i)])
-            self._neighbors[i] = ids[ids >= 0]
-        return self._neighbors[i]
 
     def touching_pairs(self) -> np.ndarray:
         """Pairs (i, j), i<j, of cubes whose closed cubes intersect.

@@ -5,8 +5,6 @@ Each test prints its pass/fail line through the shared suite runner, so
 `hardylab suite` command runs the same code.
 """
 
-import pytest
-
 from hardylab import acceptance
 
 

@@ -10,9 +10,10 @@ from hardylab.capacity import (CapacityError, ConstraintSet, gamma_capacity,
                                theta_capacity, dense_best_constant,
                                quadratic_form, default_theta_a0,
                                poincare_constant, norm_equivalence_constant,
-                               open_question_21_experiment,
                                ratio_best_constant, gradient_form_ops, _ratio,
-                               holder_ratio_best_constant)
+                               holder_ratio_best_constant, _holder_operator)
+from hardylab.grids import DomainSpec, rasterize
+from hardylab.norms import DiscreteFunction, holder_quotient
 
 
 def slab_set(m_cells, width, dim=2, cone=False):
@@ -181,17 +182,6 @@ def test_norm_equivalence_rejects():
         norm_equivalence_constant((0.0, 0.0), 0.01, 2, 0, 2.0, 2.0, 4, 2)
 
 
-def test_open_question_experiment():
-    empty = open_question_21_experiment([], 1, 0, 2.0, 2.0, 3, 2)
-    assert empty["rows"] == []
-    corpus = [slab_set(8, w) for w in (1, 2, 4)] + [ConstraintSet("full-space")]
-    rep = open_question_21_experiment(corpus, 1, 0, 2.0, 2.0, 3, 2, A0=0.1)
-    assert len(rep["rows"]) == 4
-    for row in rep["rows"][:3]:
-        assert row["gamma"] > 0
-    assert rep["rows"][3]["ratio"] is None
-
-
 def test_poincare_constant_reasonable():
     # mean-free Poincaré constant of the unit square is 1/(pi*sqrt(2))~0.225
     c = poincare_constant(2, 1, 2.0, 2.0, 4)
@@ -256,6 +246,24 @@ def test_ratio_core_value_and_gradient(q, weighted):
     fd = np.array([(dense_ratio(u + step * e) - dense_ratio(u - step * e))
                    / (2 * step) for e in np.eye(n)])
     np.testing.assert_allclose(grad, fd, rtol=0, atol=1e-6 * np.abs(fd).max())
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("lam", [0.25, 0.5])
+def test_holder_operator_pairs_defined_anchors_only(dim, lam):
+    # u = x has a constant first difference wherever it is defined, so no
+    # pair may reach the zero rows the lattice operators carry at the edge
+    x = ((np.indices((8,) * dim)[0] + 0.5) / 8).reshape(-1)
+    assert np.abs(_holder_operator(8, dim, 1, lam) @ x).max() <= 1e-12
+    # the same pair rule as the grid quotient on a fully inside raster
+    dom = rasterize(DomainSpec(kind="square" if dim == 2 else "interval",
+                               dim=dim, level=4))
+    assert dom.inside.all()
+    u = np.random.default_rng(dim).standard_normal(dom.shape)
+    want = holder_quotient(DiscreteFunction(dom, u, boundary_policy="none"),
+                           1, lam)
+    got = np.abs(_holder_operator(16, dim, 1, lam) @ u.reshape(-1)).max()
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_every_ascent_runs_on_the_ratio_core(monkeypatch):

@@ -1,8 +1,6 @@
 import json
-from pathlib import Path
 
 import numpy as np
-import pytest
 
 from hardylab import cli
 from hardylab.grids import DomainSpec, rasterize, write_ndfn, read_ndfn

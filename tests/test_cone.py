@@ -10,7 +10,7 @@ from hardylab.norms import DiscreteFunction
 from hardylab.cone import (ConeError, CutoffFamily, local_majorant, cone_split,
                            chain_inequality_sides, make_probe, make_cusp_probe,
                            finiteness_slope, weighted_low_order_mass,
-                           cone_generation_check, conjecture_experiment,
+                           conjecture_experiment,
                            ALPHA_ENLARGE, BETA_ENLARGE)
 
 
@@ -168,27 +168,6 @@ def test_cone_split_rejects_p1(square6):
     u = make_probe(dom, 1)
     with pytest.raises(ConeError):
         cone_split(u, dec, m=1, p=1.0)
-
-
-def test_cone_generation_check_case_i(square6):
-    dom, dec = square6
-    rep = cone_generation_check(dom, dec, m=2, p=2.0, s=-1.0,
-                                corollary_case="i", n_probes=2)
-    assert rep["hypotheses_ok"]
-    probe_rows = [r for r in rep["rows"] if r.get("probe") != "cusp"]
-    assert all(r["split_ok"] for r in probe_rows)
-    cusp_row = [r for r in rep["rows"] if r.get("probe") == "cusp"][0]
-    assert cusp_row["rejected"]
-
-
-def test_cone_generation_check_failing_gate(square6):
-    dom, dec = square6
-    from hardylab.hardy import HardyParams
-    rep = cone_generation_check(dom, dec, m=2, p=2.0, s=-1.0,
-                                corollary_case="ii",
-                                params=HardyParams(m=2, p=2.0, s=-1.0))
-    assert not rep["hypotheses_ok"]
-    assert rep["details"]["failures"]
 
 
 def test_conjecture_experiment_table(square6):

@@ -329,6 +329,14 @@ def test_corollary_case_i(halfspace6):
     assert not ok2 and "capacity lower bound fails" in det2["failures"][0]
 
 
+def test_corollary_p0_case_needs_p0(halfspace6):
+    dom, dec = halfspace6
+    ok, rep, det = corollary_619_check(dom, dec, "ii",
+                                       HardyParams(m=2, p=2.0, s=-1.0))
+    assert not ok and rep is None
+    assert det["failures"] == ["p0 missing or outside [1, p)"]
+
+
 def test_corollary_case_v_full_dimension_projection(halfspace6):
     dom, dec = halfspace6
     ok, rep, det = corollary_619_check(dom, dec, "v",

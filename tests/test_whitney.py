@@ -1,5 +1,4 @@
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -86,11 +85,7 @@ def test_intersection_cutoff_values():
 
 
 def test_neighbor_pairs_respect_cutoff(halfspace7):
-    dec = halfspace7
-    cutoff = intersection_cutoff(2)
-    for i in range(dec.n_cubes):
-        for j in dec.neighbors(i):
-            assert dec.diam(int(j)) / dec.diam(i) <= cutoff + 1e-12
+    assert check_decomposition(halfspace7)["neighbor_cutoff_ok"]
 
 
 def test_packing_constant_enumeration():
