@@ -3,7 +3,6 @@ capacities, and constructive Hardy-inequality constants on dyadic rasters."""
 
 from .grids import DomainSpec, GridDomain, rasterize, distance_transform
 from .whitney import (
-    RescaleMap,
     WhitneyDecomposition,
     decompose,
     intersection_cutoff,
@@ -16,7 +15,6 @@ __all__ = [
     "GridDomain",
     "rasterize",
     "distance_transform",
-    "RescaleMap",
     "WhitneyDecomposition",
     "decompose",
     "intersection_cutoff",

@@ -419,7 +419,7 @@ ALL_CRITERIA = [
 ]
 
 
-def run_suite(selected=None, verbose=True) -> list[dict]:
+def run_suite(selected=None) -> list[dict]:
     results = []
     for fn in ALL_CRITERIA:
         name = fn.__name__.replace("criterion_", "")
@@ -429,8 +429,7 @@ def run_suite(selected=None, verbose=True) -> list[dict]:
         res = fn()
         res["runtime"] = time.time() - t0
         results.append(res)
-        if verbose:
-            state = "PASS" if res["passed"] else "FAIL"
-            print(f"[{state}] criterion {res['criterion']}: {res['name']} "
-                  f"({res['runtime']:.1f}s)")
+        state = "PASS" if res["passed"] else "FAIL"
+        print(f"[{state}] criterion {res['criterion']}: {res['name']} "
+              f"({res['runtime']:.1f}s)")
     return results

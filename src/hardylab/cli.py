@@ -208,11 +208,11 @@ def _lambda_svg(dec, lam: np.ndarray) -> str:
     lam = np.where(np.isfinite(lam), lam, 0.0)
     positive = lam[lam > 0]
     top = positive.max() if len(positive) else 1.0
-    for i in range(dec.n_cubes):
-        side = dec.side(i)
-        x = dec.coords[i][0] * side
-        y = dec.coords[i][1] * side
-        frac = min(lam[i] / top, 1.0)
+    sides = dec.sides()
+    for side, (x, y), value in zip(sides.tolist(),
+                                   (dec.coords * sides[:, None]).tolist(),
+                                   lam.tolist()):
+        frac = min(value / top, 1.0)
         shade = int(255 - 205 * frac)
         lines.append(
             f'<rect x="{x:.6f}" y="{1 - y - side:.6f}" width="{side:.6f}" '

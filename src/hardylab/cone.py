@@ -47,15 +47,12 @@ def smoothstep(t: np.ndarray) -> np.ndarray:
     return t * t * (3.0 - 2.0 * t)
 
 
-@dataclass
 class CutoffFamily:
-    """Tensor-product cutoffs: 1 on Q, supported in alpha*Q."""
-
-    alpha: float = ALPHA_ENLARGE
+    """Tensor-product cutoffs: 1 on Q, supported in ALPHA_ENLARGE*Q."""
 
     def profile(self, rel: np.ndarray) -> np.ndarray:
         """1-D profile against |relative offset| in units of the half side."""
-        return smoothstep((self.alpha - rel) / (self.alpha - 1.0))
+        return smoothstep((ALPHA_ENLARGE - rel) / (ALPHA_ENLARGE - 1.0))
 
     def on_grid(self, domain: GridDomain, center: np.ndarray,
                 side: float, window=None) -> np.ndarray:
@@ -77,15 +74,13 @@ class CutoffFamily:
                       decomp: WhitneyDecomposition,
                       enlarge: float) -> int:
         count = np.zeros(domain.shape, dtype=np.int32)
-        for i in range(decomp.n_cubes):
-            sl = _enlarged_slice(domain, decomp, i, enlarge)
+        for sl in _enlarged_slices(domain, decomp, enlarge):
             count[sl] += 1
         return int(count.max())
 
 
-def _cube_center(decomp: WhitneyDecomposition, i: int) -> np.ndarray:
-    side = decomp.side(i)
-    return (decomp.coords[i].astype(float) + 0.5) * side
+def _cube_centers(decomp: WhitneyDecomposition) -> np.ndarray:
+    return (decomp.coords.astype(float) + 0.5) * decomp.sides()[:, None]
 
 
 def _box_slice(domain: GridDomain, center: np.ndarray, side: float):
@@ -100,10 +95,11 @@ def _box_slice(domain: GridDomain, center: np.ndarray, side: float):
     return tuple(sl)
 
 
-def _enlarged_slice(domain: GridDomain, decomp: WhitneyDecomposition, i: int,
-                    enlarge: float):
-    return _box_slice(domain, _cube_center(decomp, i),
-                      decomp.side(i) * enlarge)
+def _enlarged_slices(domain: GridDomain, decomp: WhitneyDecomposition,
+                     enlarge: float) -> list:
+    """Per cube, the _box_slice of the cube enlarged by the given factor."""
+    return [_box_slice(domain, center, side) for center, side in
+            zip(_cube_centers(decomp), (decomp.sides() * enlarge).tolist())]
 
 
 def _iterated_kernel(m: int, radius_cells: int) -> np.ndarray:
@@ -334,10 +330,10 @@ def cone_split(u: DiscreteFunction, decomp: WhitneyDecomposition, m: int,
 
     # the piece eta_Q*u lives on the 4/3 window and its majorant on the
     # 16/9 window; cutoffs, accumulation and seminorms stay on them
-    for i in range(decomp.n_cubes):
-        side = decomp.side(i)
-        center = _cube_center(decomp, i)
-        sl43 = _enlarged_slice(dom, decomp, i, ALPHA_ENLARGE)
+    for i, (side, center, sl43, sl169) in enumerate(zip(
+            decomp.sides().tolist(), _cube_centers(decomp),
+            _enlarged_slices(dom, decomp, ALPHA_ENLARGE),
+            _enlarged_slices(dom, decomp, BETA_ENLARGE))):
         u_q_win = cutoffs.on_grid(dom, center, side, sl43) * u.values[sl43]
         if not u_q_win.any():
             continue
@@ -346,7 +342,6 @@ def cone_split(u: DiscreteFunction, decomp: WhitneyDecomposition, m: int,
         u_q = DiscreteFunction(dom, u_q_vals, policy)
         res = local_majorant(u_q, m, p, cube_side=side, cube_center=center,
                              spectra=spectra)
-        sl169 = _enlarged_slice(dom, decomp, i, BETA_ENLARGE)
         maj = res.values[sl169]
         v[sl169] += maj
         awin = anchor_window(sl43)
@@ -446,12 +441,13 @@ def make_cusp_probe(domain: GridDomain) -> DiscreteFunction:
 
 
 def conjecture_experiment(domain: GridDomain, decomp: WhitneyDecomposition,
-                          p: float = 2.0, orders=(1, 2, 3), n_probes: int = 4,
-                          seed: int = 0):
+                          n_probes: int = 4, seed: int = 0):
     """Evidence table for the odd/even-order cone-generation conjecture:
-    split success rates per gradient order, no assertion attached."""
+    split success rates at p = 2 for gradient orders 1-3, no assertion
+    attached."""
+    p = 2.0
     rows = []
-    for m in orders:
+    for m in (1, 2, 3):
         succ = 0
         for j in range(n_probes):
             u = make_probe(domain, seed * 31 + 7 * j + m)

@@ -140,10 +140,10 @@ def _model_correction(decomp: WhitneyDecomposition, window,
     return 0.5 * (lo + hi)
 
 
-def dim_loc(decomp: WhitneyDecomposition,
-            theta: float = DIVERGENCE_SLOPE_THRESHOLD) -> DimensionEstimate:
+def dim_loc(decomp: WhitneyDecomposition) -> DimensionEstimate:
     """Local boundary dimension N - s0, with s0 the divergence threshold of
     the boundary-weight supremum, located by bisection on the slope test."""
+    theta = DIVERGENCE_SLOPE_THRESHOLD
     dom = decomp.domain
     N = dom.dim
     _, table0 = g_s(decomp, 0.0)
@@ -198,6 +198,15 @@ MIN_BOX_CELLS = 8
 MAX_BOX_SCALES = 8
 
 
+def _padded_rq_ranges(decomp: WhitneyDecomposition):
+    """(start, stop): per cube and axis, the half-open range of the cells
+    whose centers lie in closed R_Q, on the collar-padded grid (cell index
+    + 1) and clipped to it."""
+    n = 2**decomp.domain.level
+    return (np.maximum(decomp.rq_first + 1, 0),
+            np.minimum(decomp.rq_last + 1, n + 1) + 1)
+
+
 def _box_counts(decomp: WhitneyDecomposition, bcells: np.ndarray):
     """Per cube, box counts of the rescaled boundary piece at dyadic scales.
 
@@ -207,41 +216,21 @@ def _box_counts(decomp: WhitneyDecomposition, bcells: np.ndarray):
     """
     dom = decomp.domain
     h = dom.h
-    n = 2**dom.level
+    start, stop = _padded_rq_ranges(decomp)
     sups: dict[int, float] = {}
     for i in range(decomp.n_cubes):
         side = float(decomp.rq_side[i])
         cells_across = side / h
         jmax = int(math.floor(math.log2(max(cells_across / MIN_BOX_CELLS, 1.0))))
         jmax = min(jmax, MAX_BOX_SCALES)
-        if jmax < 1:
+        if jmax < 1 or (stop[i] <= start[i]).any():
             continue
-        lo = decomp.rq_center[i] - side / 2.0
-        hi = decomp.rq_center[i] + side / 2.0
-        eps_h = 1e-9 * h
-        ranges = []
-        empty = False
-        for a in range(dom.dim):
-            i0 = int(math.ceil((lo[a] + eps_h) / h - 0.5)) + 1
-            i1 = int(math.floor((hi[a] - eps_h) / h - 0.5)) + 1
-            i0 = max(i0, 0)
-            i1 = min(i1, n + 1)
-            if i1 < i0:
-                empty = True
-                break
-            ranges.append((i0, i1 + 1))
-        if empty:
-            continue
-        sl = tuple(slice(a, b) for a, b in ranges)
-        block = bcells[sl]
-        idx = np.argwhere(block)
+        idx = np.argwhere(bcells[tuple(map(slice, start[i], stop[i]))])
         if len(idx) == 0:
             continue
         # physical center coordinates of boundary cells, rescaled to [0,1]
-        coords = np.zeros((len(idx), dom.dim))
-        for a in range(dom.dim):
-            coords[:, a] = ((idx[:, a] + ranges[a][0]) - 1 + 0.5) * h
-        unit = (coords - lo) / side
+        coords = ((idx + start[i]) - 1 + 0.5) * h
+        unit = (coords - decomp.rq_origin[i]) / side
         unit = np.clip(unit, 0.0, 1.0 - 1e-12)
         for j in range(1, jmax + 1):
             boxes = np.floor(unit * 2**j).astype(np.int64)
@@ -253,8 +242,7 @@ def _box_counts(decomp: WhitneyDecomposition, bcells: np.ndarray):
     return sups
 
 
-def dim_mc_loc(decomp: WhitneyDecomposition,
-               theta: float = DIVERGENCE_SLOPE_THRESHOLD) -> DimensionEstimate:
+def dim_mc_loc(decomp: WhitneyDecomposition) -> DimensionEstimate:
     """Minkowski-content local dimension via box counts of rescaled boundary
     pieces: the content proxy sup_Q N_eps * eps^d is slope-tested like G_s.
 
@@ -263,6 +251,7 @@ def dim_mc_loc(decomp: WhitneyDecomposition,
     shifted back before reporting (upper-content convention: the slope is
     fitted over the finest counted scales).
     """
+    theta = DIVERGENCE_SLOPE_THRESHOLD
     dom = decomp.domain
     N = dom.dim
     bcells = boundary_cells_padded(dom)
@@ -311,13 +300,12 @@ SIGNATURE_ANNULI = 4
 SIGNATURE_FLAG_THRESHOLD = 0.7
 
 
-def selfsimilarity_signature(decomp: WhitneyDecomposition,
-                             ball_fraction: float = 0.5):
+def selfsimilarity_signature(decomp: WhitneyDecomposition):
     """Heuristic necessary-condition check for complement self-similarity.
 
-    Extracts the ball of the given radius fraction at each enlarged cube's
-    center (a boundary point), measures the complement's occupancy over
-    concentric annuli after rescaling (radial profiles are rotation
+    Extracts the ball inscribed in each enlarged cube (centered at a
+    boundary point), measures the complement's occupancy over concentric
+    annuli after rescaling (radial profiles are rotation
     invariant, which stands in for the similarity transformation's rotation
     freedom), and compares the log-occupancy signatures pairwise.  Small
     maximum discrepancy is consistent with self-similarity at grid scale; a
@@ -325,35 +313,24 @@ def selfsimilarity_signature(decomp: WhitneyDecomposition,
     truncated by the raster edge are skipped.  Returns (max_discrepancy,
     flagged_pairs) with pairs exceeding SIGNATURE_FLAG_THRESHOLD.
     """
-    if not (0.0 < ball_fraction <= 0.5):
-        raise ValueError("ball_fraction must lie in (0, 1/2]")
     dom = decomp.domain
     h = dom.h
-    n = 2**dom.level
     padded_out = ~dom.padded_inside()
+    start, stop = _padded_rq_ranges(decomp)
     sigs = []
     ids = []
     for i in range(decomp.n_cubes):
-        side = float(decomp.rq_side[i])
-        radius = ball_fraction * side
+        radius = 0.5 * float(decomp.rq_side[i])
         if radius / h < SIGNATURE_MIN_RADIUS_CELLS:
             continue  # too coarse to sign at the requested depth
         center = decomp.rq_center[i]
-        lo = center - radius
-        hi = center + radius
-        if (lo < -h).any() or (hi > 1.0 + h).any():
+        if (center - radius < -h).any() or (center + radius > 1.0 + h).any():
             continue  # ball leaves the raster; occupancy would be truncated
-        ranges = []
-        for a in range(dom.dim):
-            i0 = max(int(math.ceil(lo[a] / h - 0.5)) + 1, 0)
-            i1 = min(int(math.floor(hi[a] / h - 0.5)) + 1, n + 1)
-            ranges.append((i0, i1 + 1))
-        sl = tuple(slice(a, b) for a, b in ranges)
-        block = padded_out[sl]
+        block = padded_out[tuple(map(slice, start[i], stop[i]))]
         if block.size == 0:
             continue
         axes = [((np.arange(a, b) - 1 + 0.5) * h - center[ax]) / radius
-                for ax, (a, b) in enumerate(ranges)]
+                for ax, (a, b) in enumerate(zip(start[i], stop[i]))]
         grids = np.meshgrid(*axes, indexing="ij")
         r2 = sum(g * g for g in grids)
         sig = []

@@ -124,7 +124,6 @@ class GridDomain:
     level: int
     inside: np.ndarray
     distance: np.ndarray | None = None
-    complement_nonempty: bool = True
     spec: DomainSpec | None = field(default=None, repr=False)
     pad_mode: str = "collar"
 
@@ -135,11 +134,9 @@ class GridDomain:
         self.inside = np.ascontiguousarray(self.inside, dtype=bool)
         if self.pad_mode not in ("collar", "replicate"):
             raise DomainError("pad_mode must be 'collar' or 'replicate'")
+        # the collar supplies a complement; replication needs one in the box
         if self.pad_mode == "replicate" and not (~self.inside).any():
             raise DomainError("replicate padding needs outside cells in the box")
-        # With the collar the complement is never empty; with replication the
-        # box itself must contain outside cells (checked above).
-        self.complement_nonempty = True
 
     def padded_inside(self) -> np.ndarray:
         """Inside mask with the one-cell boundary ring: an outside collar for

@@ -72,7 +72,6 @@ class HardyParams:
     cone: bool = False
     A0: float | None = None
     dim_loc_value: float | None = None
-    alpha_label: str = "alpha"
 
     def __post_init__(self):
         if self.k is None:
@@ -112,7 +111,6 @@ class HardyParams:
             "case": self.case, "p0": self.p0, "form": self.form,
             "cone": self.cone, "A0": self.A0,
             "dim_loc_value": self.dim_loc_value,
-            "alpha_label": self.alpha_label,
         }
 
 
@@ -225,9 +223,8 @@ def _constraint_classes(decomp: WhitneyDecomposition, grid_level: int,
     n_cubes, n = decomp.n_cubes, 2**dom.level
     m_cells = 2**grid_level
     unit = (np.arange(m_cells) + 0.5) / m_cells
-    origin = decomp.rq_center - decomp.rq_side[:, None] / 2.0
-    idx = np.floor((unit * decomp.rq_side[:, None, None] + origin[:, :, None])
-                   / dom.h).astype(np.int64)
+    idx = np.floor((unit * decomp.rq_side[:, None, None]
+                    + decomp.rq_origin[:, :, None]) / dom.h).astype(np.int64)
     axes = [idx[:, a].reshape((n_cubes,) + (1,) * a + (m_cells,)
                               + (1,) * (dom.dim - 1 - a))
             for a in range(dom.dim)]
@@ -397,6 +394,36 @@ def _case_sigma(params: HardyParams, dim: int) -> tuple[float, float]:
     return a, a
 
 
+def _norm_equivalence_constants(decomp: WhitneyDecomposition,
+                                cubes: np.ndarray, params: HardyParams,
+                                p: float, grid_level: int, seed: int):
+    """Per-cube constants of the norm-equivalence lemma for the two-term
+    route (capacity.norm_equivalence_constant, raised to at least 1), and
+    the mask of cubes where the lemma could not be measured and 1 stands in.
+
+    The lemma's subcube is the cube's image in the unit image of R_Q.  The
+    solve rounds its side and corner to whole capacity-grid cells, so it
+    runs once per distinct rounded (side, corner)."""
+    side_q = decomp.sides()[cubes]
+    side_r = decomp.rq_side[cubes]
+    corner = (decomp.coords[cubes] * side_q[:, None]
+              - decomp.rq_origin[cubes]) / side_r[:, None]
+    frac = side_q / side_r
+    keys = np.rint(np.column_stack([frac, corner]) * 2**grid_level)
+    _, first, inverse = np.unique(keys, axis=0, return_index=True,
+                                  return_inverse=True)
+    const = np.ones(len(first))
+    failed = np.zeros(len(first), dtype=bool)
+    for u, i in enumerate(first):
+        try:
+            const[u] = max(norm_equivalence_constant(
+                corner[i], frac[i], params.m, params.k, p, params.p1,
+                grid_level, decomp.domain.dim, seed), 1.0)
+        except CapacityError:
+            failed[u] = True
+    return const[inverse], failed[inverse]
+
+
 def constructive_bound(decomp: WhitneyDecomposition, params: HardyParams,
                        f: LsWeightFunction | None = None,
                        field: CubeCapacities | None = None,
@@ -413,9 +440,11 @@ def constructive_bound(decomp: WhitneyDecomposition, params: HardyParams,
     absorbed) form of the inequality, directly comparable to the Rayleigh
     estimate; the per-cube table carries the Lambda(x) field for the
     weighted form.  Flags name what decided a result without being measured:
-    ``saturated-cubes:<n>``, ``capacity-degenerate`` and, in the theta
-    cases, ``theta-floor:<n>`` for the contributing cubes whose best
-    constant sits on the floor THETA_C2_FLOOR_FRACTION * A0.
+    ``saturated-cubes:<n>``, ``capacity-degenerate``, in the theta cases
+    ``theta-floor:<n>`` for the contributing cubes whose best constant sits
+    on the floor THETA_C2_FLOOR_FRACTION * A0, and in the two-term route
+    ``norm-equivalence-fallback:<n>`` for the contributing cubes whose
+    norm-equivalence constant could not be measured (1 stands in).
     """
     if params.case not in ("A", "B", "C", "D"):
         raise HardyError("constructive_bound covers cases A-D")
@@ -457,80 +486,64 @@ def constructive_bound(decomp: WhitneyDecomposition, params: HardyParams,
         if on_floor.any():
             flags.append(f"theta-floor:{int(on_floor.sum())}")
 
+    # per-cube factors over the contributing cubes, multiplied in the
+    # order of the per-cube inequality
+    cubes = np.flatnonzero(contributing)
     clamp = 0.5 * dom.h
-    h_integrals = None
+    side_r = decomp.rq_side[cubes]
+    d_q = np.maximum(decomp.dist_min[cubes], clamp)
+    d_max = np.maximum(decomp.dist_max[cubes], clamp)
+    if holder:
+        # supremum-type left side: no volume factor, quotient rescaling
+        base = (d_q if t >= 0 else d_max) ** (-t) \
+            * side_r ** (-(params.h_order + params.lam))
+    else:
+        base = (d_q if t >= 0 else d_max) ** (-t / q) * side_r ** (dim / q)
+    h_defect = np.ones(len(cubes))
     if params.case in ("B", "D"):
         expo = (params.s + a_offset) * pm / (params.p - pm)
-        h_integrals = decomp.rq_distance_integrals(expo, clamp)
+        h_defect = decomp.rq_distance_integrals(expo, clamp)[cubes] \
+            ** ((params.p - pm) / (params.p * pm))
+    chain = field.chain_best[cubes]
+    # capacity-weight pairing: Lambda^(1/p) times the chain constant
+    alpha = np.zeros(len(cubes))
+    if theta:
+        cmf = (field.A0 + chain) / field.rep_best[cubes]
+    else:
+        lam_pow = field.rep_best[cubes] ** (-pcap / params.p)
+        if single:
+            cmf = lam_pow * chain
+        else:
+            a614, fallback = _norm_equivalence_constants(
+                decomp, cubes, params, pm, field.grid_level, seed)
+            if fallback.any():
+                flags.append(f"norm-equivalence-fallback:{int(fallback.sum())}")
+            w1 = (d_q if s1 >= 0 else d_max) ** (-s1 / params.p1)
+            alpha = base * lam_pow * chain * a614 \
+                * side_r ** (params.k + 1 - dim / params.p1) * w1
+            cmf = lam_pow * chain * (1.0 + a614)
+    beta = base * cmf * side_r ** (params.m - dim / pm) * h_defect
+    alpha_sup = float(np.max(alpha, initial=0.0))
+    K_sup = float(np.max(beta**params.p * decomp.diams()[cubes] ** sigma,
+                         initial=0.0))
 
-    # per-cube norm-equivalence constants for the two-term route
-    a614_cache: dict[tuple, float] = {}
-
-    alpha_sup = 0.0
-    K_sup = 0.0
+    levels = decomp.levels.tolist()
+    lam, lam1 = field.lam.tolist(), field.lam1.tolist()
+    f_vals = f.values.tolist() if f is not None else None
+    assembled = iter(zip(chain.tolist(), alpha.tolist(), beta.tolist(),
+                         h_defect.tolist()))
     per_cube = []
-    for i in range(decomp.n_cubes):
-        if not contributing[i]:
-            per_cube.append({
-                "cube": i, "level": int(decomp.levels[i]),
-                "lambda": float(field.lam[i]), "lambda1": float(field.lam1[i]),
-                "skipped": "saturated" if field.saturated[i] else "degenerate",
-            })
-            continue
-        side_r = float(decomp.rq_side[i])
-        d_q = max(decomp.min_distance(i), clamp)
-        d_max = max(decomp.max_distance(i), clamp)
-        if holder:
-            # supremum-type left side: no volume factor, quotient rescaling
-            base = (d_q if t >= 0 else d_max) ** (-t) \
-                * side_r ** (-(params.h_order + params.lam))
+    for i, ok in enumerate(contributing.tolist()):
+        row = {"cube": i, "level": levels[i], "lambda": lam[i],
+               "lambda1": lam1[i]}
+        if not ok:
+            row["skipped"] = ("saturated" if field.saturated[i]
+                              else "degenerate")
         else:
-            base = (d_q if t >= 0 else d_max) ** (-t / q) * side_r ** (dim / q)
-        h_defect = 1.0
-        if h_integrals is not None:
-            h_defect = float(h_integrals[i]) \
-                ** ((params.p - pm) / (params.p * pm))
-        # capacity-weight pairing: Lambda^(1/p) times the chain constant
-        if theta:
-            beta_pair = (field.A0 + field.chain_best[i]) / field.rep_best[i]
-            alpha_i = 0.0
-            cmf = beta_pair
-        else:
-            lam_pow = field.rep_best[i] ** (-pcap / params.p)
-            if single:
-                alpha_i = 0.0
-                cmf = lam_pow * field.chain_best[i]
-            else:
-                rmap = decomp.rescale_map(i)
-                corner = rmap.to_unit(np.array(
-                    [c * decomp.side(i) for c in decomp.coords[i]]))
-                frac = decomp.side(i) / side_r
-                ckey = (round(frac, 6),) + tuple(np.round(corner, 6))
-                if ckey not in a614_cache:
-                    try:
-                        a614 = norm_equivalence_constant(
-                            corner, frac, params.m, params.k, pm, params.p1,
-                            field.grid_level, dim, seed)
-                    except CapacityError:
-                        a614 = 1.0
-                    a614_cache[ckey] = max(a614, 1.0)
-                a614 = a614_cache[ckey]
-                w1 = (d_q if s1 >= 0 else d_max) ** (-s1 / params.p1)
-                alpha_i = base * lam_pow * field.chain_best[i] * a614 \
-                    * side_r ** (params.k + 1 - dim / params.p1) * w1
-                cmf = lam_pow * field.chain_best[i] * (1.0 + a614)
-        beta_i = base * cmf * side_r ** (params.m - dim / pm) * h_defect
-        alpha_sup = max(alpha_sup, alpha_i)
-        K_sup = max(K_sup, beta_i**params.p * decomp.diam(i) ** sigma)
-        row = {
-            "cube": i, "level": int(decomp.levels[i]),
-            "lambda": float(field.lam[i]), "lambda1": float(field.lam1[i]),
-            "chain_constant": float(field.chain_best[i]),
-            "alpha": float(alpha_i), "beta": float(beta_i),
-            "holder_defect": float(h_defect),
-        }
-        if f is not None:
-            row["f"] = float(f.values[i])
+            row.update(zip(("chain_constant", "alpha", "beta",
+                            "holder_defect"), next(assembled)))
+            if f_vals is not None:
+                row["f"] = f_vals[i]
         per_cube.append(row)
 
     packing = packing_constant(dim)
@@ -680,9 +693,10 @@ def _case_a_lower_order_constant(decomp: WhitneyDecomposition,
 
         W_k(x) = sum_{Q : x in R_Q} coef_Q(k) * delta(x)^beta
 
-    whose maximum certifies the summed inequality without the generic
-    packing constant (the feasibility exponent is extracted from measured
-    constants, so looseness here would push s0 below grid scale).
+    (one WhitneyDecomposition.rq_scatter per order), whose maximum
+    certifies the summed inequality without the generic packing constant
+    (the feasibility exponent is extracted from measured constants, so
+    looseness here would push s0 below grid scale).
     """
     dom = decomp.domain
     dim, m, p = dom.dim, params.m, params.p
@@ -691,27 +705,20 @@ def _case_a_lower_order_constant(decomp: WhitneyDecomposition,
 
     if "percube" not in cap_cache:
         reps, cls = _constraint_classes(decomp, grid_level, params.cone)
-        per_class = [[ratio_best_constant(cs, grid_level, dim, (k, p),
-                                          [(m, p)], seed)[0]
-                      for k in range(m)] for cs in reps]
-        cap_cache["percube"] = [per_class[c] for c in cls]
-    percube = cap_cache["percube"]
+        per_class = np.array([[ratio_best_constant(cs, grid_level, dim, (k, p),
+                                                   [(m, p)], seed)[0]
+                               for k in range(m)] for cs in reps])
+        cap_cache["percube"] = per_class[cls]
+    percube = cap_cache["percube"]   # (cubes, m)
+    if not np.isfinite(percube).all():
+        return math.inf
 
+    d_q = np.maximum(decomp.dist_min, clamp)
     total = 0.0
     for k in range(m):
         t_k = beta + (m - k) * p
-        w_field = np.zeros(dom.shape)
-        finite = True
-        for i in range(decomp.n_cubes):
-            c_q = percube[i][k]
-            if not math.isfinite(c_q):
-                finite = False
-                break
-            d_q = max(decomp.min_distance(i), clamp)
-            coef = d_q ** (-t_k) * (c_q * decomp.rq_side[i] ** (m - k)) ** p
-            w_field[decomp.rq_slice(i)] += coef * delta_b[decomp.rq_slice(i)]
-        if not finite:
-            return math.inf
+        coef = d_q ** (-t_k) * (percube[:, k] * decomp.rq_side ** (m - k)) ** p
+        w_field = decomp.rq_scatter(coef) * delta_b
         total += float(w_field.max()) ** (1.0 / p)
     return total
 

@@ -18,7 +18,6 @@ the coarsest level where it is all-inside and satisfies the lower bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
@@ -33,14 +32,17 @@ class WhitneyError(RuntimeError):
 
 
 class WhitneyDecomposition:
-    """Set of accepted dyadic cubes with enlarged cubes and rescaling maps.
+    """Set of accepted dyadic cubes with their enlarged cubes.
 
-    Cube data is stored columnar: ``levels[i]``, ``coords[i]`` describe cube
-    i; ``rq_center[i]``/``rq_side[i]`` its enlarged cube (centered at the
-    nearest outside cell center, smallest side covering the cube);
-    ``rq_start[i]``/``rq_stop[i]`` the per-axis cell index ranges of closed
-    R_Q, clipped to the box; ``dist_min[i]``/``dist_max[i]`` the extremes
-    of the distance field over the cube's cells.
+    Per-cube data is only arrays indexed by cube: ``levels``, ``coords``
+    (with ``sides()``, ``diams()``); ``rq_center``, ``rq_side`` of R_Q
+    (centered at the nearest outside cell center, smallest side covering
+    the cube) and its lower corner ``rq_origin``, so ``(x - rq_origin) /
+    rq_side`` maps R_Q onto the unit cube; ``rq_first``/``rq_last``, per
+    axis the first and last cell whose center lies in closed R_Q
+    (unclipped), and ``rq_start``/``rq_stop``, that range clipped to the
+    box as half-open bounds; ``dist_min``/``dist_max``, the extremes of the
+    distance field over the cube's cells.
     """
 
     def __init__(self, domain: GridDomain, levels: np.ndarray, coords: np.ndarray):
@@ -111,16 +113,28 @@ class WhitneyDecomposition:
         reach = np.maximum(np.abs(lo - x0), np.abs(hi - x0)).max(axis=1)
         self.rq_center = x0
         self.rq_side = 2.0 * reach
+        self.rq_origin = self.rq_center - self.rq_side[:, None] / 2.0
         self.dist_min = dist_min
         self.dist_max = dist_max
-        # cells whose centers lie in closed R_Q, clipped to the box
+        # cells whose centers lie in closed R_Q
         eps = 1e-9 * h
-        rq_lo = self.rq_center - self.rq_side[:, None] / 2.0
         rq_hi = self.rq_center + self.rq_side[:, None] / 2.0
-        start = np.ceil((rq_lo + eps) / h - 0.5).astype(np.int64)
-        last = np.floor((rq_hi - eps) / h - 0.5).astype(np.int64)
-        self.rq_start = np.maximum(start, 0)
-        self.rq_stop = np.minimum(last, n - 1) + 1
+        self.rq_first = np.ceil((self.rq_origin + eps) / h - 0.5).astype(np.int64)
+        self.rq_last = np.floor((rq_hi - eps) / h - 0.5).astype(np.int64)
+        self.rq_start = np.maximum(self.rq_first, 0)
+        self.rq_stop = np.minimum(self.rq_last, n - 1) + 1
+
+    def _rq_corners(self):
+        """(index, sign) over the 2^N corners of every clipped R_Q on the
+        (n+1)^N prefix-sum lattice: a box sum is the signed sum of the
+        prefix sums at its corners."""
+        dim = self.domain.dim
+        start = self.rq_start
+        stop = np.maximum(self.rq_stop, start)
+        for corner in product((0, 1), repeat=dim):
+            idx = tuple(stop[:, a] if c else start[:, a]
+                        for a, c in enumerate(corner))
+            yield idx, -1 if (dim - sum(corner)) % 2 else 1
 
     def rq_sums(self, weight: np.ndarray) -> np.ndarray:
         """Per-cube sums of a cell field over the cells of closed R_Q.
@@ -139,17 +153,32 @@ class WhitneyDecomposition:
         table[(slice(1, None),) * dim] = weight
         for ax in range(dim):
             np.cumsum(table, axis=ax, out=table)
-        start = self.rq_start
-        stop = np.maximum(self.rq_stop, start)
         total = np.zeros(self.n_cubes, dtype=kind)
-        for corner in product((0, 1), repeat=dim):
-            idx = tuple(stop[:, a] if c else start[:, a]
-                        for a, c in enumerate(corner))
-            if (dim - sum(corner)) % 2:
-                total -= table[idx]
-            else:
-                total += table[idx]
+        for idx, sign in self._rq_corners():
+            total += sign * table[idx]
         return total if kind is np.int64 else total.astype(np.float64)
+
+    def rq_scatter(self, values: np.ndarray) -> np.ndarray:
+        """The cell field F(x) = sum of values[Q] over the cubes Q whose
+        closed R_Q holds the center of cell x: the adjoint of rq_sums, so
+        sum(F * g) = sum(values * rq_sums(g)).
+
+        Signed updates at the 2^N corners of every R_Q, then one N-D
+        cumulative sum.  Integer values are scattered in int64 (exact);
+        float values in np.longdouble, as in rq_sums.
+        """
+        dom = self.domain
+        kind = np.int64 if values.dtype.kind in "biu" else np.longdouble
+        table = np.zeros((2**dom.level + 1,) * dom.dim, dtype=kind)
+        values = values.astype(kind)
+        # a box's lower corner carries +values: rq_sums's signs times (-1)^N
+        flip = -1 if dom.dim % 2 else 1
+        for idx, sign in self._rq_corners():
+            np.add.at(table, idx, sign * flip * values)
+        for ax in range(dom.dim):
+            np.cumsum(table, axis=ax, out=table)
+        field = table[(slice(0, -1),) * dom.dim]
+        return field if kind is np.int64 else field.astype(np.float64)
 
     def rq_distance_integrals(self, s: float, clamp: float) -> np.ndarray:
         """Per-cube integral over R_Q ∩ Ω of max(delta, clamp)^-s dx (cell
@@ -159,47 +188,15 @@ class WhitneyDecomposition:
                           0.0)
         return self.rq_sums(weight) * dom.h**dom.dim
 
-    # -- per-cube accessors ----------------------------------------------------
-
-    def cell_slice(self, i: int):
-        """Grid-cell block occupied by cube i."""
-        L = self.domain.level
-        k = int(self.levels[i])
-        m = 2 ** (L - k)
-        return tuple(slice(c * m, (c + 1) * m) for c in self.coords[i])
-
-    def side(self, i: int) -> float:
-        return 2.0 ** (-int(self.levels[i]))
-
-    def diam(self, i: int) -> float:
-        return math.sqrt(self.domain.dim) * self.side(i)
+    # -- per-cube arrays ---------------------------------------------------------
 
     def sides(self) -> np.ndarray:
-        """Side lengths of all cubes (side(i) for every i)."""
+        """Side lengths of all cubes."""
         return 2.0 ** (-self.levels.astype(float))
 
     def diams(self) -> np.ndarray:
-        """Diameters of all cubes (diam(i) for every i)."""
+        """Diameters of all cubes."""
         return math.sqrt(self.domain.dim) * self.sides()
-
-    def min_distance(self, i: int) -> float:
-        return float(self.dist_min[i])
-
-    def max_distance(self, i: int) -> float:
-        return float(self.dist_max[i])
-
-    def rq_cell_range(self, i: int):
-        """Index ranges (per axis) of cells whose centers lie in closed R_Q,
-        clipped to the box."""
-        return [(int(a), int(b))
-                for a, b in zip(self.rq_start[i], self.rq_stop[i])]
-
-    def rq_slice(self, i: int):
-        return tuple(slice(a, b) for a, b in self.rq_cell_range(i))
-
-    def rescale_map(self, i: int) -> "RescaleMap":
-        lo = self.rq_center[i] - self.rq_side[i] / 2.0
-        return RescaleMap(origin=lo, scale=float(self.rq_side[i]))
 
     # -- index structures -------------------------------------------------------
 
@@ -236,22 +233,6 @@ class WhitneyDecomposition:
     def cubes_at_level(self, k: int) -> np.ndarray:
         return np.nonzero(self.levels == k)[0]
 
-    def __len__(self):
-        return self.n_cubes
-
-
-@dataclass(frozen=True)
-class RescaleMap:
-    """Affine map taking the enlarged cube onto the unit cube [0,1]^N."""
-
-    origin: np.ndarray
-    scale: float
-
-    def to_unit(self, x: np.ndarray) -> np.ndarray:
-        return (np.asarray(x, dtype=float) - self.origin) / self.scale
-
-    def from_unit(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=float) * self.scale + self.origin
 
 
 def decompose(domain: GridDomain) -> WhitneyDecomposition:
@@ -438,21 +419,20 @@ def to_svg(decomp: WhitneyDecomposition, show_enlarged: bool = False) -> str:
         f'height="{size:.0f}" viewBox="0 0 1 1">',
         '<rect x="0" y="0" width="1" height="1" fill="#f5f5f5"/>',
     ]
-    kmax = max(int(k) for k in decomp.levels)
-    for i in range(decomp.n_cubes):
-        side = decomp.side(i)
-        x = decomp.coords[i][0] * side
-        y = decomp.coords[i][1] * side
-        shade = 230 - int(150 * decomp.levels[i] / max(kmax, 1))
+    kmax = int(decomp.levels.max())
+    sides = decomp.sides()
+    lo = decomp.coords * sides[:, None]
+    shades = 230 - (150 * decomp.levels / max(kmax, 1)).astype(int)
+    for side, (x, y), shade in zip(sides.tolist(), lo.tolist(),
+                                   shades.tolist()):
         lines.append(
             f'<rect x="{x:.6f}" y="{1 - y - side:.6f}" width="{side:.6f}" '
             f'height="{side:.6f}" fill="rgb({shade},{shade},255)" '
             f'stroke="#333" stroke-width="0.0008"/>'
         )
     if show_enlarged:
-        for i in range(decomp.n_cubes):
-            s = decomp.rq_side[i]
-            cx, cy = decomp.rq_center[i]
+        for s, (cx, cy) in zip(decomp.rq_side.tolist(),
+                               decomp.rq_center.tolist()):
             lines.append(
                 f'<rect x="{cx - s / 2:.6f}" y="{1 - cy - s / 2:.6f}" '
                 f'width="{s:.6f}" height="{s:.6f}" fill="none" '

@@ -119,18 +119,16 @@ def test_bounded_overlap_constant(square6):
 
 def test_locality_of_majorants(square6):
     dom, dec = square6
-    from hardylab.cone import _enlarged_slice
+    from hardylab.cone import _enlarged_slices
     u = make_probe(dom, 11)
     split_a = cone_split(u, dec, m=1, p=2.0)
     # modify u inside one cube far from the support margin
     mod = u.values.copy()
-    target = None
-    for i in range(dec.n_cubes):
-        sl = dec.cell_slice(i)
-        if dec.side(i) >= 0.05 and np.abs(mod[sl]).max() > 0.2:
-            target = i
-            break
-    sl = dec.cell_slice(target)
+    cells = 2 ** (dom.level - dec.levels)
+    cube_sl = [tuple(slice(c * m, (c + 1) * m) for c in coords)
+               for coords, m in zip(dec.coords.tolist(), cells.tolist())]
+    sl = next(sl for sl, side in zip(cube_sl, dec.sides())
+              if side >= 0.05 and np.abs(mod[sl]).max() > 0.2)
     mod[sl] *= 1.5
     split_b = cone_split(DiscreteFunction(dom, mod), dec, m=1, p=2.0)
     changed = np.abs(split_b.u1.values - split_a.u1.values) > 1e-12
@@ -139,10 +137,10 @@ def test_locality_of_majorants(square6):
     modified = np.zeros(dom.shape, dtype=bool)
     modified[sl] = True
     reach = np.zeros(dom.shape, dtype=bool)
-    for i in range(dec.n_cubes):
-        a_sl = _enlarged_slice(dom, dec, i, 4.0 / 3.0)
+    for a_sl, b_sl in zip(_enlarged_slices(dom, dec, 4.0 / 3.0),
+                          _enlarged_slices(dom, dec, 16.0 / 9.0)):
         if modified[a_sl].any():
-            reach[_enlarged_slice(dom, dec, i, 16.0 / 9.0)] = True
+            reach[b_sl] = True
     assert not (changed & ~reach).any()
 
 

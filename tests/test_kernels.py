@@ -1,8 +1,8 @@
 """Whole-array geometry kernels, the constraint-class map, the batched
-canonical keys, the window-local cone split and the ratio-core Hölder and
-Poincaré solves, pinned to the per-edge, per-cube, per-image and full-grid
-loops and the hand-written objectives they replace (kept here as
-oracles)."""
+canonical keys, the window-local cone split, the array assembly of the
+constructive bound and the ratio-core Hölder and Poincaré solves, pinned to
+the per-edge, per-cube, per-image and full-grid loops and the hand-written
+objectives they replace (kept here as oracles)."""
 
 import importlib.util
 import math
@@ -12,23 +12,26 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hardylab.capacity import (ConstraintSet, _poly_basis, _project,
-                               _sum_terms, _unit_term, canonical_keys,
-                               gradient_form_ops, gradient_norm_grad,
-                               holder_ratio_best_constant, lp_norm_grad,
+from hardylab.capacity import (CapacityError, ConstraintSet, _poly_basis,
+                               _project, _sum_terms, _unit_term,
+                               canonical_keys, gradient_form_ops,
+                               gradient_norm_grad, holder_ratio_best_constant,
+                               lp_norm_grad, norm_equivalence_constant,
                                poincare_constant)
 from hardylab.cone import (ALPHA_ENLARGE, BETA_ENLARGE, CutoffFamily, ConeSplit,
-                           MajorantResult, _cube_center, _enlarged_slice,
-                           _iterated_kernel, cone_split, make_probe)
+                           MajorantResult, _enlarged_slices, _iterated_kernel,
+                           cone_split, make_probe)
 from hardylab.norms import (DiscreteFunction, WeightSpec, gradient_magnitude,
                             gradient_seminorm, _weight_on_anchors)
 from hardylab.grids import (DomainSpec, GridDomain, distance_transform,
                             rasterize, _koch_polygon, _points_in_polygon)
-from hardylab.hardy import (_constraint_classes, _largest_cube_side,
-                           _projection_condition)
+from hardylab.hardy import (HardyParams, LsWeightFunction, _case_sigma,
+                            _constraint_classes, _largest_cube_side,
+                            _projection_condition, constructive_bound,
+                            per_cube_capacity_field, weight_exponents)
 from hardylab.whitney import (WhitneyError, WhitneyDecomposition,
                               check_decomposition, decompose,
-                              intersection_cutoff)
+                              intersection_cutoff, packing_constant)
 
 
 # -- oracles: the loops the kernels replace --------------------------------------
@@ -51,6 +54,14 @@ def edge_loop_polygon(x, y, verts):
 def cube_slice(dec, i):
     m = 2 ** (dec.domain.level - int(dec.levels[i]))
     return tuple(slice(c * m, (c + 1) * m) for c in dec.coords[i])
+
+
+def cube_side(dec, i):
+    return 2.0 ** (-int(dec.levels[i]))
+
+
+def cube_diam(dec, i):
+    return math.sqrt(dec.domain.dim) * cube_side(dec, i)
 
 
 def loop_owner(dec):
@@ -87,18 +98,21 @@ def loop_enlarged(dec):
     return centers, sides
 
 
-def loop_rq_slice(dec, i):
-    dom = dec.domain
-    h, n = dom.h, 2**dom.level
+def loop_rq_range(dec, i):
+    """Per axis, the first and last cell whose center lies in closed R_Q."""
+    h = dec.domain.h
     lo = dec.rq_center[i] - dec.rq_side[i] / 2.0
     hi = dec.rq_center[i] + dec.rq_side[i] / 2.0
     eps = 1e-9 * h
-    out = []
-    for a in range(dom.dim):
-        i0 = max(int(math.ceil((lo[a] + eps) / h - 0.5)), 0)
-        i1 = min(int(math.floor((hi[a] - eps) / h - 0.5)), n - 1)
-        out.append(slice(i0, i1 + 1))
-    return tuple(out)
+    return [(int(math.ceil((lo[a] + eps) / h - 0.5)),
+             int(math.floor((hi[a] - eps) / h - 0.5)))
+            for a in range(dec.domain.dim)]
+
+
+def loop_rq_slice(dec, i):
+    n = 2**dec.domain.level
+    return tuple(slice(max(i0, 0), min(i1, n - 1) + 1)
+                 for i0, i1 in loop_rq_range(dec, i))
 
 
 def loop_touching_pairs(dec, owner):
@@ -125,16 +139,17 @@ def loop_check(dec, owner, pairs):
         lower_ok &= not dmin < root_n * (side - h) - 1e-9 * h
         upper_ok &= not dmin > 4.0 * root_n * side + 1e-9 * h
         rq_ok &= not (dec.rq_side[i]
-                      > 10.0 * dec.diam(i) + 2.0 * root_n * h + 1e-9 * h)
+                      > 10.0 * cube_diam(dec, i) + 2.0 * root_n * h + 1e-9 * h)
     worst_ratio = 0.0
     for i, j in pairs:
-        di, dj = dec.diam(int(i)), dec.diam(int(j))
+        di, dj = cube_diam(dec, int(i)), cube_diam(dec, int(j))
         worst_ratio = max(worst_ratio, di / dj, dj / di)
     worst_nbr = 0.0
     for i in range(dec.n_cubes):
         ids = np.unique(owner[loop_rq_slice(dec, i)])
         for j in ids[ids >= 0]:
-            worst_nbr = max(worst_nbr, dec.diam(int(j)) / dec.diam(i))
+            worst_nbr = max(worst_nbr,
+                            cube_diam(dec, int(j)) / cube_diam(dec, i))
     return {
         "cover_exact": bool(((owner >= 0) == dom.inside).all()),
         "lower_bound_ok": lower_ok,
@@ -200,11 +215,14 @@ def test_box_sums_match_slice_sums(kind, dim, level, iters, clipped):
                                          iterations=iters)))
     dom = dec.domain
     slices = [loop_rq_slice(dec, i) for i in range(dec.n_cubes)]
+    ranges = np.array([loop_rq_range(dec, i) for i in range(dec.n_cubes)])
+    assert np.array_equal(dec.rq_first, ranges[:, :, 0])
+    assert np.array_equal(dec.rq_last, ranges[:, :, 1])
+    assert np.array_equal(dec.rq_start, [[s.start for s in sl] for sl in slices])
+    assert np.array_equal(dec.rq_stop, [[s.stop for s in sl] for sl in slices])
     # whether some enlarged cubes reach past the box and are clipped
-    h, eps = dom.h, 1e-9 * dom.h
-    lo = np.ceil((dec.rq_center - dec.rq_side[:, None] / 2 + eps) / h - 0.5)
-    hi = np.floor((dec.rq_center + dec.rq_side[:, None] / 2 - eps) / h - 0.5)
-    assert bool(((lo < 0) | (hi > 2**level - 1)).any()) == clipped
+    assert bool(((ranges[:, :, 0] < 0)
+                 | (ranges[:, :, 1] > 2**level - 1)).any()) == clipped
     rng = np.random.default_rng(level)
     weight = rng.random(dom.shape) * dom.inside
     sums = dec.rq_sums(weight)
@@ -213,8 +231,47 @@ def test_box_sums_match_slice_sums(kind, dim, level, iters, clipped):
     counts = dec.rq_sums(dom.inside)
     assert counts.dtype == np.int64
     assert np.array_equal(counts, [dom.inside[sl].sum() for sl in slices])
-    for i in range(0, dec.n_cubes, 5):
-        assert dec.rq_slice(i) == slices[i]
+
+
+# -- corner scatter ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind,dim,level,iters,clipped", [
+    ("halfspace", 2, 6, 0, True),
+    ("lshape", 2, 6, 0, True),
+    ("koch-polygon", 2, 7, 3, False),
+    ("cube-minus-compact", 3, 4, 0, True),
+])
+def test_rq_scatter_matches_slice_adds(kind, dim, level, iters, clipped):
+    dec = decompose(rasterize(DomainSpec(kind=kind, dim=dim, level=level,
+                                         iterations=iters)))
+    dom = dec.domain
+    slices = [loop_rq_slice(dec, i) for i in range(dec.n_cubes)]
+    # whether some enlarged cubes reach past the box and are clipped
+    assert bool((dec.rq_first < 0).any()
+                or (dec.rq_last >= 2**level).any()) == clipped
+    rng = np.random.default_rng(level + dim)
+    counts = rng.integers(0, 5, size=dec.n_cubes)
+    oracle = np.zeros(dom.shape, dtype=np.int64)
+    for sl, c in zip(slices, counts):
+        oracle[sl] += c
+    got = dec.rq_scatter(counts)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, oracle)
+    values = rng.random(dec.n_cubes) * 10.0 ** rng.uniform(-3, 3, dec.n_cubes)
+    oracle = np.zeros(dom.shape)
+    for sl, v in zip(slices, values):
+        oracle[sl] += v
+    got = dec.rq_scatter(values)
+    assert got.dtype == np.float64
+    assert np.abs(got - oracle).max() <= 1e-15 * oracle.max()
+    # adjoint of the box sums
+    g = rng.random(dom.shape)
+    assert math.isclose(float((got * g).sum()),
+                        float((values * dec.rq_sums(g)).sum()), rel_tol=1e-13)
+    g_int = rng.integers(0, 3, size=dom.shape)
+    assert int((dec.rq_scatter(counts) * g_int).sum()) \
+        == int((counts * dec.rq_sums(g_int)).sum())
 
 
 # -- decomposition structures ------------------------------------------------------
@@ -250,9 +307,10 @@ def test_structures_match_loops(make):
     assert np.array_equal(dec.touching_pairs(), pairs)
     assert dec.touching_pairs().dtype == np.int64
     assert check_decomposition(dec) == loop_check(dec, owner, pairs)
-    for i in range(0, dec.n_cubes, 3):
-        assert dec.min_distance(i) == dec.domain.distance[cube_slice(dec, i)].min()
-        assert dec.max_distance(i) == dec.domain.distance[cube_slice(dec, i)].max()
+    blocks = [dec.domain.distance[cube_slice(dec, i)]
+              for i in range(dec.n_cubes)]
+    assert np.array_equal(dec.dist_min, [b.min() for b in blocks])
+    assert np.array_equal(dec.dist_max, [b.max() for b in blocks])
 
 
 def test_overlapping_cubes_rejected():
@@ -270,11 +328,11 @@ def loop_cube_constraint(dec, i, grid_level, cone):
     """Zero set of cube i's rescaled admissible class, built cube by cube."""
     dom = dec.domain
     m_cells = 2**grid_level
-    rmap = dec.rescale_map(i)
+    origin = dec.rq_center[i] - dec.rq_side[i] / 2.0
     axes = [(np.arange(m_cells) + 0.5) / m_cells for _ in range(dom.dim)]
     grids = np.meshgrid(*axes, indexing="ij")
     unit = np.stack([g.reshape(-1) for g in grids], axis=1)
-    phys = rmap.from_unit(unit)
+    phys = unit * float(dec.rq_side[i]) + origin
     n = 2**dom.level
     idx = np.floor(phys / dom.h).astype(np.int64)
     out_of_box = ((idx < 0) | (idx >= n)).any(axis=1)
@@ -462,6 +520,20 @@ def loop_local_majorant(u_q, m, p, cube_side, cube_center):
     return MajorantResult(v, factor, defect_norm, cond)
 
 
+def loop_cube_center(dec, i):
+    return (dec.coords[i].astype(float) + 0.5) * cube_side(dec, i)
+
+
+def loop_enlarged_slice(dom, dec, i, enlarge):
+    """Cells meeting cube i enlarged by the given factor, clipped to the
+    grid, axis by axis."""
+    n = 2**dom.level
+    center, side = loop_cube_center(dec, i), cube_side(dec, i) * enlarge
+    return tuple(slice(max(int(math.floor((c - side / 2.0) / dom.h)), 0),
+                       min(int(math.ceil((c + side / 2.0) / dom.h)), n))
+                 for c in center)
+
+
 def loop_cone_split(u, decomp, m, p, s):
     """cone_split with the cutoffs, the accumulation and the seminorms of
     every cube on the whole grid (hypothesis test left out)."""
@@ -480,15 +552,15 @@ def loop_cone_split(u, decomp, m, p, s):
     mult_top = np.zeros(g_top.shape, dtype=np.int32)
     mult_low = np.zeros(dom.shape, dtype=np.int32)
     for i in range(decomp.n_cubes):
-        side = decomp.side(i)
-        center = _cube_center(decomp, i)
+        side = cube_side(decomp, i)
+        center = loop_cube_center(decomp, i)
         u_q_vals = cutoffs.on_grid(dom, center, side) * u.values
         if not u_q_vals.any():
             continue
         u_q = DiscreteFunction(dom, u_q_vals, u.boundary_policy)
         res = loop_local_majorant(u_q, m, p, side, center)
         v += res.values
-        sl43 = _enlarged_slice(dom, decomp, i, ALPHA_ENLARGE)
+        sl43 = loop_enlarged_slice(dom, decomp, i, ALPHA_ENLARGE)
         awin = tuple(slice(max(a.start, 0), min(a.stop + 2 * pad, g_top.shape[ax]))
                      for ax, a in enumerate(sl43))
         mult_low[sl43] += 1
@@ -563,11 +635,15 @@ def assert_split_matches_loop(u, dec, m, p, s):
 
 
 def _clipped(dec, enlarge):
-    """Whether some cube's enlarged window reaches past the box."""
+    """Whether some cube's enlarged window reaches past the box; checks the
+    windows against the cube-by-cube rule on the way."""
     dom = dec.domain
     n = 2**dom.level
+    assert _enlarged_slices(dom, dec, enlarge) == [
+        loop_enlarged_slice(dom, dec, i, enlarge) for i in range(dec.n_cubes)]
     for i in range(dec.n_cubes):
-        center, half = _cube_center(dec, i), dec.side(i) * enlarge / 2.0
+        center = loop_cube_center(dec, i)
+        half = cube_side(dec, i) * enlarge / 2.0
         if ((np.floor((center - half) / dom.h) < 0).any()
                 or (np.ceil((center + half) / dom.h) > n).any()):
             return True
@@ -623,6 +699,202 @@ def _benchmark_probe(seed):
 def test_windowed_split_matches_loop_benchmark_probe(m, p, s):
     dom, u = _benchmark_probe(1)
     assert_split_matches_loop(u, decompose(dom), m, p, s)
+
+
+# -- constructive-bound assembly -------------------------------------------------
+
+
+def loop_constructive_bound(decomp, params, field, f, seed):
+    """The cube-by-cube assembly of constructive_bound: (constant_A,
+    factors, flags, per_cube), with the norm-equivalence fallback counted
+    cube by cube."""
+    dom = decomp.domain
+    dim = dom.dim
+    t, s1 = weight_exponents(params, dim)
+    sigma, a_offset = _case_sigma(params, dim)
+    holder = params.form == "holder-6.23"
+    r, q = params.r, params.q
+    pcap = params.capacity_exponent()
+    theta = params.theta_case()
+    single = (params.k == params.m - 1) and (theta or abs(params.p1 - pcap) < 1e-12)
+    pm = pcap
+
+    flags = []
+    if field.saturated.any():
+        flags.append(f"saturated-cubes:{int(field.saturated.sum())}")
+    usable = ~field.saturated
+    if field.degenerate[usable].any():
+        flags.append("capacity-degenerate")
+    contributing = usable & ~field.degenerate
+    if theta:
+        on_floor = contributing & (field.rep_best <= field.c2_floor)
+        if on_floor.any():
+            flags.append(f"theta-floor:{int(on_floor.sum())}")
+
+    clamp = 0.5 * dom.h
+    h_integrals = None
+    if params.case in ("B", "D"):
+        expo = (params.s + a_offset) * pm / (params.p - pm)
+        h_integrals = decomp.rq_distance_integrals(expo, clamp)
+
+    a614_cache = {}
+    fallback = 0
+    alpha_sup = 0.0
+    K_sup = 0.0
+    per_cube = []
+    for i in range(decomp.n_cubes):
+        if not contributing[i]:
+            per_cube.append({
+                "cube": i, "level": int(decomp.levels[i]),
+                "lambda": float(field.lam[i]), "lambda1": float(field.lam1[i]),
+                "skipped": "saturated" if field.saturated[i] else "degenerate",
+            })
+            continue
+        side_r = float(decomp.rq_side[i])
+        d_q = max(float(decomp.dist_min[i]), clamp)
+        d_max = max(float(decomp.dist_max[i]), clamp)
+        if holder:
+            base = (d_q if t >= 0 else d_max) ** (-t) \
+                * side_r ** (-(params.h_order + params.lam))
+        else:
+            base = (d_q if t >= 0 else d_max) ** (-t / q) * side_r ** (dim / q)
+        h_defect = 1.0
+        if h_integrals is not None:
+            h_defect = float(h_integrals[i]) \
+                ** ((params.p - pm) / (params.p * pm))
+        if theta:
+            alpha_i = 0.0
+            cmf = (field.A0 + field.chain_best[i]) / field.rep_best[i]
+        else:
+            lam_pow = field.rep_best[i] ** (-pcap / params.p)
+            if single:
+                alpha_i = 0.0
+                cmf = lam_pow * field.chain_best[i]
+            else:
+                origin = decomp.rq_center[i] - decomp.rq_side[i] / 2.0
+                corner = (np.array([c * cube_side(decomp, i)
+                                    for c in decomp.coords[i]])
+                          - origin) / side_r
+                frac = cube_side(decomp, i) / side_r
+                ckey = (round(frac, 6),) + tuple(np.round(corner, 6))
+                if ckey not in a614_cache:
+                    try:
+                        a614 = norm_equivalence_constant(
+                            corner, frac, params.m, params.k, pm, params.p1,
+                            field.grid_level, dim, seed)
+                        failed = False
+                    except CapacityError:
+                        a614, failed = 1.0, True
+                    a614_cache[ckey] = (max(a614, 1.0), failed)
+                a614, failed = a614_cache[ckey]
+                fallback += failed
+                w1 = (d_q if s1 >= 0 else d_max) ** (-s1 / params.p1)
+                alpha_i = base * lam_pow * field.chain_best[i] * a614 \
+                    * side_r ** (params.k + 1 - dim / params.p1) * w1
+                cmf = lam_pow * field.chain_best[i] * (1.0 + a614)
+        beta_i = base * cmf * side_r ** (params.m - dim / pm) * h_defect
+        alpha_sup = max(alpha_sup, alpha_i)
+        K_sup = max(K_sup, beta_i**params.p * cube_diam(decomp, i) ** sigma)
+        row = {
+            "cube": i, "level": int(decomp.levels[i]),
+            "lambda": float(field.lam[i]), "lambda1": float(field.lam1[i]),
+            "chain_constant": float(field.chain_best[i]),
+            "alpha": float(alpha_i), "beta": float(beta_i),
+            "holder_defect": float(h_defect),
+        }
+        if f is not None:
+            row["f"] = float(f.values[i])
+        per_cube.append(row)
+    if fallback:
+        flags.append(f"norm-equivalence-fallback:{fallback}")
+
+    packing = packing_constant(dim)
+    summation = packing / (1.0 - 2.0 ** (-sigma))
+    m_term = (K_sup * summation) ** (1.0 / params.p)
+    if single:
+        quasi = 1.0
+        constant_weighted = m_term
+    else:
+        quasi = 2.0 ** ((r - 1.0) / r)
+        constant_weighted = quasi * max(alpha_sup, m_term)
+    lam_fin = field.lam[contributing]
+    lam_fin = lam_fin[np.isfinite(lam_fin)]
+    lam_floor = float(lam_fin.min()) if len(lam_fin) else 0.0
+    if lam_floor > 0 and math.isfinite(constant_weighted):
+        constant_flat = constant_weighted / lam_floor ** (1.0 / params.p)
+    else:
+        constant_flat = math.inf
+        if "capacity-degenerate" not in flags:
+            flags.append("capacity-degenerate")
+    constant_A = constant_flat if math.isfinite(constant_flat) else constant_weighted
+    factors = {
+        "alpha_sup": alpha_sup, "dilation_packing_K": K_sup,
+        "summation_factor": summation, "quasinorm_factor": quasi,
+        "capacity_floor": lam_floor,
+        "constant_weighted_form": constant_weighted,
+        "constant_flat_form": constant_flat,
+    }
+    return float(constant_A), factors, flags, per_cube
+
+
+ASSEMBLY_RTOL = 1e-15   # numpy and Python powers differ in the last bit
+
+# (domain, params, capacity grid level, with the cube weight f)
+BOUND_CASES = {
+    "square6-A": (dict(kind="square", dim=2, level=6),
+                  dict(m=1, s=-1.0, case="A"), 4, False),
+    "lshape6-A": (dict(kind="lshape", dim=2, level=6),
+                  dict(m=1, s=-1.0, case="A"), 4, False),
+    "square6-B": (dict(kind="square", dim=2, level=6),
+                  dict(m=1, s=0.3, case="B", p0=1.0, dim_loc_value=1.0), 3,
+                  False),
+    "square6-C": (dict(kind="square", dim=2, level=6),
+                  dict(m=1, s=-1.0, case="C", A0=0.1), 4, False),
+    "interval8-D": (dict(kind="interval", dim=1, level=8),
+                    dict(m=2, s=-1.0, case="D", p0=1.5, A0=0.1,
+                         dim_loc_value=0.0), 4, False),
+    "square6-A-two-term": (dict(kind="square", dim=2, level=6),
+                           dict(m=2, k=0, s=-1.0, case="A"), 4, False),
+    "interval8-holder": (dict(kind="interval", dim=1, level=8),
+                         dict(m=1, s=-1.0, lam=0.4, form="holder-6.23",
+                              case="A"), 4, False),
+    "interval8-f": (dict(kind="interval", dim=1, level=8),
+                    dict(m=1, q=1.9, s=-1.0, case="A"), 4, True),
+}
+
+
+@pytest.mark.parametrize("name", list(BOUND_CASES))
+def test_array_assembly_matches_loop(name):
+    spec, overrides, grid_level, with_f = BOUND_CASES[name]
+    dec = decompose(rasterize(DomainSpec(**spec)))
+    params = HardyParams(**dict(dict(p=2.0), **overrides))
+    field = per_cube_capacity_field(dec, params, grid_level, seed=0)
+    f = (LsWeightFunction.equidistributed(dec.n_cubes, params) if with_f
+         else None)
+    rep = constructive_bound(dec, params, f=f, field=field,
+                             grid_level=grid_level, seed=0)
+    constant_A, factors, flags, per_cube = loop_constructive_bound(
+        dec, params, field, f, seed=0)
+    assert rep.constant_A == constant_A
+    for key, val in factors.items():
+        assert rep.factors[key] == val, key
+    assert rep.flags == flags
+    assert [row.keys() for row in rep.per_cube] \
+        == [row.keys() for row in per_cube]
+    for got, want in zip(rep.per_cube, per_cube):
+        for key, val in want.items():
+            assert got[key] == val or (
+                abs(got[key] - val) <= ASSEMBLY_RTOL * abs(val)), (
+                got["cube"], key)
+    contributing = sum("beta" in row for row in per_cube)
+    if name == "square6-B":
+        # k = m-1 with p1 = p != p0 takes the two-term route, where the
+        # norm-equivalence lemma needs m > k+1: every cube falls back
+        assert f"norm-equivalence-fallback:{contributing}" in rep.flags
+    if name == "square6-A-two-term":
+        assert not any(flag.startswith("norm-equivalence-fallback")
+                       for flag in rep.flags)
+        assert contributing and factors["alpha_sup"] > 0
 
 
 # -- Hölder and Poincaré solves on the ratio core ----------------------------------

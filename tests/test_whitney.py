@@ -36,26 +36,22 @@ def test_halfspace_banded_levels(halfspace7):
     dec = halfspace7
     # central strip, away from the left/right; cubes at a fixed height share
     # a level, and the level drops by one when the height doubles
+    lo = (dec.coords * dec.sides()[:, None]).tolist()
     by_height = {}
-    for i in range(dec.n_cubes):
-        side = dec.side(i)
-        x0 = dec.coords[i][0] * side
-        y0 = dec.coords[i][1] * side - 0.5
+    for (x0, y0), k in zip(lo, dec.levels.tolist()):
+        y0 -= 0.5
         if not (0.25 <= x0 <= 0.7):
             continue
-        by_height.setdefault(round(y0, 6), set()).add(int(dec.levels[i]))
+        by_height.setdefault(round(y0, 6), set()).add(k)
     for height, levels in by_height.items():
         assert len(levels) == 1, (height, levels)
     # each level occupies one height band, and band starts double as the
     # level coarsens by one
     band_start = {}
-    for i in range(dec.n_cubes):
-        side = dec.side(i)
-        x0 = dec.coords[i][0] * side
-        y0 = dec.coords[i][1] * side - 0.5
+    for (x0, y0), k in zip(lo, dec.levels.tolist()):
+        y0 -= 0.5
         if not (0.25 <= x0 <= 0.7):
             continue
-        k = int(dec.levels[i])
         band_start[k] = min(band_start.get(k, 10.0), y0)
     ks = sorted(band_start, reverse=True)
     ratios = []
@@ -113,8 +109,8 @@ def test_summation_band_oracle(halfspace7):
     oracle = 0.0
     g = f * np.where(dom.inside, dom.distance, 0.0) ** s
     for i in range(dec.n_cubes):
-        block = g[dec.rq_slice(i)]
-        oracle += dec.diam(i) ** (-s) * float(block.sum()) * hN
+        block = g[tuple(map(slice, dec.rq_start[i], dec.rq_stop[i]))]
+        oracle += dec.diams()[i] ** (-s) * float(block.sum()) * hN
     assert lhs == pytest.approx(oracle, rel=1e-12)
     assert lhs <= rhs
 
@@ -153,27 +149,21 @@ def test_enlarged_cube_geometry(halfspace7):
     dec = halfspace7
     dom = dec.domain
     h = dom.h
-    for i in range(0, dec.n_cubes, 7):
-        side_q = dec.side(i)
-        lo_q = dec.coords[i] * side_q
-        hi_q = lo_q + side_q
-        c = dec.rq_center[i]
-        s = dec.rq_side[i]
-        assert (c - s / 2 <= lo_q + 1e-12).all()
-        assert (hi_q <= c + s / 2 + 1e-12).all()
-        assert s <= 10 * dec.diam(i) + 2 * math.sqrt(2) * h + 1e-12
-        # center is an outside cell center (possibly in the boundary ring)
-        rel = c / h - 0.5
-        assert np.allclose(rel, np.round(rel), atol=1e-9)
-
-
-def test_rescale_map_roundtrip(halfspace7):
-    dec = halfspace7
-    rmap = dec.rescale_map(3)
-    corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    for corner in corners:
-        phys = rmap.from_unit(corner)
-        assert np.allclose(rmap.to_unit(phys), corner, atol=1e-12)
+    side_q = dec.sides()[:, None]
+    lo_q = dec.coords * side_q
+    hi_q = lo_q + side_q
+    c = dec.rq_center
+    s = dec.rq_side[:, None]
+    assert (c - s / 2 <= lo_q + 1e-12).all()
+    assert (hi_q <= c + s / 2 + 1e-12).all()
+    assert (dec.rq_side <= 10 * dec.diams() + 2 * math.sqrt(2) * h + 1e-12).all()
+    # center is an outside cell center (possibly in the boundary ring)
+    rel = c / h - 0.5
+    assert np.allclose(rel, np.round(rel), atol=1e-9)
+    # the origin is R_Q's lower corner: (x - origin) / side maps it to [0,1]^N
+    assert np.array_equal(dec.rq_origin, c - s / 2)
+    unit_c = (c - dec.rq_origin) / s
+    assert np.allclose(unit_c, 0.5, rtol=0.0, atol=1e-12)
 
 
 def test_gs_percube_stable_under_refinement():
