@@ -9,16 +9,19 @@ both nonnegative) holds cellwise by construction; the norm control is an
 itemized product of the bounded-overlap constant, the per-cube majorant
 factors, and per-cube interpolation ratios, all measured on the split.
 
-Per cube, the work runs on the cube's windows: the piece eta_Q*u and its
-cutoff on the 4/3 window, the majorant's outer cutoff, defect repair,
-accumulation and seminorms on the 16/9 window (padded by the stencil order
-for the differences).  The profiles are exactly 0 off those windows, so the
-split is the same to the bit; only the seminorm sums add their terms in
-another order.  The Tikhonov deconvolution alone stays on the whole grid,
-zero-padded to a power-of-two FFT shape: its filter makes the source global,
-so a window would move the majorant.  One split computes each kernel
-spectrum once per kernel and FFT shape and each weight field once, and
-keeps nothing after it returns.
+Windows are the currency of the split: every cube's 4/3 and 16/9 windows
+are (lo, hi) cell-bound arrays computed once.  The piece eta_Q*u and its
+cutoff live on the 4/3 window; local_majorant takes the piece on the 16/9
+window and returns the majorant there, where the outer cutoff, defect
+repair, accumulation and seminorms run (padded by the stencil order for the
+differences).  The profiles are exactly 0 off those windows, so the split
+is the same to the bit; only the seminorm sums add their terms in another
+order.  Overlap and window multiplicities are one whitney.box_scatter each.
+The Tikhonov deconvolution alone stays on the whole grid, zero-padded to a
+power-of-two FFT shape: its filter makes the source global, so a window
+would move the majorant.  One split computes each kernel spectrum once per
+kernel and FFT shape and each weight field once, and keeps nothing after
+it returns.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import numpy as np
 from .grids import GridDomain, rasterize
 from .norms import (DiscreteFunction, WeightSpec, block_seminorms,
                     gradient_magnitude, gradient_seminorm, _weight_on_anchors)
-from .whitney import WhitneyDecomposition
+from .whitney import WhitneyDecomposition, box_scatter
 
 ALPHA_ENLARGE = 4.0 / 3.0        # support of the cutoff pieces
 BETA_ENLARGE = 16.0 / 9.0        # support of the local majorants
@@ -47,59 +50,43 @@ def smoothstep(t: np.ndarray) -> np.ndarray:
     return t * t * (3.0 - 2.0 * t)
 
 
-class CutoffFamily:
-    """Tensor-product cutoffs: 1 on Q, supported in ALPHA_ENLARGE*Q."""
-
-    def profile(self, rel: np.ndarray) -> np.ndarray:
-        """1-D profile against |relative offset| in units of the half side."""
-        return smoothstep((ALPHA_ENLARGE - rel) / (ALPHA_ENLARGE - 1.0))
-
-    def on_grid(self, domain: GridDomain, center: np.ndarray,
-                side: float, window=None) -> np.ndarray:
-        """The cutoff of the cube (center, side) on the grid, or on the box
-        slice window of it (the same per-cell values)."""
-        if window is None:
-            window = (slice(None),) * domain.dim
-        out = np.ones(domain.inside[window].shape)
-        for a in range(domain.dim):
-            x = domain.cell_centers(a)[window[a]]
-            rel = np.abs(x - center[a]) / (side / 2.0)
-            prof = self.profile(rel)
-            shape = [1] * domain.dim
-            shape[a] = len(x)
-            out = out * prof.reshape(shape)
-        return out
-
-    def overlap_count(self, domain: GridDomain,
-                      decomp: WhitneyDecomposition,
-                      enlarge: float) -> int:
-        count = np.zeros(domain.shape, dtype=np.int32)
-        for sl in _enlarged_slices(domain, decomp, enlarge):
-            count[sl] += 1
-        return int(count.max())
+def cutoff(domain: GridDomain, center: np.ndarray, side: float,
+           window: tuple) -> np.ndarray:
+    """The tensor-product cutoff of the cube (center, side) on the box
+    slice window: 1 on the cube, exactly 0 off its ALPHA_ENLARGE-fold."""
+    out = np.ones(domain.inside[window].shape)
+    for a in range(domain.dim):
+        x = domain.cell_centers(a)[window[a]]
+        rel = np.abs(x - center[a]) / (side / 2.0)
+        prof = smoothstep((ALPHA_ENLARGE - rel) / (ALPHA_ENLARGE - 1.0))
+        shape = [1] * domain.dim
+        shape[a] = len(x)
+        out = out * prof.reshape(shape)
+    return out
 
 
 def _cube_centers(decomp: WhitneyDecomposition) -> np.ndarray:
     return (decomp.coords.astype(float) + 0.5) * decomp.sides()[:, None]
 
 
-def _box_slice(domain: GridDomain, center: np.ndarray, side: float):
-    """Cells meeting the box of the given side around center, clipped to
-    the grid; a cutoff of that support is exactly 0 on every other cell."""
-    n = 2**domain.level
-    sl = []
-    for a in range(domain.dim):
-        lo = int(math.floor((center[a] - side / 2.0) / domain.h))
-        hi = int(math.ceil((center[a] + side / 2.0) / domain.h))
-        sl.append(slice(max(lo, 0), min(hi, n)))
-    return tuple(sl)
+def _enlarged_boxes(domain: GridDomain, decomp: WhitneyDecomposition,
+                    enlarge: float):
+    """Per cube, half-open bounds (lo, hi) (int arrays, cubes x N) of the
+    cells meeting the enlarged cube, clipped to the grid; a cutoff of that
+    support is exactly 0 on every other cell."""
+    half = (decomp.sides() * enlarge)[:, None] / 2.0
+    centers = _cube_centers(decomp)
+    lo = np.floor((centers - half) / domain.h).astype(np.int64)
+    hi = np.ceil((centers + half) / domain.h).astype(np.int64)
+    return np.maximum(lo, 0), np.minimum(hi, 2**domain.level)
 
 
-def _enlarged_slices(domain: GridDomain, decomp: WhitneyDecomposition,
-                     enlarge: float) -> list:
-    """Per cube, the _box_slice of the cube enlarged by the given factor."""
-    return [_box_slice(domain, center, side) for center, side in
-            zip(_cube_centers(decomp), (decomp.sides() * enlarge).tolist())]
+def overlap_count(domain: GridDomain, decomp: WhitneyDecomposition,
+                  enlarge: float) -> int:
+    """The largest number of enlarged cubes holding one cell."""
+    lo, hi = _enlarged_boxes(domain, decomp, enlarge)
+    ones = np.ones(decomp.n_cubes, dtype=np.int64)
+    return int(box_scatter(domain.shape, lo, hi, ones).max())
 
 
 def _iterated_kernel(m: int, radius_cells: int) -> np.ndarray:
@@ -127,20 +114,6 @@ def _kernel_spectrum(ker1d: np.ndarray, dim: int, fshape, tau: float):
     return Kf, denom, cond
 
 
-def _support_box(vals: np.ndarray):
-    """(lo, hi) cell indices bounding the nonzeros of vals, or None."""
-    nonzero = vals != 0.0
-    lo, hi = [], []
-    for a in range(vals.ndim):
-        hit = np.flatnonzero(nonzero.any(
-            axis=tuple(b for b in range(vals.ndim) if b != a)))
-        if not len(hit):
-            return None
-        lo.append(int(hit[0]))
-        hi.append(int(hit[-1]))
-    return np.array(lo), np.array(hi)
-
-
 @dataclass
 class MajorantResult:
     values: np.ndarray
@@ -149,91 +122,69 @@ class MajorantResult:
     condition: float
 
 
-def local_majorant(u_q: DiscreteFunction, m: int, p: float,
-                   cube_side: float | None = None,
-                   cube_center: np.ndarray | None = None, *,
-                   spectra: dict | None = None) -> MajorantResult:
+def local_majorant(domain: GridDomain, block: np.ndarray, window: tuple,
+                   cube_center: np.ndarray, cube_side: float, m: int,
+                   p: float, policy: str, spectra: dict) -> MajorantResult:
     """Nonnegative majorant of a cube-local piece via a positive kernel.
 
-    Writes u_q = G*f with G an m-fold iterated box mollifier at the cube's
-    scale (FFT deconvolution, Tikhonov parameter h^2), forms G*f_+ and cuts
-    it off; any residual violation of v >= u_q is repaired by adding the
-    defect's positive part, which preserves nonnegativity and support.
-    Returns the majorant with its measured norm factor, repair size, and
-    deconvolution condition estimate.  Rejects p <= 1.
+    block is the piece u_q on window, the cube's 16/9 box slice, and the
+    majorant comes back on it.  Writes u_q = G*f with G an m-fold iterated
+    box mollifier at the cube's scale (FFT deconvolution, Tikhonov
+    parameter h^2), forms G*f_+ and cuts it off; any residual violation of
+    v >= u_q is repaired by adding the defect's positive part, which
+    preserves nonnegativity and support.  Returns the majorant with its
+    measured norm factor, repair size, and deconvolution condition
+    estimate.  Rejects p <= 1.
 
     The deconvolution and the convolution back run on the whole grid,
     zero-padded to a power-of-two FFT shape: the Tikhonov filter makes the
     source global, and a window would change the majorant.  Everything
-    after it runs on the window of the 16/9-enlarged cube (widened to the
-    support of u_q if that reaches further): the outer cutoff, the defect
-    repair and both seminorms, whose terms vanish off the window.  spectra
-    is a cache of kernel spectra shared by calls with the same kernel and
-    FFT shape; cone_split passes one per split.
+    after it runs on the window: the outer cutoff, the defect repair and
+    both seminorms, whose terms vanish off it.  spectra is a cache of
+    kernel spectra shared by calls with the same kernel and FFT shape;
+    cone_split passes one per split.
     """
     if p <= 1.0:
         raise ConeError("the positive-kernel representation needs p > 1")
-    dom = u_q.domain
-    vals = u_q.values
-    box = _support_box(vals)
-    if box is None:
-        return MajorantResult(np.zeros_like(vals), 1.0, 0.0, 1.0)
-    lo, hi = box
-    if cube_side is None:
-        cube_side = (hi - lo + 1).max() * dom.h / ALPHA_ENLARGE
-    if cube_center is None:
-        cube_center = (lo + hi + 1) * dom.h / 2.0
-    outer = _box_slice(dom, cube_center, cube_side * BETA_ENLARGE)
-    win = tuple(slice(min(s.start, a), max(s.stop, b + 1))
-                for s, a, b in zip(outer, lo, hi))
     # kernel reach must keep supp(G*f+) inside the 16/9 enlargement
     margin_cells = max(int((BETA_ENLARGE - ALPHA_ENLARGE) * cube_side
-                           / (2.0 * dom.h)), 1)
+                           / (2.0 * domain.h)), 1)
     radius = max(margin_cells // max(m, 1), 1)
     ker1d = _iterated_kernel(m, radius)
 
-    shape = vals.shape
     pad = len(ker1d)
-    fshape = tuple(int(2 ** math.ceil(math.log2(s + 2 * pad))) for s in shape)
-    tau = dom.h**2
+    fshape = tuple(int(2 ** math.ceil(math.log2(s + 2 * pad)))
+                   for s in domain.shape)
+    tau = domain.h**2
     key = (m, radius, fshape, tau)
-    spectrum = spectra.get(key) if spectra is not None else None
-    if spectrum is None:
-        spectrum = _kernel_spectrum(ker1d, dom.dim, fshape, tau)
-        if spectra is not None:
-            spectra[key] = spectrum
-    Kf, denom, cond = spectrum
+    if key not in spectra:
+        spectra[key] = _kernel_spectrum(ker1d, domain.dim, fshape, tau)
+    Kf, denom, cond = spectra[key]
 
-    u_win = vals[win]
     U = np.zeros(fshape)
-    U[win] = u_win
+    U[window] = block
     # numpy's complex product is not bitwise commutative, and a temporary
     # right factor is reused with the operands swapped: keep Uf named
     Uf = np.fft.rfftn(U)
     Ff = np.conj(Kf) * Uf / denom
-    axes = tuple(range(dom.dim))
+    axes = tuple(range(domain.dim))
     f_src = np.fft.irfftn(Ff, s=fshape, axes=axes)
     f_plus = np.maximum(f_src, 0.0)
     v_raw = np.fft.irfftn(np.fft.rfftn(f_plus) * Kf, s=fshape, axes=axes)
-    v = np.maximum(v_raw[win], 0.0)
+    v = np.maximum(v_raw[window], 0.0)
     # short-range support: cut off at the 16/9 enlargement (the deconvolved
     # source is global through the Tikhonov filter)
-    eta_outer = CutoffFamily().on_grid(dom, np.asarray(cube_center),
-                                       cube_side * ALPHA_ENLARGE, win)
-    v = eta_outer * v
+    v = cutoff(domain, cube_center, cube_side * ALPHA_ENLARGE, window) * v
 
-    defect = np.maximum(u_win - v, 0.0)
-    hN = dom.h**dom.dim
+    defect = np.maximum(block - v, 0.0)
+    hN = domain.h**domain.dim
     defect_norm = float((defect**p).sum() * hN) ** (1.0 / p)
     v = v + defect
 
-    policy = u_q.boundary_policy
-    norm_u = sum(block_seminorms(dom, u_win, win, m, p, policy))
-    norm_v = sum(block_seminorms(dom, v, win, m, p, policy))
+    norm_u = sum(block_seminorms(domain, block, window, m, p, policy))
+    norm_v = sum(block_seminorms(domain, v, window, m, p, policy))
     factor = norm_v / norm_u if norm_u > 0 else 1.0
-    values = np.zeros(shape)
-    values[win] = v
-    return MajorantResult(values, factor, defect_norm, cond)
+    return MajorantResult(v, factor, defect_norm, cond)
 
 
 @dataclass
@@ -296,7 +247,6 @@ def cone_split(u: DiscreteFunction, decomp: WhitneyDecomposition, m: int,
             f"hypothesis-divergent: weighted mass grows by 2^{slope:.2f} "
             "per refinement level")
 
-    cutoffs = CutoffFamily()
     v = np.zeros(dom.shape)
     per_cube = []
     sup_rho = 0.0
@@ -318,39 +268,33 @@ def cone_split(u: DiscreteFunction, decomp: WhitneyDecomposition, m: int,
     g_top = mag**p * wanch * hN
     low_field = np.abs(u.values) ** p * wlow_field * hN
     pad = m if policy == "zero-extension" else 0
-    mult_top = np.zeros(g_top.shape, dtype=np.int32)
-    mult_low = np.zeros(dom.shape, dtype=np.int32)
+    lo43, hi43 = _enlarged_boxes(dom, decomp, ALPHA_ENLARGE)
+    lo169, hi169 = _enlarged_boxes(dom, decomp, BETA_ENLARGE)
+    anchor_hi = np.minimum(hi43 + 2 * pad, g_top.shape)
+    hit = np.zeros(decomp.n_cubes, dtype=bool)
 
-    def anchor_window(sl):
-        out = []
-        for ax, s_ in enumerate(sl):
-            out.append(slice(max(s_.start, 0),
-                             min(s_.stop + 2 * pad, g_top.shape[ax])))
-        return tuple(out)
-
-    # the piece eta_Q*u lives on the 4/3 window and its majorant on the
-    # 16/9 window; cutoffs, accumulation and seminorms stay on them
-    for i, (side, center, sl43, sl169) in enumerate(zip(
-            decomp.sides().tolist(), _cube_centers(decomp),
-            _enlarged_slices(dom, decomp, ALPHA_ENLARGE),
-            _enlarged_slices(dom, decomp, BETA_ENLARGE))):
-        u_q_win = cutoffs.on_grid(dom, center, side, sl43) * u.values[sl43]
-        if not u_q_win.any():
+    # the piece eta_Q*u lives on the 4/3 window (a) and its majorant on the
+    # 16/9 window (b); cutoffs, accumulation and seminorms stay on them
+    for i, (side, center, a_lo, a_hi, b_lo, b_hi, t_hi) in enumerate(zip(
+            decomp.sides().tolist(), _cube_centers(decomp), lo43.tolist(),
+            hi43.tolist(), lo169.tolist(), hi169.tolist(),
+            anchor_hi.tolist())):
+        sl43 = tuple(map(slice, a_lo, a_hi))
+        piece = cutoff(dom, center, side, sl43) * u.values[sl43]
+        if not piece.any():
             continue
-        u_q_vals = np.zeros(dom.shape)
-        u_q_vals[sl43] = u_q_win
-        u_q = DiscreteFunction(dom, u_q_vals, policy)
-        res = local_majorant(u_q, m, p, cube_side=side, cube_center=center,
-                             spectra=spectra)
-        maj = res.values[sl169]
-        v[sl169] += maj
-        awin = anchor_window(sl43)
-        mult_low[sl43] += 1
-        mult_top[awin] += 1
-        num = sum(x ** p for x in block_seminorms(dom, maj, sl169, m, p,
-                                                  policy, w_field))
+        hit[i] = True
+        sl169 = tuple(map(slice, b_lo, b_hi))
+        block = np.zeros(np.subtract(b_hi, b_lo))
+        block[tuple(map(slice, np.subtract(a_lo, b_lo),
+                        np.subtract(a_hi, b_lo)))] = piece
+        res = local_majorant(dom, block, sl169, center, side, m, p, policy,
+                             spectra)
+        v[sl169] += res.values
+        num = sum(x ** p for x in block_seminorms(dom, res.values, sl169, m,
+                                                  p, policy, w_field))
         local_low = float(low_field[sl43].sum())
-        local_top = float(g_top[awin].sum())
+        local_top = float(g_top[tuple(map(slice, a_lo, t_hi))].sum())
         denom = local_low + local_top
         rho = num / denom if denom > 0 else 0.0
         sup_rho = max(sup_rho, rho)
@@ -371,7 +315,10 @@ def cone_split(u: DiscreteFunction, decomp: WhitneyDecomposition, m: int,
     u1.values = np.maximum(u1.values, 0.0)
     u2.values = np.where(dom.inside, u1.values - u.values, 0.0)
 
-    overlap = cutoffs.overlap_count(dom, decomp, BETA_ENLARGE)
+    ones = np.ones(int(hit.sum()), dtype=np.int64)
+    mult_low = box_scatter(dom.shape, lo43[hit], hi43[hit], ones)
+    mult_top = box_scatter(g_top.shape, lo43[hit], anchor_hi[hit], ones)
+    overlap = overlap_count(dom, decomp, BETA_ENLARGE)
     window_mult = max(int(mult_low.max()), int(mult_top.max()))
     norm_u = sum(gradient_seminorm(u, k, p, wspec) for k in range(m + 1))
     nf = 0.0

@@ -97,6 +97,11 @@ class HardyParams:
     def theta_case(self) -> bool:
         return self.case in ("C", "D")
 
+    def one_term(self) -> bool:
+        """k = m-1 (case E always): both right-hand terms are grad^m norms,
+        and the one-term route, which reads no p1, is the tighter one."""
+        return self.case == "E" or self.k == self.m - 1
+
     def capacity_exponent(self) -> float:
         if self.case in ("B", "D"):
             if self.p0 is None:
@@ -274,14 +279,14 @@ def per_cube_capacity_field(decomp: WhitneyDecomposition, params: HardyParams,
     k_eff = params.m - 1 if params.case == "E" else params.k
     theta = params.theta_case()
     holder = params.form == "holder-6.23"
+    single = params.one_term()
     if theta:
-        if k_eff != params.m - 1 or abs(params.p1 - params.p) > 1e-12:
+        if not single or abs(params.p1 - params.p) > 1e-12:
             raise HardyError(
                 "theta cases are assembled in the merged one-term shape: "
                 "need k = m-1 and p1 = p")
         if holder:
             raise HardyError("theta cases support the integral form only")
-    single = (k_eff == params.m - 1)
     p1_eff = pcap if single else params.p1
     A0 = params.A0
     if theta and A0 is None:
@@ -470,7 +475,7 @@ def constructive_bound(decomp: WhitneyDecomposition, params: HardyParams,
         field = per_cube_capacity_field(decomp, params, grid_level, seed)
     pcap = params.capacity_exponent()
     theta = params.theta_case()
-    single = (params.k == params.m - 1) and (theta or abs(params.p1 - pcap) < 1e-12)
+    single = params.one_term()
     pm = pcap
 
     flags = []

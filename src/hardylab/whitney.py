@@ -31,6 +31,38 @@ class WhitneyError(RuntimeError):
     """Degenerate raster: no admissible cube exists."""
 
 
+def _box_corners(start: np.ndarray, stop: np.ndarray):
+    """(index, sign) over the 2^N corners of the half-open boxes [start,
+    stop) (one row per box) on the (n+1)^N prefix-sum lattice: a box sum
+    is the signed sum of the prefix sums at its corners."""
+    dim = start.shape[1]
+    stop = np.maximum(stop, start)
+    for corner in product((0, 1), repeat=dim):
+        idx = tuple(stop[:, a] if c else start[:, a]
+                    for a, c in enumerate(corner))
+        yield idx, -1 if (dim - sum(corner)) % 2 else 1
+
+
+def box_scatter(shape: tuple, start: np.ndarray, stop: np.ndarray,
+                values: np.ndarray) -> np.ndarray:
+    """The grid field summing values[i] over the boxes [start[i], stop[i])
+    holding each cell: signed updates at the 2^N corners of every box, then
+    one N-D cumulative sum.  Integer values are scattered in int64 (exact),
+    float values in np.longdouble, as in WhitneyDecomposition.rq_sums."""
+    dim = len(shape)
+    kind = np.int64 if values.dtype.kind in "biu" else np.longdouble
+    table = np.zeros(tuple(s + 1 for s in shape), dtype=kind)
+    values = values.astype(kind)
+    # a box's lower corner carries +values: the box-sum signs times (-1)^N
+    flip = -1 if dim % 2 else 1
+    for idx, sign in _box_corners(start, stop):
+        np.add.at(table, idx, sign * flip * values)
+    for ax in range(dim):
+        np.cumsum(table, axis=ax, out=table)
+    field = table[(slice(0, -1),) * dim]
+    return field if kind is np.int64 else field.astype(np.float64)
+
+
 class WhitneyDecomposition:
     """Set of accepted dyadic cubes with their enlarged cubes.
 
@@ -124,18 +156,6 @@ class WhitneyDecomposition:
         self.rq_start = np.maximum(self.rq_first, 0)
         self.rq_stop = np.minimum(self.rq_last, n - 1) + 1
 
-    def _rq_corners(self):
-        """(index, sign) over the 2^N corners of every clipped R_Q on the
-        (n+1)^N prefix-sum lattice: a box sum is the signed sum of the
-        prefix sums at its corners."""
-        dim = self.domain.dim
-        start = self.rq_start
-        stop = np.maximum(self.rq_stop, start)
-        for corner in product((0, 1), repeat=dim):
-            idx = tuple(stop[:, a] if c else start[:, a]
-                        for a, c in enumerate(corner))
-            yield idx, -1 if (dim - sum(corner)) % 2 else 1
-
     def rq_sums(self, weight: np.ndarray) -> np.ndarray:
         """Per-cube sums of a cell field over the cells of closed R_Q.
 
@@ -154,31 +174,16 @@ class WhitneyDecomposition:
         for ax in range(dim):
             np.cumsum(table, axis=ax, out=table)
         total = np.zeros(self.n_cubes, dtype=kind)
-        for idx, sign in self._rq_corners():
+        for idx, sign in _box_corners(self.rq_start, self.rq_stop):
             total += sign * table[idx]
         return total if kind is np.int64 else total.astype(np.float64)
 
     def rq_scatter(self, values: np.ndarray) -> np.ndarray:
         """The cell field F(x) = sum of values[Q] over the cubes Q whose
         closed R_Q holds the center of cell x: the adjoint of rq_sums, so
-        sum(F * g) = sum(values * rq_sums(g)).
-
-        Signed updates at the 2^N corners of every R_Q, then one N-D
-        cumulative sum.  Integer values are scattered in int64 (exact);
-        float values in np.longdouble, as in rq_sums.
-        """
-        dom = self.domain
-        kind = np.int64 if values.dtype.kind in "biu" else np.longdouble
-        table = np.zeros((2**dom.level + 1,) * dom.dim, dtype=kind)
-        values = values.astype(kind)
-        # a box's lower corner carries +values: rq_sums's signs times (-1)^N
-        flip = -1 if dom.dim % 2 else 1
-        for idx, sign in self._rq_corners():
-            np.add.at(table, idx, sign * flip * values)
-        for ax in range(dom.dim):
-            np.cumsum(table, axis=ax, out=table)
-        field = table[(slice(0, -1),) * dom.dim]
-        return field if kind is np.int64 else field.astype(np.float64)
+        sum(F * g) = sum(values * rq_sums(g))."""
+        return box_scatter(self.domain.shape, self.rq_start, self.rq_stop,
+                           values)
 
     def rq_distance_integrals(self, s: float, clamp: float) -> np.ndarray:
         """Per-cube integral over R_Q ∩ Ω of max(delta, clamp)^-s dx (cell

@@ -7,11 +7,11 @@ import pytest
 from hardylab.grids import DomainSpec, rasterize
 from hardylab.whitney import decompose
 from hardylab.norms import DiscreteFunction
-from hardylab.cone import (ConeError, CutoffFamily, local_majorant, cone_split,
+from hardylab.cone import (ConeError, cutoff, local_majorant, cone_split,
                            chain_inequality_sides, make_probe, make_cusp_probe,
                            finiteness_slope, weighted_low_order_mass,
-                           conjecture_experiment,
-                           ALPHA_ENLARGE, BETA_ENLARGE)
+                           conjecture_experiment, overlap_count,
+                           _enlarged_boxes, ALPHA_ENLARGE, BETA_ENLARGE)
 
 
 @pytest.fixture(scope="module")
@@ -27,9 +27,8 @@ def test_enlargement_factors_fixed():
 
 def test_cutoff_profile_properties(square6):
     dom, dec = square6
-    fam = CutoffFamily()
     center = np.array([0.5, 0.5])
-    eta = fam.on_grid(dom, center, 0.25)
+    eta = cutoff(dom, center, 0.25, (slice(None),) * 2)
     assert (eta >= 0).all() and (eta <= 1).all()
     xs, ys = dom.center_grid()
     inner = (np.abs(xs - 0.5) <= 0.125) & (np.abs(ys - 0.5) <= 0.125)
@@ -38,13 +37,28 @@ def test_cutoff_profile_properties(square6):
     assert np.allclose(eta[outer], 0.0)
 
 
+def _majorant(dom, vals, side, p=2.0):
+    """local_majorant of vals, a piece supported inside the 16/9 window of
+    the cube of the given side centred at (0.5, 0.5): (piece, result)."""
+    center = np.array([0.5, 0.5])
+    half = side * BETA_ENLARGE / 2.0
+    window = tuple(slice(int(np.floor((c - half) / dom.h)),
+                         int(np.ceil((c + half) / dom.h))) for c in center)
+    outside = np.ones(dom.shape, dtype=bool)
+    outside[window] = False
+    assert not vals[outside].any()
+    block = vals[window]
+    return block, local_majorant(dom, block, window, center, side, 1, p,
+                                 "zero-extension", {})
+
+
 def test_local_majorant_nonnegative_input(square6):
     dom, _ = square6
     xs, ys = dom.center_grid()
     vals = np.maximum(0.2 - np.hypot(xs - 0.5, ys - 0.5), 0.0)
-    u = DiscreteFunction(dom, vals)
-    res = local_majorant(u, m=1, p=2.0, cube_side=0.3)
-    assert (res.values >= vals - 1e-12).all()
+    block, res = _majorant(dom, vals, 0.3)
+    assert res.values.shape == block.shape
+    assert (res.values >= block - 1e-12).all()
     assert (res.values >= 0).all()
 
 
@@ -52,9 +66,8 @@ def test_local_majorant_nonpositive_input(square6):
     dom, _ = square6
     xs, ys = dom.center_grid()
     vals = -np.maximum(0.2 - np.hypot(xs - 0.5, ys - 0.5), 0.0)
-    u = DiscreteFunction(dom, vals)
-    res = local_majorant(u, m=1, p=2.0, cube_side=0.3)
-    assert (res.values >= vals - 1e-12).all()
+    block, res = _majorant(dom, vals, 0.3)
+    assert (res.values >= block - 1e-12).all()
     assert (res.values >= 0).all()
 
 
@@ -63,9 +76,8 @@ def test_local_majorant_oscillating_norm_bound(square6):
     xs, ys = dom.center_grid()
     env = np.maximum(0.15 - np.hypot(xs - 0.5, ys - 0.5), 0.0)
     vals = env * np.sin(14 * np.pi * xs)
-    u = DiscreteFunction(dom, vals)
-    res = local_majorant(u, m=1, p=2.0, cube_side=0.25)
-    assert (res.values >= vals - 1e-10).all()
+    block, res = _majorant(dom, vals, 0.25)
+    assert (res.values >= block - 1e-10).all()
     # measured corpus bound on the norm growth (not a claim beyond the grid)
     assert res.norm_factor <= 10.0
     assert res.condition >= 1.0
@@ -73,9 +85,10 @@ def test_local_majorant_oscillating_norm_bound(square6):
 
 def test_local_majorant_rejects_p1(square6):
     dom, _ = square6
-    u = DiscreteFunction(dom, np.ones(dom.shape))
+    xs, ys = dom.center_grid()
+    vals = np.maximum(0.2 - np.hypot(xs - 0.5, ys - 0.5), 0.0)
     with pytest.raises(ConeError):
-        local_majorant(u, m=1, p=1.0)
+        _majorant(dom, vals, 0.3, p=1.0)
 
 
 def test_cone_split_exact_and_nonnegative(square6):
@@ -108,18 +121,15 @@ def test_cone_split_norm_chain(square6):
 
 def test_bounded_overlap_constant(square6):
     dom, dec = square6
-    fam = CutoffFamily()
-    m_beta = fam.overlap_count(dom, dec, BETA_ENLARGE)
+    m_beta = overlap_count(dom, dec, BETA_ENLARGE)
     lsh = rasterize(DomainSpec(kind="lshape", dim=2, level=6))
-    dec2 = decompose(lsh)
-    m_beta2 = fam.overlap_count(lsh, decompose(lsh), BETA_ENLARGE)
+    m_beta2 = overlap_count(lsh, decompose(lsh), BETA_ENLARGE)
     assert 1 <= m_beta <= 40 and 1 <= m_beta2 <= 40
     assert abs(m_beta - m_beta2) <= 10  # same-dimension constant scale
 
 
 def test_locality_of_majorants(square6):
     dom, dec = square6
-    from hardylab.cone import _enlarged_slices
     u = make_probe(dom, 11)
     split_a = cone_split(u, dec, m=1, p=2.0)
     # modify u inside one cube far from the support margin
@@ -137,10 +147,11 @@ def test_locality_of_majorants(square6):
     modified = np.zeros(dom.shape, dtype=bool)
     modified[sl] = True
     reach = np.zeros(dom.shape, dtype=bool)
-    for a_sl, b_sl in zip(_enlarged_slices(dom, dec, 4.0 / 3.0),
-                          _enlarged_slices(dom, dec, 16.0 / 9.0)):
-        if modified[a_sl].any():
-            reach[b_sl] = True
+    lo43, hi43 = _enlarged_boxes(dom, dec, ALPHA_ENLARGE)
+    lo169, hi169 = _enlarged_boxes(dom, dec, BETA_ENLARGE)
+    for a0, a1, b0, b1 in zip(lo43, hi43, lo169, hi169):
+        if modified[tuple(map(slice, a0, a1))].any():
+            reach[tuple(map(slice, b0, b1))] = True
     assert not (changed & ~reach).any()
 
 

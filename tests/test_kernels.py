@@ -18,9 +18,9 @@ from hardylab.capacity import (CapacityError, ConstraintSet, _poly_basis,
                                gradient_norm_grad, holder_ratio_best_constant,
                                lp_norm_grad, norm_equivalence_constant,
                                poincare_constant)
-from hardylab.cone import (ALPHA_ENLARGE, BETA_ENLARGE, CutoffFamily, ConeSplit,
-                           MajorantResult, _enlarged_slices, _iterated_kernel,
-                           cone_split, make_probe)
+from hardylab.cone import (ALPHA_ENLARGE, BETA_ENLARGE, ConeSplit,
+                           MajorantResult, _enlarged_boxes, _iterated_kernel,
+                           cone_split, make_probe, overlap_count)
 from hardylab.norms import (DiscreteFunction, WeightSpec, gradient_magnitude,
                             gradient_seminorm, _weight_on_anchors)
 from hardylab.grids import (DomainSpec, GridDomain, distance_transform,
@@ -30,7 +30,7 @@ from hardylab.hardy import (HardyParams, LsWeightFunction, _case_sigma,
                             _projection_condition, constructive_bound,
                             per_cube_capacity_field, weight_exponents)
 from hardylab.whitney import (WhitneyError, WhitneyDecomposition,
-                              check_decomposition, decompose,
+                              box_scatter, check_decomposition, decompose,
                               intersection_cutoff, packing_constant)
 
 
@@ -236,6 +236,28 @@ def test_box_sums_match_slice_sums(kind, dim, level, iters, clipped):
 # -- corner scatter ------------------------------------------------------------------
 
 
+def assert_scatter_matches_slice_adds(shape, slices, scatter, rng):
+    """scatter(values) of random integer and float values, one per box,
+    against adding each value to its box slice in turn: integer counts
+    exactly, floats to 1e-15 of the largest.  Returns (counts, values, the
+    float field)."""
+    counts = rng.integers(0, 5, size=len(slices))
+    oracle = np.zeros(shape, dtype=np.int64)
+    for sl, c in zip(slices, counts):
+        oracle[sl] += c
+    got = scatter(counts)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, oracle)
+    values = rng.random(len(slices)) * 10.0 ** rng.uniform(-3, 3, len(slices))
+    oracle = np.zeros(shape)
+    for sl, v in zip(slices, values):
+        oracle[sl] += v
+    got = scatter(values)
+    assert got.dtype == np.float64
+    assert np.abs(got - oracle).max() <= 1e-15 * oracle.max()
+    return counts, values, got
+
+
 @pytest.mark.parametrize("kind,dim,level,iters,clipped", [
     ("halfspace", 2, 6, 0, True),
     ("lshape", 2, 6, 0, True),
@@ -251,20 +273,8 @@ def test_rq_scatter_matches_slice_adds(kind, dim, level, iters, clipped):
     assert bool((dec.rq_first < 0).any()
                 or (dec.rq_last >= 2**level).any()) == clipped
     rng = np.random.default_rng(level + dim)
-    counts = rng.integers(0, 5, size=dec.n_cubes)
-    oracle = np.zeros(dom.shape, dtype=np.int64)
-    for sl, c in zip(slices, counts):
-        oracle[sl] += c
-    got = dec.rq_scatter(counts)
-    assert got.dtype == np.int64
-    assert np.array_equal(got, oracle)
-    values = rng.random(dec.n_cubes) * 10.0 ** rng.uniform(-3, 3, dec.n_cubes)
-    oracle = np.zeros(dom.shape)
-    for sl, v in zip(slices, values):
-        oracle[sl] += v
-    got = dec.rq_scatter(values)
-    assert got.dtype == np.float64
-    assert np.abs(got - oracle).max() <= 1e-15 * oracle.max()
+    counts, values, got = assert_scatter_matches_slice_adds(
+        dom.shape, slices, dec.rq_scatter, rng)
     # adjoint of the box sums
     g = rng.random(dom.shape)
     assert math.isclose(float((got * g).sum()),
@@ -272,6 +282,45 @@ def test_rq_scatter_matches_slice_adds(kind, dim, level, iters, clipped):
     g_int = rng.integers(0, 3, size=dom.shape)
     assert int((dec.rq_scatter(counts) * g_int).sum()) \
         == int((counts * dec.rq_sums(g_int)).sum())
+
+
+@pytest.mark.parametrize("kind,dim,level", [
+    ("square", 2, 6),
+    ("halfspace", 2, 6),
+    ("cube-minus-compact", 3, 4),
+])
+def test_box_scatter_matches_slice_adds_on_cone_windows(kind, dim, level):
+    """The cone split's 4/3 and 16/9 windows and the anchor windows of its
+    top-order sums, clipped ones included, through box_scatter; the overlap
+    count against the slice-add loop."""
+    dec = decompose(rasterize(DomainSpec(kind=kind, dim=dim, level=level)))
+    dom = dec.domain
+    rng = np.random.default_rng(level + dim)
+    for enlarge in (ALPHA_ENLARGE, BETA_ENLARGE):
+        clipped = _clipped(dec, enlarge)
+        assert clipped or enlarge == ALPHA_ENLARGE
+        lo, hi = _enlarged_boxes(dom, dec, enlarge)
+        slices = [loop_enlarged_slice(dom, dec, i, enlarge)
+                  for i in range(dec.n_cubes)]
+        assert_scatter_matches_slice_adds(
+            dom.shape, slices, lambda v: box_scatter(dom.shape, lo, hi, v), rng)
+        assert overlap_count(dom, dec, enlarge) \
+            == loop_overlap_count(dom, dec, enlarge)
+    lo, hi = _enlarged_boxes(dom, dec, ALPHA_ENLARGE)
+    anchors_clipped = False
+    for policy, m in (("none", 2), ("zero-extension", 1), ("zero-extension", 2)):
+        pad = m if policy == "zero-extension" else 0
+        shape = gradient_magnitude(
+            DiscreteFunction(dom, np.zeros(dom.shape), policy), m)[0].shape
+        slices = [loop_anchor_window(
+            loop_enlarged_slice(dom, dec, i, ALPHA_ENLARGE), pad, shape)
+            for i in range(dec.n_cubes)]
+        anchors_clipped |= (hi + 2 * pad > np.array(shape)).any()
+        assert_scatter_matches_slice_adds(
+            shape, slices,
+            lambda v: box_scatter(shape, lo, np.minimum(hi + 2 * pad, shape), v),
+            rng)
+    assert anchors_clipped
 
 
 # -- decomposition structures ------------------------------------------------------
@@ -472,6 +521,19 @@ def test_canonical_keys_match_image_loop(shape):
 # -- window-local cone split -------------------------------------------------------
 
 
+def loop_cutoff(dom, center, side):
+    """The tensor-product smoothstep cutoff of the cube (center, side) on
+    the whole grid: 1 on the cube, 0 off its 4/3 enlargement."""
+    out = np.ones(dom.shape)
+    for a in range(dom.dim):
+        rel = np.abs(dom.cell_centers(a) - center[a]) / (side / 2.0)
+        t = np.clip((ALPHA_ENLARGE - rel) / (ALPHA_ENLARGE - 1.0), 0.0, 1.0)
+        shape = [1] * dom.dim
+        shape[a] = len(rel)
+        out = out * (t * t * (3.0 - 2.0 * t)).reshape(shape)
+    return out
+
+
 def loop_local_majorant(u_q, m, p, cube_side, cube_center):
     """local_majorant with every step on the whole grid and the kernel
     spectrum rebuilt per call."""
@@ -505,8 +567,7 @@ def loop_local_majorant(u_q, m, p, cube_side, cube_center):
     f_plus = np.maximum(f_src, 0.0)
     v_raw = np.fft.irfftn(np.fft.rfftn(f_plus) * Kf, s=fshape, axes=axes)
     v = np.maximum(v_raw[tuple(slice(0, s) for s in shape)], 0.0)
-    v = CutoffFamily().on_grid(dom, np.asarray(cube_center),
-                               cube_side * ALPHA_ENLARGE) * v
+    v = loop_cutoff(dom, cube_center, cube_side * ALPHA_ENLARGE) * v
     defect = np.maximum(vals - v, 0.0)
     defect_norm = float((defect**p).sum() * dom.h**dom.dim) ** (1.0 / p)
     v = v + defect
@@ -534,11 +595,25 @@ def loop_enlarged_slice(dom, dec, i, enlarge):
                  for c in center)
 
 
+def loop_anchor_window(sl43, pad, shape):
+    """The anchors of the differences of order pad (0 without zero
+    extension) reading the cells of a 4/3 window, on an anchor grid of the
+    given shape."""
+    return tuple(slice(max(a.start, 0), min(a.stop + 2 * pad, shape[ax]))
+                 for ax, a in enumerate(sl43))
+
+
+def loop_overlap_count(dom, dec, enlarge):
+    count = np.zeros(dom.shape, dtype=np.int32)
+    for i in range(dec.n_cubes):
+        count[loop_enlarged_slice(dom, dec, i, enlarge)] += 1
+    return int(count.max())
+
+
 def loop_cone_split(u, decomp, m, p, s):
     """cone_split with the cutoffs, the accumulation and the seminorms of
     every cube on the whole grid (hypothesis test left out)."""
     dom = u.domain
-    cutoffs = CutoffFamily()
     v = np.zeros(dom.shape)
     per_cube = []
     sup_rho = sup_a0 = 0.0
@@ -554,15 +629,14 @@ def loop_cone_split(u, decomp, m, p, s):
     for i in range(decomp.n_cubes):
         side = cube_side(decomp, i)
         center = loop_cube_center(decomp, i)
-        u_q_vals = cutoffs.on_grid(dom, center, side) * u.values
+        u_q_vals = loop_cutoff(dom, center, side) * u.values
         if not u_q_vals.any():
             continue
         u_q = DiscreteFunction(dom, u_q_vals, u.boundary_policy)
         res = loop_local_majorant(u_q, m, p, side, center)
         v += res.values
         sl43 = loop_enlarged_slice(dom, decomp, i, ALPHA_ENLARGE)
-        awin = tuple(slice(max(a.start, 0), min(a.stop + 2 * pad, g_top.shape[ax]))
-                     for ax, a in enumerate(sl43))
+        awin = loop_anchor_window(sl43, pad, g_top.shape)
         mult_low[sl43] += 1
         mult_top[awin] += 1
         num = sum(gradient_seminorm(
@@ -584,7 +658,7 @@ def loop_cone_split(u, decomp, m, p, s):
     u1.values = np.maximum(u1.values, 0.0)
     u2 = DiscreteFunction(dom, np.where(dom.inside, u1.values - u.values, 0.0),
                           u.boundary_policy)
-    overlap = cutoffs.overlap_count(dom, decomp, BETA_ENLARGE)
+    overlap = loop_overlap_count(dom, decomp, BETA_ENLARGE)
     window_mult = max(int(mult_low.max()), int(mult_top.max()))
     norm_u = sum(gradient_seminorm(u, k, p, wspec) for k in range(m + 1))
     nf = 0.0
@@ -639,8 +713,10 @@ def _clipped(dec, enlarge):
     windows against the cube-by-cube rule on the way."""
     dom = dec.domain
     n = 2**dom.level
-    assert _enlarged_slices(dom, dec, enlarge) == [
-        loop_enlarged_slice(dom, dec, i, enlarge) for i in range(dec.n_cubes)]
+    lo, hi = _enlarged_boxes(dom, dec, enlarge)
+    assert [tuple(map(slice, a, b)) for a, b in zip(lo.tolist(), hi.tolist())] \
+        == [loop_enlarged_slice(dom, dec, i, enlarge)
+            for i in range(dec.n_cubes)]
     for i in range(dec.n_cubes):
         center = loop_cube_center(dec, i)
         half = cube_side(dec, i) * enlarge / 2.0
@@ -716,7 +792,7 @@ def loop_constructive_bound(decomp, params, field, f, seed):
     r, q = params.r, params.q
     pcap = params.capacity_exponent()
     theta = params.theta_case()
-    single = (params.k == params.m - 1) and (theta or abs(params.p1 - pcap) < 1e-12)
+    single = params.k == params.m - 1
     pm = pcap
 
     flags = []
@@ -888,9 +964,12 @@ def test_array_assembly_matches_loop(name):
                 got["cube"], key)
     contributing = sum("beta" in row for row in per_cube)
     if name == "square6-B":
-        # k = m-1 with p1 = p != p0 takes the two-term route, where the
-        # norm-equivalence lemma needs m > k+1: every cube falls back
-        assert f"norm-equivalence-fallback:{contributing}" in rep.flags
+        # k = m-1 with p1 = p != p0 takes the one-term route of the field:
+        # no norm-equivalence lemma, no quasinorm split, no alpha term
+        assert not any(flag.startswith("norm-equivalence-fallback")
+                       for flag in rep.flags)
+        assert rep.factors["quasinorm_factor"] == 1.0
+        assert rep.factors["alpha_sup"] == 0.0
     if name == "square6-A-two-term":
         assert not any(flag.startswith("norm-equivalence-fallback")
                        for flag in rep.flags)
