@@ -34,6 +34,8 @@ projected normalized ascent with Armijo steps from eight seeded random
 starts and the caller's starts.  The Hölder-form chain constant enters as
 an l-infinity term of one stacked difference operator, and the p != 2
 Poincaré constant as a term behind the projection off the polynomials.
+Ratio terms carry each operator with its transpose, built once per solve,
+so no gradient evaluation builds a sparse matrix.
 """
 
 from __future__ import annotations
@@ -231,12 +233,13 @@ def gradient_norm_grad(u_flat: np.ndarray, ops, q: float, w):
 
     At q = inf the value is the square root of the largest aggregate (w is
     unused) and the gradient is that of the first anchor attaining it.
-    ops may hold any operator with `@` and `.T`."""
+    ops holds (mult, op, opT) triples with opT the transpose of op, taken
+    once per solve; op and opT may be any operators with `@`."""
     vs = []
     agg = None
-    for mult, op in ops:
+    for mult, op, opT in ops:
         v = op @ u_flat
-        vs.append((mult, op, v))
+        vs.append((mult, opT, v))
         term = mult * v * v
         agg = term if agg is None else agg + term
     if q == math.inf:
@@ -256,8 +259,8 @@ def gradient_norm_grad(u_flat: np.ndarray, ops, q: float, w):
         scale[pos] = agg[pos] ** (q / 2.0 - 1.0)
         w = w * scale
     grad = np.zeros_like(u_flat)
-    for mult, op, v in vs:
-        grad += mult * (op.T @ (w * v))
+    for mult, opT, v in vs:
+        grad += mult * (opT @ (w * v))
     if q != math.inf:
         grad *= val ** (1.0 - q)
     return val, grad
@@ -273,9 +276,16 @@ def lp_norm_grad(u_flat: np.ndarray, p: float, w):
     return val, grad
 
 
+def _with_transposes(ops):
+    """[(mult, op, op.T)] for [(mult, op)]: the operators of a ratio term
+    with their transposes, taken once where a solve builds its terms."""
+    return [(mult, op, op.T) for mult, op in ops]
+
+
 def _term_value_grad(u_flat: np.ndarray, term):
     """Value and gradient of one ratio term (ops, q, w): the weighted
-    gradient q-norm through ops, or the plain Lp norm when ops is None."""
+    gradient q-norm through the (mult, op, opT) triples ops, or the plain
+    Lp norm when ops is None."""
     ops, q, w = term
     if ops is None:
         return lp_norm_grad(u_flat, q, w)
@@ -284,7 +294,8 @@ def _term_value_grad(u_flat: np.ndarray, term):
 
 def _unit_term(m_cells: int, dim: int, order: int, q: float):
     """Ratio term for ||grad^order u||_q on the unit-cube lattice."""
-    ops = None if order == 0 else gradient_form_ops(m_cells, dim, order)
+    ops = None if order == 0 else _with_transposes(
+        gradient_form_ops(m_cells, dim, order))
     return ops, q, (1.0 / m_cells) ** dim
 
 
@@ -775,7 +786,8 @@ def holder_ratio_best_constant(constraints: ConstraintSet, grid_level: int,
     if kern is not None and kern_deg >= h_order + 1:
         return math.inf, 0.0, "kernel-element"
 
-    num = ([(1, _holder_operator(m_cells, dim, h_order, lam))], math.inf, 1.0)
+    op = _holder_operator(m_cells, dim, h_order, lam)
+    num = ([(1, op, op.T)], math.inf, 1.0)
     den = [_unit_term(m_cells, dim, o, q) for o, q in den_terms]
     best, res = _ratio_descent(zero, constraints.has_cone, seed, num, den,
                                starts=list(_poly_basis(m_cells, dim, 2).T),
@@ -785,19 +797,16 @@ def holder_ratio_best_constant(constraints: ConstraintSet, grid_level: int,
 
 class _PolyComplement:
     """u -> u - Q Q^T u for Q with orthonormal columns: the projection off
-    their span.  It is symmetric, so it is its own transpose.  A scipy
-    LinearOperator would do, but its argument checks cost 21-24% of a
-    Poincaré solve (best of 4, dims 1-3, 2-core x86 VM)."""
+    their span.  It is symmetric, so its ratio-term triple carries it as
+    its own transpose.  A scipy LinearOperator would do, but its argument
+    checks cost 21-24% of a Poincaré solve (best of 4, dims 1-3, 2-core
+    x86 VM)."""
 
     def __init__(self, Q: np.ndarray):
-        self.Q = Q
+        self.Q, self.QT = Q, Q.T
 
     def __matmul__(self, u):
-        return u - self.Q @ (self.Q.T @ u)
-
-    @property
-    def T(self):
-        return self
+        return u - self.Q @ (self.QT @ u)
 
 
 def poincare_constant(dim: int, order: int, p: float, p1: float,
@@ -821,8 +830,9 @@ def poincare_constant(dim: int, order: int, p: float, p1: float,
                                 eigvals_only=True)[-1]
         return math.sqrt(max(lam, 0.0))
 
+    proj = _PolyComplement(Qb)
     best, _ = _ratio_descent(np.zeros(n, dtype=bool), False, seed,
-                             ([(1, _PolyComplement(Qb))], p, hN),
+                             ([(1, proj, proj)], p, hN),
                              [_unit_term(m_cells, dim, order, p1)],
                              vanishing=0.0)
     return best

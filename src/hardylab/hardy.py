@@ -28,6 +28,7 @@ from .capacity import (
     _eigen_best_constant,
     _lobpcg_best_constant,
     _ratio_descent,
+    _with_transposes,
     gamma_capacity,
     gradient_form_ops,
     holder_ratio_best_constant,
@@ -675,7 +676,8 @@ def direct_best_constant(domain: GridDomain, params: HardyParams,
                                     w_low)[0]
 
     best, _ = _ratio_descent(np.zeros(len(w_low), dtype=bool), params.cone,
-                             seed, (None, p, w_low), [(ops, p, w_top)],
+                             seed, (None, p, w_low),
+                             [(_with_transposes(ops), p, w_top)],
                              max_iters=400)
     return best
 

@@ -11,7 +11,8 @@ from hardylab.capacity import (CapacityError, ConstraintSet, gamma_capacity,
                                quadratic_form, default_theta_a0,
                                poincare_constant, norm_equivalence_constant,
                                ratio_best_constant, gradient_form_ops, _ratio,
-                               holder_ratio_best_constant, _holder_operator)
+                               holder_ratio_best_constant, _holder_operator,
+                               _with_transposes)
 from hardylab.grids import DomainSpec, rasterize
 from hardylab.norms import DiscreteFunction, holder_quotient
 
@@ -211,9 +212,10 @@ def test_ratio_core_value_and_gradient(q, weighted):
     w = rng.uniform(0.5, 2.0, n) if weighted else (1.0 / m_cells) ** dim
     ops1 = gradient_form_ops(m_cells, dim, 1)
     ops2 = gradient_form_ops(m_cells, dim, 2)
-    num = (None, q, w) if q < math.inf else ([(1, sp.identity(n))], q, 1.0)
-    low = (ops1, q, w)
-    den = [(ops2, q, w), (ops1, 2.0, w)]
+    num = ((None, q, w) if q < math.inf
+           else (_with_transposes([(1, sp.identity(n))]), q, 1.0))
+    low = (_with_transposes(ops1), q, w)
+    den = [(_with_transposes(ops2), q, w), (_with_transposes(ops1), 2.0, w)]
     a0 = 0.01
 
     def dense_agg(u, ops):
@@ -295,6 +297,46 @@ def test_every_ascent_runs_on_the_ratio_core(monkeypatch):
         calls.clear()
         solve()
         assert calls, name
+
+
+class _CountedTranspose:
+    """A sparse operator that counts how often its transpose is taken."""
+
+    def __init__(self, op):
+        self.op = op
+        self.transposes = 0
+
+    def __matmul__(self, u):
+        return self.op @ u
+
+    @property
+    def T(self):
+        self.transposes += 1
+        return self.op.T
+
+
+def test_ascent_takes_each_transpose_once_per_solve(monkeypatch):
+    # the gradient evaluations of a p = 1.5 gamma ascent read the
+    # transposes its terms carry and take none of their own
+    from hardylab import capacity
+    form_ops, grad = capacity.gradient_form_ops, capacity.gradient_norm_grad
+    wrapped, evals = [], []
+
+    def counted_ops(*args):
+        ops = [(mult, _CountedTranspose(op)) for mult, op in form_ops(*args)]
+        wrapped.extend(op for _, op in ops)
+        return ops
+
+    def counted_grad(*args):
+        evals.append(1)
+        return grad(*args)
+
+    monkeypatch.setattr(capacity, "gradient_form_ops", counted_ops)
+    monkeypatch.setattr(capacity, "gradient_norm_grad", counted_grad)
+    res = gamma_capacity(slab_set(8, 2), 1, 0, 1.5, 1.5, 3)
+    assert res.solver == "descent"
+    assert len(evals) > 100
+    assert wrapped and all(op.transposes <= 1 for op in wrapped)
 
 
 @pytest.mark.parametrize("dim,level,width", [(2, 3, 2), (1, 9, 40)])

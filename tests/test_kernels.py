@@ -14,10 +14,10 @@ import pytest
 
 from hardylab.capacity import (CapacityError, ConstraintSet, _poly_basis,
                                _project, _sum_terms, _unit_term,
-                               canonical_keys, gradient_form_ops,
-                               gradient_norm_grad, holder_ratio_best_constant,
-                               lp_norm_grad, norm_equivalence_constant,
-                               poincare_constant)
+                               _with_transposes, canonical_keys,
+                               gradient_form_ops, gradient_norm_grad,
+                               holder_ratio_best_constant, lp_norm_grad,
+                               norm_equivalence_constant, poincare_constant)
 from hardylab.cone import (ALPHA_ENLARGE, BETA_ENLARGE, ConeSplit,
                            MajorantResult, _enlarged_boxes, _iterated_kernel,
                            cone_split, make_probe, overlap_count)
@@ -1036,7 +1036,7 @@ def loop_holder_best_constant(cs, grid_level, dim, h_order, lam, den_terms,
     shape = (m_cells,) * dim
     window = (slice(0, m_cells - h_order),) * dim
     zero = cs.zero_mask(shape).reshape(-1)
-    num_ops = gradient_form_ops(m_cells, dim, h_order)
+    num_ops = _with_transposes(gradient_form_ops(m_cells, dim, h_order))
     dens = [_unit_term(m_cells, dim, o, q) for o, q in den_terms]
     shifts = []
     for off in product(range(-2, 3), repeat=dim):
@@ -1046,7 +1046,7 @@ def loop_holder_best_constant(cs, grid_level, dim, h_order, lam, den_terms,
 
     def quotient(u):
         best = (0.0, None, 0, 0, 1.0, 1.0)
-        for _, op in num_ops:
+        for _, op, opT in num_ops:
             F = (op @ u).reshape(shape)[window]
             for off, dist_pow in shifts:
                 dst_sl, src_sl = [], []
@@ -1065,18 +1065,18 @@ def loop_holder_best_constant(cs, grid_level, dim, h_order, lam, den_terms,
                         tuple(l + s.start for l, s in zip(loc, dst_sl)), shape)
                     y_idx = np.ravel_multi_index(
                         tuple(l + s.start for l, s in zip(loc, src_sl)), shape)
-                    best = (abs(val), op, int(x_idx), int(y_idx),
+                    best = (abs(val), opT, int(x_idx), int(y_idx),
                             math.copysign(1.0, val), dist_pow)
         return best
 
     def objective(u):
-        val, op, xi, yi, sign, dist_pow = quotient(u)
-        if op is None:
+        val, opT, xi, yi, sign, dist_pow = quotient(u)
+        if opT is None:
             return 0.0, np.zeros_like(u)
-        e = np.zeros(op.shape[0])
+        e = np.zeros(opT.shape[1])
         e[xi] = sign / dist_pow
         e[yi] = -sign / dist_pow
-        gnum = op.T @ e
+        gnum = opT @ e
         den, gden = _sum_terms(u, dens)
         if den <= 1e-300:
             return math.inf, gnum
@@ -1092,7 +1092,7 @@ def loop_poincare_constant(dim, order, p, p1, grid_level, seed):
     m_cells = 2**grid_level
     hN = (1.0 / m_cells) ** dim
     Qb, _ = np.linalg.qr(_poly_basis(m_cells, dim, order - 1))
-    ops = gradient_form_ops(m_cells, dim, order)
+    ops = _with_transposes(gradient_form_ops(m_cells, dim, order))
 
     def objective(u):
         w = u - Qb @ (Qb.T @ u)
