@@ -98,18 +98,13 @@ class ConstraintSet:
             raise CapacityError("constraint mask shape does not match grid")
         return self.K
 
-    def canonical_key(self) -> bytes:
-        """Cache key invariant under the cube symmetry group."""
-        if self.K is None:
-            return self.kind.encode()
-        return canonical_keys(self.kind, self.K[None])[0]
-
 
 def canonical_keys(kind: str, masks: np.ndarray) -> list[bytes]:
-    """ConstraintSet(kind, K).canonical_key() for every mask K of a stack
-    (axis 0): the lexicographically least byte image of K under the
-    transposes and flips of the cube, kept as a running row-wise minimum
-    over the images of the whole stack, one image at a time."""
+    """Cache key, invariant under the cube symmetry group, of the class
+    ConstraintSet(kind, K) for every mask K of a stack (axis 0): the kind
+    and the lexicographically least byte image of K under the transposes
+    and flips of the cube, kept as a running row-wise minimum over the
+    images of the whole stack, one image at a time."""
     n, dim = len(masks), masks.ndim - 1
     best = None
     for perm in permutations(range(dim)):
@@ -557,20 +552,18 @@ def validate_exponents(dim, m, k, p, p1):
         raise CapacityError("need 0 <= k <= m-1")
     if p < 1:
         raise CapacityError("p must be >= 1")
+    if not p1 > 0:
+        raise CapacityError("p1 must be positive")
     if k == m - 1:
         return
     gap = (m - k - 1) * p
     if dim > gap:
         limit = dim * p / (dim - gap)
-        if not (0 < p1 <= limit + 1e-12):
+        if p1 > limit + 1e-12:
             raise CapacityError(
                 f"p1={p1} outside (0, {limit:.4g}] for N>(m-k-1)p")
-    elif dim == gap:
-        if not (0 < p1 < math.inf):
-            raise CapacityError("p1 must be finite and positive for N=(m-k-1)p")
-    else:
-        if not (0 < p1):
-            raise CapacityError("p1 must be positive")
+    elif dim == gap and p1 == math.inf:
+        raise CapacityError("p1 must be finite for N=(m-k-1)p")
 
 
 def gamma_capacity(constraints: ConstraintSet, m: int, k: int, p: float,

@@ -145,21 +145,26 @@ def cmd_dimloc(args) -> int:
 def cmd_capacity(args) -> int:
     m_cells = 2**args.grid_level
     if args.mask:
-        K = np.array([[ch == "1" for ch in row]
-                      for row in args.mask.split("/")], dtype=bool)
+        rows = args.mask.split("/")
+        if set("".join(rows)) - {"0", "1"} or len(set(map(len, rows))) != 1:
+            raise CapacityError("--mask must be equal-length rows of only "
+                                "'0'/'1' separated by '/'")
+        K = np.array([[ch == "1" for ch in row] for row in rows], dtype=bool)
     else:
         K = np.zeros((m_cells,) * args.dim, dtype=bool)
         K[tuple(slice(0, args.slab) if a == 0 else slice(None)
                 for a in range(args.dim))] = True
     kind = "zero-on-compact-and-nonnegative" if args.cone else "zero-on-compact"
     cs = ConstraintSet(kind, K)
+    p1 = args.p if args.p1 is None else args.p1
     if args.flavor == "gamma":
-        res = gamma_capacity(cs, args.m, args.k, args.p, args.p1 or args.p,
+        res = gamma_capacity(cs, args.m, args.k, args.p, p1,
                              args.grid_level, args.dim, args.seed)
     else:
-        a0 = args.A0 or default_theta_a0(args.dim, args.k,
-                                         args.p1 or args.p, args.grid_level)
-        res = theta_capacity(cs, args.m, args.k, args.p, args.p1 or args.p,
+        a0 = args.A0
+        if a0 is None:
+            a0 = default_theta_a0(args.dim, args.k, p1, args.grid_level)
+        res = theta_capacity(cs, args.m, args.k, args.p, p1,
                              a0, args.grid_level, args.dim, args.seed)
     emitter = _Emitter(args.out, "capacity")
     emitter.add_json("capacity-report.json",

@@ -124,7 +124,7 @@ class MajorantResult:
 
 def local_majorant(domain: GridDomain, block: np.ndarray, window: tuple,
                    cube_center: np.ndarray, cube_side: float, m: int,
-                   p: float, policy: str, spectra: dict) -> MajorantResult:
+                   p: float, spectra: dict) -> MajorantResult:
     """Nonnegative majorant of a cube-local piece via a positive kernel.
 
     block is the piece u_q on window, the cube's 16/9 box slice, and the
@@ -181,8 +181,8 @@ def local_majorant(domain: GridDomain, block: np.ndarray, window: tuple,
     defect_norm = float((defect**p).sum() * hN) ** (1.0 / p)
     v = v + defect
 
-    norm_u = sum(block_seminorms(domain, block, window, m, p, policy))
-    norm_v = sum(block_seminorms(domain, v, window, m, p, policy))
+    norm_u = sum(block_seminorms(domain, block, window, m, p))
+    norm_v = sum(block_seminorms(domain, v, window, m, p))
     factor = norm_v / norm_u if norm_u > 0 else 1.0
     return MajorantResult(v, factor, defect_norm, cond)
 
@@ -223,7 +223,7 @@ def finiteness_slope(u: DiscreteFunction, m: int, p: float, s: float) -> float |
     vals = u.values
     for ax in range(dom.dim):
         vals = np.repeat(vals, 2, axis=ax)
-    uf = DiscreteFunction(fine, vals, u.boundary_policy)
+    uf = DiscreteFunction(fine, vals)
     f0 = weighted_low_order_mass(u, m, p, s)
     f1 = weighted_low_order_mass(uf, m, p, s)
     if f0 <= 0:
@@ -257,7 +257,6 @@ def cone_split(u: DiscreteFunction, decomp: WhitneyDecomposition, m: int,
     w_field = wspec.field(dom)
     wlow_field = wlow.field(dom)
     spectra: dict = {}
-    policy = u.boundary_policy
 
     # global top-order anchor integrand |grad^m u|^p * delta^s * dx, summed
     # per cube over the anchor window of the 4/3 enlargement; window sums
@@ -267,10 +266,9 @@ def cone_split(u: DiscreteFunction, decomp: WhitneyDecomposition, m: int,
     wanch = _weight_on_anchors(w_field, widx)
     g_top = mag**p * wanch * hN
     low_field = np.abs(u.values) ** p * wlow_field * hN
-    pad = m if policy == "zero-extension" else 0
     lo43, hi43 = _enlarged_boxes(dom, decomp, ALPHA_ENLARGE)
     lo169, hi169 = _enlarged_boxes(dom, decomp, BETA_ENLARGE)
-    anchor_hi = np.minimum(hi43 + 2 * pad, g_top.shape)
+    anchor_hi = np.minimum(hi43 + 2 * m, g_top.shape)
     hit = np.zeros(decomp.n_cubes, dtype=bool)
 
     # the piece eta_Q*u lives on the 4/3 window (a) and its majorant on the
@@ -288,11 +286,10 @@ def cone_split(u: DiscreteFunction, decomp: WhitneyDecomposition, m: int,
         block = np.zeros(np.subtract(b_hi, b_lo))
         block[tuple(map(slice, np.subtract(a_lo, b_lo),
                         np.subtract(a_hi, b_lo)))] = piece
-        res = local_majorant(dom, block, sl169, center, side, m, p, policy,
-                             spectra)
+        res = local_majorant(dom, block, sl169, center, side, m, p, spectra)
         v[sl169] += res.values
         num = sum(x ** p for x in block_seminorms(dom, res.values, sl169, m,
-                                                  p, policy, w_field))
+                                                  p, w_field))
         local_low = float(low_field[sl43].sum())
         local_top = float(g_top[tuple(map(slice, a_lo, t_hi))].sum())
         denom = local_low + local_top
@@ -308,8 +305,8 @@ def cone_split(u: DiscreteFunction, decomp: WhitneyDecomposition, m: int,
             "condition": res.condition,
         })
 
-    u1 = DiscreteFunction(dom, v, u.boundary_policy)
-    u2 = DiscreteFunction(dom, v - u.values, u.boundary_policy)
+    u1 = DiscreteFunction(dom, v)
+    u2 = DiscreteFunction(dom, v - u.values)
     if (u1.values < -1e-12).any() or (u2.values < -1e-12).any():
         raise ConeError("majorant property failed (negative split part)")
     u1.values = np.maximum(u1.values, 0.0)

@@ -234,23 +234,6 @@ def distance_transform(domain: GridDomain) -> GridDomain:
     return domain
 
 
-def brute_force_distance(domain: GridDomain) -> np.ndarray:
-    """O(n^2) all-pairs distance oracle (testing only; includes the ring).
-
-    Scans every outside cell center for every inside cell and applies the
-    same interface offset as distance_transform.
-    """
-    h = domain.h
-    padded = domain.padded_inside()
-    coords = np.argwhere(~padded) - 1  # ring coords go to -1 / n
-    out = np.zeros_like(domain.distance)
-    inside_idx = np.argwhere(domain.inside)
-    for idx in inside_idx:
-        d2 = ((coords - idx) ** 2).sum(axis=1).min()
-        out[tuple(idx)] = max(math.sqrt(float(d2)) * h - 0.5 * h, 0.5 * h)
-    return out
-
-
 # -- built-in corpus geometry ------------------------------------------------
 
 
@@ -351,16 +334,6 @@ def read_ndgrid(path, expect_dim=None, expect_level=None) -> np.ndarray:
         raise DomainError(f"{path}: mask may contain only '0'/'1'")
     flat = np.array([ch == "1" for ch in bits], dtype=bool)
     return flat.reshape((n,) * ndim)
-
-
-def write_ndgrid(path, inside: np.ndarray) -> None:
-    level = int(round(math.log2(inside.shape[0])))
-    with open(path, "w") as fh:
-        fh.write(f"NDGRID v1 {inside.ndim} {level}\n")
-        flat = inside.reshape(-1)
-        for off in range(0, flat.size, 128):
-            fh.write("".join("1" if b else "0" for b in flat[off : off + 128]))
-            fh.write("\n")
 
 
 def read_ndfn(path) -> np.ndarray:

@@ -182,12 +182,6 @@ class LsWeightFunction:
         sprime = r / q
         return sprime / (sprime - 1.0)
 
-    @staticmethod
-    def equidistributed(n_cubes: int, params: HardyParams) -> "LsWeightFunction":
-        s_seq = LsWeightFunction.sequence_exponent(params)
-        c = n_cubes ** (-1.0 / s_seq)
-        return LsWeightFunction(np.full(n_cubes, c), s_seq)
-
 
 # -- per-cube capacities -------------------------------------------------------
 

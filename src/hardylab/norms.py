@@ -1,12 +1,11 @@
-"""Discrete differential operators, weighted norms, and Hölder quotients.
+"""Discrete differential operators, weighted norms, and the Hölder pair rule.
 
-Gradients are forward-difference tensors composed per coordinate.  With the
-zero-extension policy the stencils run over a lattice padded with virtual
-zeros, so boundary jumps of compactly supported functions contribute to the
-energy; with policy "none" only anchors whose full stencil stays inside the
-grid are evaluated.  The pointwise gradient magnitude |grad^j u| is the
-Euclidean length over all j-fold coordinate combinations (multinomial
-multiplicities on distinct multi-indices).
+Gradients are forward-difference tensors composed per coordinate.  The
+stencils run over a lattice padded with virtual zeros (zero extension), so
+boundary jumps of compactly supported functions contribute to the energy.
+The pointwise gradient magnitude |grad^j u| is the Euclidean length over all
+j-fold coordinate combinations (multinomial multiplicities on distinct
+multi-indices).
 """
 
 from __future__ import annotations
@@ -22,31 +21,19 @@ from .grids import GridDomain
 
 @dataclass
 class DiscreteFunction:
-    """Grid function tied to a domain raster.
-
-    boundary_policy "zero-extension" models the compactly supported class:
-    values are forced to zero on outside cells and the function continues by
-    zero beyond the box.
+    """Grid function tied to a domain raster, in the compactly supported
+    class: values are forced to zero on outside cells and the function
+    continues by zero beyond the box.
     """
 
     domain: GridDomain
     values: np.ndarray
-    boundary_policy: str = "zero-extension"
 
     def __post_init__(self):
         if self.values.shape != self.domain.shape:
             raise ValueError("values shape does not match domain grid")
-        if self.boundary_policy not in ("zero-extension", "none"):
-            raise ValueError("boundary_policy must be zero-extension or none")
-        self.values = np.asarray(self.values, dtype=float)
-        if self.boundary_policy == "zero-extension":
-            self.values = np.where(self.domain.inside, self.values, 0.0)
-
-    @staticmethod
-    def from_callable(domain: GridDomain, fn, boundary_policy="zero-extension"):
-        grids = domain.center_grid()
-        return DiscreteFunction(domain, np.asarray(fn(*grids), dtype=float),
-                                boundary_policy)
+        self.values = np.where(self.domain.inside,
+                               np.asarray(self.values, dtype=float), 0.0)
 
 
 @dataclass
@@ -100,12 +87,10 @@ def difference_fields(u: DiscreteFunction, order: int):
     from (clipped at the box for virtual anchors).
     """
     dom = u.domain
-    return _differences(u.values, order, dom.h, u.boundary_policy,
-                        (0,) * dom.dim, dom.shape[0])
+    return _differences(u.values, order, dom.h, (0,) * dom.dim, dom.shape[0])
 
 
-def _differences(values: np.ndarray, order: int, h: float, policy: str,
-                 start, n: int):
+def _differences(values: np.ndarray, order: int, h: float, start, n: int):
     """Array core of difference_fields for a block of an n^dim grid whose
     first cell sits at index start[a] on axis a; the weight index is in
     whole-grid cells.  With the full grid as the block this is
@@ -114,16 +99,9 @@ def _differences(values: np.ndarray, order: int, h: float, policy: str,
     if j == 0:
         idx = [np.arange(s, s + k) for s, k in zip(start, values.shape)]
         return {(0,) * values.ndim: values.copy()}, idx
-    if policy == "zero-extension":
-        base = np.zeros(tuple(k + 2 * j for k in values.shape),
-                        dtype=values.dtype)
-        base[(slice(j, -j),) * values.ndim] = values
-        out = [k + j for k in values.shape]
-        offset = -j
-    else:
-        base = values
-        out = [k - j for k in values.shape]
-        offset = 0
+    base = np.zeros(tuple(k + 2 * j for k in values.shape), dtype=values.dtype)
+    base[(slice(j, -j),) * values.ndim] = values
+    out = [k + j for k in values.shape]
     fields = {}
     for alpha in multi_indices(values.ndim, j):
         f = base
@@ -132,7 +110,7 @@ def _differences(values: np.ndarray, order: int, h: float, policy: str,
                 f = np.diff(f, axis=ax)
         f = f[tuple(slice(0, o) for o in out)]
         fields[alpha] = f / h**j
-    widx = [np.minimum(np.maximum(np.arange(o) + offset + s, 0), n - 1)
+    widx = [np.minimum(np.maximum(np.arange(o) - j + s, 0), n - 1)
             for o, s in zip(out, start)]
     return fields, widx
 
@@ -173,8 +151,7 @@ def gradient_seminorm(u: DiscreteFunction, order: int, p: float,
 
 
 def block_seminorms(domain: GridDomain, block: np.ndarray, sl, m: int,
-                    p: float, boundary_policy: str = "zero-extension",
-                    weight: np.ndarray | None = None) -> list[float]:
+                    p: float, weight: np.ndarray | None = None) -> list[float]:
     """gradient_seminorm for orders 0..m of the function equal to block on
     the box slice sl and zero elsewhere (masked to the domain like a
     DiscreteFunction), evaluated on sl grown by m cells.
@@ -188,77 +165,17 @@ def block_seminorms(domain: GridDomain, block: np.ndarray, sl, m: int,
     vals = np.zeros(tuple(g.stop - g.start for g in grown))
     vals[tuple(slice(s.start - g.start, s.stop - g.start)
                for s, g in zip(sl, grown))] = block
-    if boundary_policy == "zero-extension":
-        vals = np.where(domain.inside[grown], vals, 0.0)
+    vals = np.where(domain.inside[grown], vals, 0.0)
     start = tuple(g.start for g in grown)
     hN = domain.h**domain.dim
     out = []
     for k in range(m + 1):
-        fields, widx = _differences(vals, k, domain.h, boundary_policy,
-                                    start, n)
+        fields, widx = _differences(vals, k, domain.h, start, n)
         terms = _magnitude(fields) ** p
         if weight is not None:
             terms = terms * _weight_on_anchors(weight, widx)
         out.append(float(terms.sum() * hN) ** (1.0 / p))
     return out
-
-
-def sobolev_norm(u: DiscreteFunction, m: int, p: float,
-                 convention: str = "lp-of-gradients",
-                 w: WeightSpec = UNIT_WEIGHT) -> float:
-    """Sum over orders k <= m of the k-th gradient norm.
-
-    "lp-of-gradients" aggregates multi-indices pointwise in l2 before the
-    L^p integral; "sum-of-seminorms" sums the individual L^p seminorms of
-    every distinct multi-index.
-    """
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    if convention not in ("lp-of-gradients", "sum-of-seminorms"):
-        raise ValueError("unknown norm convention")
-    dom = u.domain
-    hN = dom.h**dom.dim
-    total = 0.0
-    for k in range(m + 1):
-        if convention == "lp-of-gradients":
-            total += gradient_seminorm(u, k, p, w)
-        else:
-            fields, widx = difference_fields(u, k)
-            wfield = _weight_on_anchors(w.field(dom), widx)
-            for alpha, f in fields.items():
-                total += float((np.abs(f) ** p * wfield).sum() * hN) ** (1.0 / p)
-    return total
-
-
-def holder_quotient(u: DiscreteFunction, h_order: int, lam: float,
-                    w: WeightSpec = UNIT_WEIGHT) -> float:
-    """Pointwise Hölder quotient, grid form.
-
-    sup over inside anchors x, distinct |alpha| = h_order, and the pairs
-    (x, y) of `_holder_pairs` of |D^a u(x) - D^a u(y)| / |x-y|^lam * weight(x).
-    The limsup of the continuum definition is replaced by this finite-
-    neighborhood sup, with y up to HOLDER_RADIUS_CELLS cells from x.
-    """
-    if not (0.0 < lam <= 1.0):
-        raise ValueError("lambda must lie in (0, 1]")
-    dom = u.domain
-    fields, widx = difference_fields(u, h_order)
-    wfield = _weight_on_anchors(w.field(dom), widx).reshape(-1)
-    inside_anchor = (_weight_on_anchors(dom.inside.astype(float), widx)
-                     > 0.5).reshape(-1)
-    shape = next(iter(fields.values())).shape
-    pairs = list(_holder_pairs(shape))
-    best = 0.0
-    for f in fields.values():
-        f = f.reshape(-1)
-        for x, y, dist_cells in pairs:
-            mask = inside_anchor[x]
-            if not mask.any():
-                continue
-            dist = dist_cells * dom.h
-            q = np.abs(f[x] - f[y]) / dist**lam * wfield[x]
-            best = max(best, float(q[mask].max()))
-    return best
 
 
 def _pair_views(arr: np.ndarray, off):

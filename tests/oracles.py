@@ -1,0 +1,78 @@
+"""Reference computations the tests compare the package against: the
+all-pairs boundary distance and the pointwise grid Hölder quotient, each
+written as a plain scan, the difference fields at the anchors whose
+stencil stays inside the box, and the equidistributed cube weights."""
+
+import math
+
+import numpy as np
+
+from hardylab.hardy import LsWeightFunction
+from hardylab.norms import (UNIT_WEIGHT, _holder_pairs, _weight_on_anchors,
+                            difference_fields)
+
+
+def brute_force_distance(domain):
+    """O(n^2) all-pairs distance oracle (includes the ring).
+
+    Scans every outside cell center for every inside cell and applies the
+    same interface offset as grids.distance_transform.
+    """
+    h = domain.h
+    padded = domain.padded_inside()
+    coords = np.argwhere(~padded) - 1  # ring coords go to -1 / n
+    out = np.zeros_like(domain.distance)
+    inside_idx = np.argwhere(domain.inside)
+    for idx in inside_idx:
+        d2 = ((coords - idx) ** 2).sum(axis=1).min()
+        out[tuple(idx)] = max(math.sqrt(float(d2)) * h - 0.5 * h, 0.5 * h)
+    return out
+
+
+def interior_fields(u, order):
+    """difference_fields at the anchors whose order-j stencil reads only
+    cells of the box, the anchors j..n-1 on every axis: the fields of u
+    without its zero extension beyond the box."""
+    fields, widx = difference_fields(u, order)
+    window = (slice(order, u.domain.shape[0]),) * u.domain.dim
+    return ({alpha: f[window] for alpha, f in fields.items()},
+            [idx[order:] for idx in widx])
+
+
+def holder_quotient(u, h_order, lam, w=UNIT_WEIGHT, interior=False):
+    """Pointwise Hölder quotient, grid form.
+
+    sup over inside anchors x, distinct |alpha| = h_order, and the pairs
+    (x, y) of `norms._holder_pairs` of |D^a u(x) - D^a u(y)| / |x-y|^lam *
+    weight(x).  The limsup of the continuum definition is replaced by this
+    finite-neighborhood sup, with y up to HOLDER_RADIUS_CELLS cells from x.
+    interior=True reads only the anchors of interior_fields.
+    """
+    if not (0.0 < lam <= 1.0):
+        raise ValueError("lambda must lie in (0, 1]")
+    dom = u.domain
+    fields, widx = (interior_fields if interior else difference_fields)(
+        u, h_order)
+    wfield = _weight_on_anchors(w.field(dom), widx).reshape(-1)
+    inside_anchor = (_weight_on_anchors(dom.inside.astype(float), widx)
+                     > 0.5).reshape(-1)
+    shape = next(iter(fields.values())).shape
+    pairs = list(_holder_pairs(shape))
+    best = 0.0
+    for f in fields.values():
+        f = f.reshape(-1)
+        for x, y, dist_cells in pairs:
+            mask = inside_anchor[x]
+            if not mask.any():
+                continue
+            dist = dist_cells * dom.h
+            q = np.abs(f[x] - f[y]) / dist**lam * wfield[x]
+            best = max(best, float(q[mask].max()))
+    return best
+
+
+def equidistributed(n_cubes, params):
+    """The cube weights f(Q) = n^(-1/s), equal on every cube, with unit l^s
+    norm (s the sequence exponent of params)."""
+    s_seq = LsWeightFunction.sequence_exponent(params)
+    return LsWeightFunction(np.full(n_cubes, n_cubes ** (-1.0 / s_seq)), s_seq)

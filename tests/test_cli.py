@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from hardylab import cli
 from hardylab.grids import DomainSpec, rasterize, write_ndfn, read_ndfn
@@ -67,6 +68,26 @@ def test_capacity_command(tmp_path):
     assert code == 0
     rep = json.loads((tmp_path / "capacity-report.json").read_text())
     assert rep["capacity"] > 0
+
+
+@pytest.mark.parametrize("extra,message", [
+    (["--flavor", "theta", "--k", 0, "--A0", 0], "A0 must be positive"),
+    (["--m", 2, "--k", 0, "--p1", 0], "p1 must be positive"),
+    (["--k", 0, "--p1", 0], "p1 must be positive"),
+    (["--k", 0, "--mask", "11x1/0000/0000/0000"], "only '0'/'1'"),
+    (["--k", 0, "--mask", "1111/000/0000/0000"], "equal-length rows"),
+], ids=["A0-zero", "p1-zero", "p1-zero-top-order", "mask-char",
+        "mask-ragged"])
+def test_capacity_explicit_inputs_are_not_replaced(tmp_path, capsys, extra,
+                                                   message):
+    # an explicit 0 is an input, not a missing option
+    args = ["capacity", "--m", 1, "--p", 2, "--grid-level", 2,
+            "--out", tmp_path / "sub"] + extra
+    assert run(args) == 2
+    record = json.loads(capsys.readouterr().out)
+    assert record["kind"] == "CapacityError"
+    assert message in record["error"]
+    assert not (tmp_path / "sub").exists()
 
 
 def test_bound_and_percube_csv(tmp_path):

@@ -48,8 +48,7 @@ def _majorant(dom, vals, side, p=2.0):
     outside[window] = False
     assert not vals[outside].any()
     block = vals[window]
-    return block, local_majorant(dom, block, window, center, side, 1, p,
-                                 "zero-extension", {})
+    return block, local_majorant(dom, block, window, center, side, 1, p, {})
 
 
 def test_local_majorant_nonnegative_input(square6):

@@ -9,10 +9,11 @@ from hardylab.capacity import CapacityError
 from hardylab.grids import DomainSpec, GridDomain, distance_transform, rasterize
 from hardylab.whitney import decompose
 from hardylab.norms import DiscreteFunction, WeightSpec, gradient_seminorm
-from hardylab.hardy import (HardyError, HardyParams, LsWeightFunction,
-                            weight_exponents, per_cube_capacity_field,
-                            constructive_bound, direct_best_constant,
-                            case_e_shift, corollary_619_check)
+from hardylab.hardy import (HardyError, HardyParams, weight_exponents,
+                            per_cube_capacity_field, constructive_bound,
+                            direct_best_constant, case_e_shift,
+                            corollary_619_check)
+from oracles import equidistributed, holder_quotient
 
 
 @pytest.fixture(scope="module")
@@ -146,15 +147,14 @@ def test_f_branch_continuity(interval8):
     dom, dec = interval8
     # q slightly below p needs f; the constant approaches the q = p value
     params_lo = HardyParams(m=1, k=0, p=2.0, p1=2.0, q=1.9, s=-1.0, case="A")
-    f = LsWeightFunction.equidistributed(dec.n_cubes, params_lo)
+    f = equidistributed(dec.n_cubes, params_lo)
     rep_lo = constructive_bound(dec, params_lo, f=f, grid_level=4)
     rep_eq = constructive_bound(dec, HardyParams(m=1, k=0, p=2.0, q=2.0,
                                                  s=-1.0, case="A"),
                                 grid_level=4)
     assert rep_lo.constant_A == pytest.approx(rep_eq.constant_A, rel=0.25)
     with pytest.raises(HardyError):
-        LsWeightFunction.equidistributed(dec.n_cubes,
-                                         HardyParams(m=1, q=2.0, s=-1.0))
+        equidistributed(dec.n_cubes, HardyParams(m=1, q=2.0, s=-1.0))
 
 
 def test_capacity_degenerate_flagged(interval8):
@@ -375,7 +375,6 @@ def test_constant_monotone_under_complement_growth():
 
 
 def test_holder_form_bound_sound_on_probes(interval8):
-    from hardylab.norms import holder_quotient
     dom, dec = interval8
     params = HardyParams(m=1, k=0, p=2.0, s=-1.0, lam=0.4,
                          form="holder-6.23", case="A")

@@ -25,13 +25,14 @@ from hardylab.norms import (DiscreteFunction, WeightSpec, gradient_magnitude,
                             gradient_seminorm, _weight_on_anchors)
 from hardylab.grids import (DomainSpec, GridDomain, distance_transform,
                             rasterize, _koch_polygon, _points_in_polygon)
-from hardylab.hardy import (HardyParams, LsWeightFunction, _case_sigma,
-                            _constraint_classes, _largest_cube_side,
-                            _projection_condition, constructive_bound,
-                            per_cube_capacity_field, weight_exponents)
+from hardylab.hardy import (HardyParams, _case_sigma, _constraint_classes,
+                            _largest_cube_side, _projection_condition,
+                            constructive_bound, per_cube_capacity_field,
+                            weight_exponents)
 from hardylab.whitney import (WhitneyError, WhitneyDecomposition,
                               box_scatter, check_decomposition, decompose,
                               intersection_cutoff, packing_constant)
+from oracles import equidistributed
 
 
 # -- oracles: the loops the kernels replace --------------------------------------
@@ -308,17 +309,16 @@ def test_box_scatter_matches_slice_adds_on_cone_windows(kind, dim, level):
             == loop_overlap_count(dom, dec, enlarge)
     lo, hi = _enlarged_boxes(dom, dec, ALPHA_ENLARGE)
     anchors_clipped = False
-    for policy, m in (("none", 2), ("zero-extension", 1), ("zero-extension", 2)):
-        pad = m if policy == "zero-extension" else 0
+    for m in (1, 2):
         shape = gradient_magnitude(
-            DiscreteFunction(dom, np.zeros(dom.shape), policy), m)[0].shape
+            DiscreteFunction(dom, np.zeros(dom.shape)), m)[0].shape
         slices = [loop_anchor_window(
-            loop_enlarged_slice(dom, dec, i, ALPHA_ENLARGE), pad, shape)
+            loop_enlarged_slice(dom, dec, i, ALPHA_ENLARGE), m, shape)
             for i in range(dec.n_cubes)]
-        anchors_clipped |= (hi + 2 * pad > np.array(shape)).any()
+        anchors_clipped |= (hi + 2 * m > np.array(shape)).any()
         assert_scatter_matches_slice_adds(
             shape, slices,
-            lambda v: box_scatter(shape, lo, np.minimum(hi + 2 * pad, shape), v),
+            lambda v: box_scatter(shape, lo, np.minimum(hi + 2 * m, shape), v),
             rng)
     assert anchors_clipped
 
@@ -398,12 +398,12 @@ def loop_cube_constraint(dec, i, grid_level, cone):
 
 
 def loop_classes(dec, grid_level, cone):
-    """Classes keyed by canonical_key, cube by cube, in first-cube order."""
+    """Classes keyed by canonical key, cube by cube, in first-cube order."""
     index: dict[bytes, int] = {}
     reps, cls = [], []
     for i in range(dec.n_cubes):
         cs = loop_cube_constraint(dec, i, grid_level, cone)
-        key = cs.canonical_key()
+        key = canonical_keys(cs.kind, cs.K[None])[0]
         if key not in index:
             index[key] = len(reps)
             reps.append(cs)
@@ -509,13 +509,12 @@ def test_canonical_keys_match_image_loop(shape):
     for kind in ("zero-on-compact", "zero-on-compact-and-nonnegative"):
         sets = [ConstraintSet(kind, K) for K in masks]
         want = [loop_canonical_key(cs) for cs in sets]
-        assert [cs.canonical_key() for cs in sets] == want
+        assert [canonical_keys(kind, K[None])[0] for K in masks] == want
         assert canonical_keys(kind, np.stack(masks)) == want
     # images of one mask share its key
-    cs = ConstraintSet("zero-on-compact", slab)
-    assert ConstraintSet("zero-on-compact",
-                         np.flip(slab, axis=0)).canonical_key() \
-        == cs.canonical_key()
+    key, flipped = canonical_keys("zero-on-compact",
+                                  np.stack([slab, np.flip(slab, axis=0)]))
+    assert key == flipped
 
 
 # -- window-local cone split -------------------------------------------------------
@@ -576,7 +575,7 @@ def loop_local_majorant(u_q, m, p, cube_side, cube_center):
         return sum(gradient_seminorm(f, k, p) for k in range(m + 1))
 
     norm_u = sobolev(u_q)
-    norm_v = sobolev(DiscreteFunction(dom, v, u_q.boundary_policy))
+    norm_v = sobolev(DiscreteFunction(dom, v))
     factor = norm_v / norm_u if norm_u > 0 else 1.0
     return MajorantResult(v, factor, defect_norm, cond)
 
@@ -596,9 +595,8 @@ def loop_enlarged_slice(dom, dec, i, enlarge):
 
 
 def loop_anchor_window(sl43, pad, shape):
-    """The anchors of the differences of order pad (0 without zero
-    extension) reading the cells of a 4/3 window, on an anchor grid of the
-    given shape."""
+    """The anchors of the differences of order pad reading the cells of a
+    4/3 window, on an anchor grid of the given shape."""
     return tuple(slice(max(a.start, 0), min(a.stop + 2 * pad, shape[ax]))
                  for ax, a in enumerate(sl43))
 
@@ -623,7 +621,6 @@ def loop_cone_split(u, decomp, m, p, s):
     g_top = mag**p * _weight_on_anchors(wspec.field(dom), widx) * hN
     low_field = (np.abs(u.values) ** p
                  * WeightSpec(exponent=s - m * p).field(dom) * hN)
-    pad = m if u.boundary_policy == "zero-extension" else 0
     mult_top = np.zeros(g_top.shape, dtype=np.int32)
     mult_low = np.zeros(dom.shape, dtype=np.int32)
     for i in range(decomp.n_cubes):
@@ -632,16 +629,15 @@ def loop_cone_split(u, decomp, m, p, s):
         u_q_vals = loop_cutoff(dom, center, side) * u.values
         if not u_q_vals.any():
             continue
-        u_q = DiscreteFunction(dom, u_q_vals, u.boundary_policy)
+        u_q = DiscreteFunction(dom, u_q_vals)
         res = loop_local_majorant(u_q, m, p, side, center)
         v += res.values
         sl43 = loop_enlarged_slice(dom, decomp, i, ALPHA_ENLARGE)
-        awin = loop_anchor_window(sl43, pad, g_top.shape)
+        awin = loop_anchor_window(sl43, m, g_top.shape)
         mult_low[sl43] += 1
         mult_top[awin] += 1
-        num = sum(gradient_seminorm(
-            DiscreteFunction(dom, res.values, u.boundary_policy), k, p, wspec
-        ) ** p for k in range(m + 1))
+        num = sum(gradient_seminorm(DiscreteFunction(dom, res.values), k, p,
+                                    wspec) ** p for k in range(m + 1))
         denom = float(low_field[sl43].sum()) + float(g_top[awin].sum())
         rho = num / denom if denom > 0 else 0.0
         sup_rho = max(sup_rho, rho)
@@ -654,10 +650,9 @@ def loop_cone_split(u, decomp, m, p, s):
             "defect": res.defect_norm,
             "condition": res.condition,
         })
-    u1 = DiscreteFunction(dom, v, u.boundary_policy)
+    u1 = DiscreteFunction(dom, v)
     u1.values = np.maximum(u1.values, 0.0)
-    u2 = DiscreteFunction(dom, np.where(dom.inside, u1.values - u.values, 0.0),
-                          u.boundary_policy)
+    u2 = DiscreteFunction(dom, np.where(dom.inside, u1.values - u.values, 0.0))
     overlap = loop_overlap_count(dom, decomp, BETA_ENLARGE)
     window_mult = max(int(mult_low.max()), int(mult_top.max()))
     norm_u = sum(gradient_seminorm(u, k, p, wspec) for k in range(m + 1))
@@ -742,20 +737,15 @@ def test_windowed_split_matches_loop_square(square6_split, m, p, s):
     assert_split_matches_loop(make_probe(dom, 3), dec, m, p, s)
 
 
-@pytest.mark.parametrize("kind,dim,level,policy,m,margin", [
-    ("square", 2, 6, "none", 2, 2),
-    ("halfspace", 2, 6, "none", 1, 2),
-    ("halfspace", 2, 6, "zero-extension", 2, 2),
-    ("cube-minus-compact", 3, 4, "zero-extension", 1, 2),
-    ("cube-minus-compact", 3, 4, "none", 2, 4),
+@pytest.mark.parametrize("kind,dim,level,m", [
+    ("halfspace", 2, 6, 2),
+    ("cube-minus-compact", 3, 4, 1),
 ])
-def test_windowed_split_matches_loop_policies(kind, dim, level, policy, m,
-                                              margin):
+def test_windowed_split_matches_loop_domains(kind, dim, level, m):
     dom = rasterize(DomainSpec(kind=kind, dim=dim, level=level))
     dec = decompose(dom)
     assert _clipped(dec, BETA_ENLARGE)
-    u = DiscreteFunction(dom, make_probe(dom, 7, margin_cells=margin).values,
-                         policy)
+    u = make_probe(dom, 7, margin_cells=2)
     split = assert_split_matches_loop(u, dec, m, 2.0, 0.0)
     assert split.per_cube_log
 
@@ -945,8 +935,7 @@ def test_array_assembly_matches_loop(name):
     dec = decompose(rasterize(DomainSpec(**spec)))
     params = HardyParams(**dict(dict(p=2.0), **overrides))
     field = per_cube_capacity_field(dec, params, grid_level, seed=0)
-    f = (LsWeightFunction.equidistributed(dec.n_cubes, params) if with_f
-         else None)
+    f = equidistributed(dec.n_cubes, params) if with_f else None
     rep = constructive_bound(dec, params, f=f, field=field,
                              grid_level=grid_level, seed=0)
     constant_A, factors, flags, per_cube = loop_constructive_bound(
