@@ -10,6 +10,13 @@ Capacity = best_constant^-p, with capacity 0 when the constant is unbounded
 (a nonzero polynomial of degree <= k is admissible) and +inf when the
 admissible set is trivial ("saturated").
 
+`gamma_capacity`, `theta_capacity`, `ratio_best_constant` and
+`holder_ratio_best_constant` are adapters of one constrained-ratio solve,
+`_solve`.  It alone tests saturation (an all-zero mask), applies the one
+unboundedness rule (`_unbounded_witness`: an admissible polynomial below
+the denominator's lowest order with a positive numerator), and chooses
+between the eigensolve and the ascent.
+
 For p = p1 = 2 without cone constraints the best constant is the smallest
 generalized eigenvalue of the constrained quadratic forms, solved on a
 ladder (timings on a 2-core x86 VM, one BLAS thread):
@@ -44,7 +51,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import chain, permutations, product
 
 import numpy as np
 import scipy.linalg
@@ -325,30 +332,40 @@ def _null_space(B: np.ndarray, zero: np.ndarray) -> np.ndarray:
     return vt[rank:].T
 
 
-def admissible_kernel_element(constraints: ConstraintSet, m_cells: int,
-                              dim: int, degree: int) -> np.ndarray | None:
-    """A nonzero degree-<=degree polynomial in the admissible set, if any.
+def _unbounded_witness(constraints: ConstraintSet, m_cells: int, dim: int,
+                       degrees, num, low, a0: float) -> np.ndarray | None:
+    """An admissible polynomial P with num(P) - a0 low(P) > 0, if one is
+    found, scaled to max |P| = 1; None otherwise.
 
-    For cone kinds the element must additionally be sign-definite on the
-    grid (checked on the nullspace basis vectors; a conservative test).
-    """
-    if degree < 0:
-        return None
-    B = _poly_basis(m_cells, dim, degree)
-    null = _null_space(B, constraints.zero_mask((m_cells,) * dim).reshape(-1))
-    if null.shape[1] == 0:
-        return None
-    for i in range(null.shape[1]):
-        cand = B @ null[:, i]
-        if np.abs(cand).max() < 1e-12:
+    The candidates are the null-space basis vectors of the admissible
+    polynomials of each degree in `degrees` (ascending), then 64 d seeded
+    combinations of the last degree's d basis vectors.  For cone kinds a
+    candidate must be sign-definite on the grid, and is taken nonnegative.
+    A polynomial of degree below the denominator's lowest order kills the
+    denominator, so such a witness makes the ratio unbounded."""
+    zero = constraints.zero_mask((m_cells,) * dim).reshape(-1)
+    basis = np.zeros((m_cells**dim, 0))
+    vectors = []
+    for degree in degrees:
+        B = _poly_basis(m_cells, dim, degree)
+        basis = B @ _null_space(B, zero)
+        vectors += list(basis.T)
+    rng = np.random.default_rng(12345)
+    d = basis.shape[1]
+    combos = (basis @ rng.standard_normal(d) for _ in range(64 * d))
+    for P in chain(vectors, combos):
+        if np.abs(P).max() < 1e-12:
             continue
-        if constraints.has_cone:
-            if (cand >= -1e-10).all():
-                return cand
-            if (cand <= 1e-10).all():
-                return -cand
-        else:
-            return cand
+        if constraints.has_cone and not (P >= -1e-10).all():
+            if not (P <= 1e-10).all():
+                continue
+            P = -P
+        P = P / np.abs(P).max()
+        val = _term_value_grad(P, num)[0]
+        if low is not None:
+            val -= a0 * _term_value_grad(P, low)[0]
+        if val > 1e-10:
+            return P
     return None
 
 
@@ -385,34 +402,32 @@ def _eigen_best_constant(S: sp.csr_matrix, free: np.ndarray,
     # an all-free solve (the direct estimate) factors S without a copy
     Sf = (S if n == len(free) else S[idx][:, idx]).tocsc()
     Mf = sp.diags(np.broadcast_to(w, free.shape)[idx]).tocsc()
-    if n <= DENSE_EIGH_CUTOFF:
-        lam, vec = scipy.linalg.eigh(Sf.toarray(), Mf.toarray(),
-                                     subset_by_index=[0, 0])
-        # dense re-solve residual is below fp noise; report 0
-        return math.sqrt(1.0 / max(lam[0], 1e-300)), 0.0, vec[:, 0]
-    try:
-        lu = spla.splu(Sf, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                       options=dict(SymmetricMode=True))
-        OPinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
-        v0 = np.ones(n) / math.sqrt(n)  # deterministic Lanczos start
-        lam, vec = spla.eigsh(Sf, k=1, M=Mf, sigma=0.0, which="LM", v0=v0,
-                              OPinv=OPinv)
-        lam = float(lam[0])
-        v = vec[:, 0]
-        res = float(np.linalg.norm(Sf @ v - lam * (Mf @ v)) /
-                    max(np.linalg.norm(Mf @ v), 1e-300))
-        return math.sqrt(1.0 / max(lam, 1e-300)), res, v
-    except RuntimeError as exc:
-        # ARPACK did not converge, or SuperLU found the matrix singular;
-        # anything else is a fault and propagates.
-        if not (isinstance(exc, spla.ArpackNoConvergence)
-                or "singular" in str(exc)):
-            raise
-        if n <= DENSE_EIGH_LIMIT:
-            lam, vec = scipy.linalg.eigh(Sf.toarray(), Mf.toarray(),
-                                         subset_by_index=[0, 0])
-            return math.sqrt(1.0 / max(lam[0], 1e-300)), 0.0, vec[:, 0]
-        raise CapacityError(f"eigensolve failed: {exc}") from exc
+    if n > DENSE_EIGH_CUTOFF:
+        try:
+            lu = spla.splu(Sf, permc_spec="MMD_AT_PLUS_A",
+                           diag_pivot_thresh=0.0,
+                           options=dict(SymmetricMode=True))
+            OPinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
+            v0 = np.ones(n) / math.sqrt(n)  # deterministic Lanczos start
+            lam, vec = spla.eigsh(Sf, k=1, M=Mf, sigma=0.0, which="LM",
+                                  v0=v0, OPinv=OPinv)
+            lam = float(lam[0])
+            v = vec[:, 0]
+            res = float(np.linalg.norm(Sf @ v - lam * (Mf @ v)) /
+                        max(np.linalg.norm(Mf @ v), 1e-300))
+            return math.sqrt(1.0 / max(lam, 1e-300)), res, v
+        except RuntimeError as exc:
+            # ARPACK did not converge, or SuperLU found the matrix singular;
+            # anything else is a fault and propagates.
+            if not (isinstance(exc, spla.ArpackNoConvergence)
+                    or "singular" in str(exc)):
+                raise
+            if n > DENSE_EIGH_LIMIT:
+                raise CapacityError(f"eigensolve failed: {exc}") from exc
+    lam, vec = scipy.linalg.eigh(Sf.toarray(), Mf.toarray(),
+                                 subset_by_index=[0, 0])
+    # dense re-solve residual is below fp noise; report 0
+    return math.sqrt(1.0 / max(lam[0], 1e-300)), 0.0, vec[:, 0]
 
 
 def _lobpcg_best_constant(S: sp.spmatrix, w: float | np.ndarray):
@@ -566,45 +581,96 @@ def validate_exponents(dim, m, k, p, p1):
         raise CapacityError("p1 must be finite for N=(m-k-1)p")
 
 
+def _solve(constraints: ConstraintSet, grid_level: int, dim: int, num,
+           den_terms, seed: int, a0: float, poly_degree: int | None,
+           max_iters: int):
+    """The one constrained-ratio solve behind the capacity entry points:
+    sup (num(u) - a0 ||grad^o u||_q) / sum of the other den_terms over the
+    admissible class, where (o, q) = den_terms[0] moves to the numerator
+    when a0 > 0 (a0 = 0: every (order, q) of den_terms is below).  num is
+    a ratio term.
+
+    - An all-zero mask is saturated: (0, 0, "saturated", "saturated").
+    - An admissible polynomial below the lowest order of the terms below
+      (and, with a0 > 0, below the moved order first) with a positive
+      numerator (_unbounded_witness) makes the ratio unbounded:
+      (inf, 0, "kernel-element", note), note "kernel-element" when the
+      witness also kills the moved term, "A0-too-small" otherwise.
+    - An all-quadratic cone-free ratio is one eigensolve of the summed
+      forms; with a0 > 0 its maximiser is a start of the ascent.
+    - Otherwise _ratio_descent runs from the starts and the polynomials to
+      degree poly_degree (None: none), max_iters steps per start; past the
+      witness search a vanishing denominator counts as 0 when a0 > 0.
+
+    Returns (best, residual, solver, note)."""
+    m_cells = 2**grid_level
+    hN = (1.0 / m_cells) ** dim
+    zero = constraints.zero_mask((m_cells,) * dim).reshape(-1)
+    if zero.all():
+        return 0.0, 0.0, "saturated", "saturated"
+    fixed = a0 > 0.0
+    below = den_terms[1:] if fixed else den_terms
+    low = _unit_term(m_cells, dim, *den_terms[0]) if fixed else None
+    degrees = {min(o for o, _ in below) - 1}
+    if fixed:
+        degrees.add(den_terms[0][0] - 1)
+    witness = _unbounded_witness(constraints, m_cells, dim,
+                                 sorted(d for d in degrees if d >= 0),
+                                 num, low, a0)
+    if witness is not None:
+        killed = low is None or _term_value_grad(witness, low)[0] < 1e-8
+        return (math.inf, 0.0, "kernel-element",
+                "kernel-element" if killed else "A0-too-small")
+
+    starts = []
+    if num[0] is None and not constraints.has_cone and all(
+            abs(q - 2) < 1e-12 for q in [num[1]] + [q for _, q in den_terms]):
+        S = None
+        for order, _ in den_terms:
+            term = quadratic_form(m_cells, dim, order)
+            S = term if S is None else S + term
+        best, res, vec = _eigen_best_constant(S, ~zero, hN)
+        if not fixed:
+            return best, res, "eigen-exact", ""
+        u0 = np.zeros(len(zero))
+        u0[~zero] = vec
+        starts.append(u0)
+    if poly_degree is not None:
+        starts += list(_poly_basis(m_cells, dim, poly_degree).T)
+    den = [_unit_term(m_cells, dim, o, q) for o, q in below]
+    best, res = _ratio_descent(zero, constraints.has_cone, seed, num, den,
+                               low=low, a0=a0,
+                               vanishing=0.0 if fixed else math.inf,
+                               starts=starts, max_iters=max_iters)
+    return best, res, "descent", ""
+
+
+def _capacity_result(flavor, m, k, p, p1, A0, grid_level, dim, seed, best,
+                     res, solver, note, clamp_note) -> CapacityResult:
+    """CapacityResult of a solve: capacity best^-p, +inf when no value is
+    positive (note clamp_note unless the solve set one), 0 when unbounded."""
+    if best <= 0:
+        note = note or clamp_note
+    return CapacityResult(
+        flavor=flavor, m=m, k=k, p=p, p1=p1, alpha_A0=A0, best_constant=best,
+        capacity=best ** (-p) if best > 0 else math.inf, solver=solver,
+        residual=res, grid_level=grid_level, dim=dim, seed=seed, note=note)
+
+
 def gamma_capacity(constraints: ConstraintSet, m: int, k: int, p: float,
                    p1: float, grid_level: int, dim: int = 2,
                    seed: int = 0) -> CapacityResult:
     """Best-constant capacity for the two-seminorm-sum Poincaré inequality."""
     validate_exponents(dim, m, k, p, p1)
-    m_cells = 2**grid_level
-    hN = (1.0 / m_cells) ** dim
-    zero = constraints.zero_mask((m_cells,) * dim).reshape(-1)
-
-    def result(best, cap, solver, res, note=""):
-        return CapacityResult(
-            flavor="gamma", m=m, k=k, p=p, p1=p1, alpha_A0=0.0,
-            best_constant=best, capacity=cap, solver=solver, residual=res,
-            grid_level=grid_level, dim=dim, seed=seed, note=note)
-
-    if zero.all():
-        return result(0.0, math.inf, "eigen-exact", 0.0, note="saturated")
-    kern = admissible_kernel_element(constraints, m_cells, dim, k)
-    if kern is not None:
-        return result(math.inf, 0.0, "eigen-exact", 0.0, note="kernel-element")
-
     single = k + 1 == m and abs(p1 - p) < 1e-12
-    if abs(p - 2) < 1e-12 and (single or abs(p1 - 2) < 1e-12) \
-            and not constraints.has_cone:
-        S = quadratic_form(m_cells, dim, m)
-        if not single:
-            S = S + quadratic_form(m_cells, dim, k + 1)
-        best, res, _ = _eigen_best_constant(S, ~zero, hN)
-        return result(best, best ** (-p), "eigen-exact", res)
-
-    orders = [(m, p)] if single else [(k + 1, p1), (m, p)]
-    den = [_unit_term(m_cells, dim, o, q) for o, q in orders]
-    poly_starts = list(_poly_basis(m_cells, dim, min(k + 1, 3)).T)
-    best, res = _ratio_descent(zero, constraints.has_cone, seed,
-                               _unit_term(m_cells, dim, 0, p), den,
-                               starts=poly_starts)
-    if best <= 0:
-        return result(0.0, math.inf, "descent", res, note="saturated")
-    return result(best, best ** (-p), "descent", res)
+    den = [(m, p)] if single else [(k + 1, p1), (m, p)]
+    best, res, solver, note = _solve(
+        constraints, grid_level, dim, _unit_term(2**grid_level, dim, 0, p),
+        den, seed, 0.0, min(k + 1, 3), 300)
+    # saturated and unbounded classes report the exact solver
+    solver = "descent" if solver == "descent" else "eigen-exact"
+    return _capacity_result("gamma", m, k, p, p1, 0.0, grid_level, dim, seed,
+                            best, res, solver, note, "saturated")
 
 
 def theta_capacity(constraints: ConstraintSet, m: int, k: int, p: float,
@@ -614,75 +680,11 @@ def theta_capacity(constraints: ConstraintSet, m: int, k: int, p: float,
     validate_exponents(dim, m, k, p, p1)
     if A0 <= 0:
         raise CapacityError("A0 must be positive")
-    m_cells = 2**grid_level
-    hN = (1.0 / m_cells) ** dim
-    shape = (m_cells,) * dim
-    zero = constraints.zero_mask(shape).reshape(-1)
-    n = m_cells**dim
-
-    def result(best, cap, solver, res, note=""):
-        return CapacityResult(
-            flavor="theta", m=m, k=k, p=p, p1=p1, alpha_A0=A0,
-            best_constant=best, capacity=cap, solver=solver, residual=res,
-            grid_level=grid_level, dim=dim, seed=seed, note=note)
-
-    if zero.all():
-        return result(0.0, math.inf, "descent", 0.0, note="saturated")
-    kern = admissible_kernel_element(constraints, m_cells, dim, k)
-    if kern is not None:
-        return result(math.inf, 0.0, "descent", 0.0, note="kernel-element")
-    viol = _a0_violation(constraints, m_cells, dim, m, k, p, p1, A0, hN)
-    if viol:
-        return result(math.inf, 0.0, "descent", 0.0, note="A0-too-small")
-
-    starts = []
-    if abs(p - 2) < 1e-12 and abs(p1 - 2) < 1e-12 and not constraints.has_cone:
-        # start from the maximiser of the matching quadratic ratio
-        S = quadratic_form(m_cells, dim, m) + quadratic_form(m_cells, dim, k + 1)
-        _, _, vec = _eigen_best_constant(S, ~zero, hN)
-        u0 = np.zeros(n)
-        u0[~zero] = vec
-        starts.append(u0)
-    best, res = _ratio_descent(
-        zero, constraints.has_cone, seed, _unit_term(m_cells, dim, 0, p),
-        [_unit_term(m_cells, dim, m, p)],
-        low=_unit_term(m_cells, dim, k + 1, p1), a0=A0, vanishing=0.0,
-        starts=starts)
-    if best <= 0:
-        return result(0.0, math.inf, "descent", res, note="numerator-clamped")
-    return result(best, best ** (-p), "descent", res)
-
-
-def _a0_violation(constraints, m_cells, dim, m, k, p, p1, A0, hN) -> bool:
-    """True when some admissible polynomial of degree <= m-1 has
-    ||P||_p > A0 ||grad^(k+1) P||_p1 with grad^m P = 0 (sup unbounded)."""
-    B = _poly_basis(m_cells, dim, m - 1)
-    null = _null_space(B, constraints.zero_mask((m_cells,) * dim).reshape(-1))
-    if null.shape[1] == 0:
-        return False
-    basis = B @ null  # admissible polynomial space, columns
-    ops_low = gradient_form_ops(m_cells, dim, k + 1)
-    d = basis.shape[1]
-    rng = np.random.default_rng(12345)
-    best = 0.0
-    for trial in range(64 * d):
-        c = rng.standard_normal(d)
-        P = basis @ c
-        if constraints.has_cone:
-            if (P < -1e-10).any():
-                if (P > 1e-10).any():
-                    continue
-                P = -P
-        nrm = np.linalg.norm(P)
-        if nrm < 1e-12:
-            continue
-        P /= nrm
-        num = float((np.abs(P) ** p).sum() * hN) ** (1.0 / p)
-        low = gradient_norm_value(P, ops_low, p1, hN)
-        if low < 1e-14:
-            continue  # degree <= k: handled by kernel detection
-        best = max(best, num / low)
-    return best > A0
+    best, res, _, note = _solve(
+        constraints, grid_level, dim, _unit_term(2**grid_level, dim, 0, p),
+        [(k + 1, p1), (m, p)], seed, A0, None, 300)
+    return _capacity_result("theta", m, k, p, p1, A0, grid_level, dim, seed,
+                            best, res, "descent", note, "numerator-clamped")
 
 
 def ratio_best_constant(constraints: ConstraintSet, grid_level: int, dim: int,
@@ -696,46 +698,14 @@ def ratio_best_constant(constraints: ConstraintSet, grid_level: int, dim: int,
     moved to the numerator as -a0*||.|| (clamped at zero) and the remaining
     terms stay below.
 
-    Returns (best, residual, solver).  Uses the inverse-power eigensolve when
-    everything is quadratic and cone-free, projected ascent otherwise.
+    Returns (best, residual, solver) of _solve, its solver label
+    "saturated" or "kernel-element" for the classes it does not solve.
     """
-    m_cells = 2**grid_level
-    hN = (1.0 / m_cells) ** dim
-    zero = constraints.zero_mask((m_cells,) * dim).reshape(-1)
-    if zero.all():
-        return 0.0, 0.0, "saturated"
-    num_order, num_q = num_spec
-    num = _unit_term(m_cells, dim, num_order, num_q)
-    terms = [_unit_term(m_cells, dim, o, q) for o, q in den_terms]
-    low, den = (terms[0], terms[1:]) if a0 > 0.0 else (None, terms)
-
-    # unbounded ratio: an admissible polynomial kills the denominator
-    true_den = den_terms[1:] if a0 > 0.0 else den_terms
-    kern_deg = min(o for o, _ in true_den) - 1
-    kern = admissible_kernel_element(constraints, m_cells, dim, kern_deg)
-    if kern is not None:
-        kern = kern / max(np.abs(kern).max(), 1e-300)
-        nval = _term_value_grad(kern, num)[0]
-        if low is not None:
-            nval -= a0 * _term_value_grad(kern, low)[0]
-        if nval > 1e-10:
-            return math.inf, 0.0, "kernel-element"
-
-    all_quadratic = (abs(num_q - 2) < 1e-12 and a0 == 0.0
-                     and all(abs(q - 2) < 1e-12 for _, q in den_terms)
-                     and num_order == 0 and not constraints.has_cone)
-    if all_quadratic:
-        S = None
-        for order, _ in den_terms:
-            term = quadratic_form(m_cells, dim, order)
-            S = term if S is None else S + term
-        best, res, _ = _eigen_best_constant(S, ~zero, hN)
-        return best, res, "eigen-exact"
-
-    best, res = _ratio_descent(zero, constraints.has_cone, seed, num, den,
-                               low=low, a0=a0,
-                               starts=list(_poly_basis(m_cells, dim, 2).T))
-    return best, res, "descent"
+    best, res, solver, _ = _solve(
+        constraints, grid_level, dim,
+        _unit_term(2**grid_level, dim, *num_spec), den_terms, seed, a0, 2,
+        300)
+    return best, res, solver
 
 
 def _holder_operator(m_cells: int, dim: int, h_order: int,
@@ -770,22 +740,11 @@ def holder_ratio_best_constant(constraints: ConstraintSet, grid_level: int,
     ratio-core ascent is a projected subgradient ascent; it runs
     HOLDER_MAX_ITERS steps per start.  Returns (best, residual, solver).
     """
-    m_cells = 2**grid_level
-    zero = constraints.zero_mask((m_cells,) * dim).reshape(-1)
-    if zero.all():
-        return 0.0, 0.0, "saturated"
-    kern_deg = min(o for o, _ in den_terms) - 1
-    kern = admissible_kernel_element(constraints, m_cells, dim, kern_deg)
-    if kern is not None and kern_deg >= h_order + 1:
-        return math.inf, 0.0, "kernel-element"
-
-    op = _holder_operator(m_cells, dim, h_order, lam)
-    num = ([(1, op, op.T)], math.inf, 1.0)
-    den = [_unit_term(m_cells, dim, o, q) for o, q in den_terms]
-    best, res = _ratio_descent(zero, constraints.has_cone, seed, num, den,
-                               starts=list(_poly_basis(m_cells, dim, 2).T),
-                               max_iters=HOLDER_MAX_ITERS)
-    return best, res, "descent"
+    op = _holder_operator(2**grid_level, dim, h_order, lam)
+    best, res, solver, _ = _solve(
+        constraints, grid_level, dim, ([(1, op, op.T)], math.inf, 1.0),
+        den_terms, seed, 0.0, 2, HOLDER_MAX_ITERS)
+    return best, res, solver
 
 
 class _PolyComplement:

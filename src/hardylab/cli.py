@@ -266,10 +266,7 @@ def cmd_cone_split(args) -> int:
     split = cone_split(u, dec, args.m, args.p, args.s)
     emitter = _Emitter(args.out, "cone-split")
     emitter.add_json("cone-report.json", {
-        "seed": args.seed, "spec": _spec_record(dom),
-        "norm_factor": split.norm_factor, "factors": split.factors,
-        "per_cube_log": split.per_cube_log,
-    })
+        "seed": args.seed, "spec": _spec_record(dom), **split.to_record()})
     emitter.add_text("u1.fn", ndfn_text(split.u1.values))
     emitter.add_text("u2.fn", ndfn_text(split.u2.values))
     emitter.flush()

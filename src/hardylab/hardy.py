@@ -89,6 +89,9 @@ class HardyParams:
             raise HardyError("need m >= 1 and 0 <= k <= m-1")
         if self.p < 1:
             raise HardyError("p must be >= 1")
+        for name in ("p1", "q"):
+            if not getattr(self, name) > 0:
+                raise HardyError(f"{name} must be positive")
 
     @property
     def r(self) -> float:
@@ -288,30 +291,27 @@ def per_cube_capacity_field(decomp: WhitneyDecomposition, params: HardyParams,
         A0 = default_theta_a0(dom.dim, k_eff, p1_eff, grid_level)
     c2_floor = THETA_C2_FLOOR_FRACTION * A0 if theta else 0.0
 
-    den_terms = [(params.m, pcap)] if single else [(k_eff + 1, p1_eff),
-                                                   (params.m, pcap)]
+    # chain denominators; theta moves the first term up, scaled by A0
+    a0 = A0 if theta else 0.0
+    den_terms = [(params.m, pcap)] if single and not theta else [
+        (k_eff + 1, p1_eff), (params.m, pcap)]
 
     def solve(cs: ConstraintSet):
         if theta:
             rep = theta_capacity(cs, params.m, k_eff, pcap, p1_eff, A0,
                                  grid_level, dom.dim, seed)
-            if abs(params.q - pcap) < 1e-12:
-                return rep, rep.best_constant
-            chain, _, _ = ratio_best_constant(
-                cs, grid_level, dom.dim, (0, params.q),
-                [(k_eff + 1, p1_eff), (params.m, pcap)], seed, a0=A0)
-            return rep, chain
-        rep = gamma_capacity(cs, params.m, k_eff, pcap, p1_eff,
-                             grid_level, dom.dim, seed)
+        else:
+            rep = gamma_capacity(cs, params.m, k_eff, pcap, p1_eff,
+                                 grid_level, dom.dim, seed)
         if holder:
             chain, _, _ = holder_ratio_best_constant(
                 cs, grid_level, dom.dim, params.h_order, params.lam,
                 den_terms, seed)
-            return rep, chain
-        if abs(params.q - pcap) < 1e-12:
-            return rep, rep.best_constant
-        chain, _, _ = ratio_best_constant(
-            cs, grid_level, dom.dim, (0, params.q), den_terms, seed)
+        elif abs(params.q - pcap) < 1e-12:
+            chain = rep.best_constant
+        else:
+            chain, _, _ = ratio_best_constant(
+                cs, grid_level, dom.dim, (0, params.q), den_terms, seed, a0)
         return rep, chain
 
     # one solve per congruence class, in class order
@@ -681,8 +681,7 @@ def direct_best_constant(domain: GridDomain, params: HardyParams,
 
 def _case_a_lower_order_constant(decomp: WhitneyDecomposition,
                                  params: HardyParams, beta: float,
-                                 grid_level: int, seed: int,
-                                 cap_cache: dict) -> float:
+                                 percube: np.ndarray) -> float:
     """Constant A~(beta) of the lower-order sum bound at weight -beta:
 
         sum_{k<m} (int |grad^k u|^p delta^(-beta-(m-k)p))^(1/p)
@@ -697,20 +696,15 @@ def _case_a_lower_order_constant(decomp: WhitneyDecomposition,
     (one WhitneyDecomposition.rq_scatter per order), whose maximum
     certifies the summed inequality without the generic packing constant
     (the feasibility exponent is extracted from measured constants, so
-    looseness here would push s0 below grid scale).
+    looseness here would push s0 below grid scale).  percube[:, k] is each
+    cube's beta-independent constant of ||grad^k u|| <= C ||grad^m u|| on
+    its rescaled complement class.
     """
     dom = decomp.domain
-    dim, m, p = dom.dim, params.m, params.p
+    m, p = params.m, params.p
     clamp = 0.5 * dom.h
     delta_b = np.where(dom.inside, np.maximum(dom.distance, clamp), 0.0) ** beta
 
-    if "percube" not in cap_cache:
-        reps, cls = _constraint_classes(decomp, grid_level, params.cone)
-        per_class = np.array([[ratio_best_constant(cs, grid_level, dim, (k, p),
-                                                   [(m, p)], seed)[0]
-                               for k in range(m)] for cs in reps])
-        cap_cache["percube"] = per_class[cls]
-    percube = cap_cache["percube"]   # (cubes, m)
     if not np.isfinite(percube).all():
         return math.inf
 
@@ -799,11 +793,13 @@ def case_e_shift(decomp: WhitneyDecomposition, params: HardyParams,
             capacity_floor=b, flags=["no-positive-s0"],
             params=report_params, s0=0.0)
 
-    cap_cache: dict = {}
+    reps, cls = _constraint_classes(decomp, grid_level, params.cone)
+    percube = np.array([[ratio_best_constant(cs, grid_level, dom.dim, (k, p),
+                                             [(params.m, p)], seed)[0]
+                         for k in range(params.m)] for cs in reps])[cls]
 
     def feasible(beta):
-        a_tilde = _case_a_lower_order_constant(
-            decomp, params, beta, grid_level, seed, cap_cache)
+        a_tilde = _case_a_lower_order_constant(decomp, params, beta, percube)
         if not math.isfinite(a_tilde):
             return False, a_tilde, math.inf
         a_dd = _commutator_norm(decomp, params, beta, seed)

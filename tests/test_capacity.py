@@ -6,12 +6,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from hardylab.capacity import (CapacityError, ConstraintSet, gamma_capacity,
-                               admissible_kernel_element,
                                theta_capacity, dense_best_constant,
                                quadratic_form, default_theta_a0,
                                poincare_constant, norm_equivalence_constant,
                                ratio_best_constant, gradient_form_ops, _ratio,
                                holder_ratio_best_constant, _holder_operator,
+                               _unbounded_witness, _unit_term,
                                _with_transposes)
 from hardylab.grids import DomainSpec, rasterize
 from hardylab.norms import DiscreteFunction
@@ -96,13 +96,17 @@ def test_kernel_detection_with_few_zero_cells(zero_cells):
     K = np.zeros((8, 8), dtype=bool)
     for cell in zero_cells:
         K[cell] = True
-    kern = admissible_kernel_element(ConstraintSet("zero-on-compact", K),
-                                     8, 2, 1)
+    cs = ConstraintSet("zero-on-compact", K)
+    kern = _unbounded_witness(cs, 8, 2, [1], _unit_term(8, 2, 0, 2.0), None,
+                              0.0)
+    r = gamma_capacity(cs, 2, 1, 2.0, 2.0, 3, 2)
     if len(zero_cells) < 3:
         assert np.abs(kern).max() > 1e-6
         assert np.abs(kern.reshape(8, 8)[K]).max() < 1e-12
+        assert r.best_constant == math.inf and r.note == "kernel-element"
     else:
         assert kern is None
+        assert 0 < r.best_constant < math.inf and r.note == ""
 
 
 def test_cone_kernel_detection():
@@ -120,6 +124,31 @@ def test_theta_against_gamma_slab():
     t2 = theta_capacity(cs, 1, 0, 2.0, 2.0, 0.1, 4, 2, seed=2)
     assert 0 < t2.best_constant < math.inf
     assert t2.capacity == pytest.approx(t2.best_constant ** -2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("m,k,p", [(1, 0, 2.0), (2, 1, 1.5), (3, 1, 1.5)],
+                         ids=["eigen", "descent-single", "descent-two-term"])
+def test_gamma_is_the_ratio_solve(m, k, p):
+    # gamma and the general ratio run the one solve: with k + 1 = 2 both
+    # start from the polynomials to degree 2, so the values agree bit for bit
+    cs = slab_set(16, 3, dim=1)
+    g = gamma_capacity(cs, m, k, p, p, 4, 1, seed=1)
+    den = [(m, p)] if k + 1 == m else [(k + 1, p), (m, p)]
+    best, res, solver = ratio_best_constant(cs, 4, 1, (0, p), den, seed=1)
+    assert (g.best_constant, g.residual, g.solver) == (best, res, solver)
+    assert solver == ("eigen-exact" if p == 2.0 else "descent")
+
+
+@pytest.mark.parametrize("dim,width", [(1, 3), (2, 2), (2, 5)])
+def test_merged_theta_is_gamma_minus_a0(dim, width):
+    # with k = m-1 and p1 = p = 2 the theta ratio is (||u|| - A0 ||grad u||)
+    # / ||grad u||, so its best constant is max(C_gamma - A0, 0)
+    cs = slab_set(16, width, dim)
+    gamma = gamma_capacity(cs, 1, 0, 2.0, 2.0, 4, dim).best_constant
+    for A0 in (0.1, 0.25):
+        theta = theta_capacity(cs, 1, 0, 2.0, 2.0, A0, 4, dim, seed=1)
+        assert theta.best_constant == pytest.approx(max(gamma - A0, 0.0),
+                                                    rel=1e-9, abs=1e-12)
 
 
 def test_theta_cone_constrains_sup():
@@ -449,8 +478,8 @@ A0_MASKS = {
 
 @pytest.mark.parametrize("name", sorted(A0_MASKS))
 def test_a0_violation_verdict_with_reduced_svd(monkeypatch, name):
-    # full matrices only for a wide zero-cell block; the verdict matches an
-    # always-full SVD on wide, tall and empty masks
+    # full matrices only for a wide zero-cell block; the theta verdict
+    # matches an always-full SVD on wide, tall and empty masks
     from hardylab import capacity
 
     K = np.zeros((8, 8), dtype=bool)
@@ -461,22 +490,29 @@ def test_a0_violation_verdict_with_reduced_svd(monkeypatch, name):
     svd = np.linalg.svd
 
     def verdicts():
-        return [capacity._a0_violation(cs, 8, 2, 2, 0, 2.0, 2.0, A0, 1 / 64)
-                for A0 in (1e-3, 1e3)]
+        # the note of an unbounded ratio, None for a bounded one
+        return [r.note if r.best_constant == math.inf else None
+                for r in (capacity.theta_capacity(cs, 2, 0, 2.0, 2.0, A0, 3, 2)
+                          for A0 in (1e-3, 1e3))]
 
     flags = []
 
     def spy(a, full_matrices=True, **kwargs):
-        flags.append(full_matrices)
+        flags.append((full_matrices, a.shape[0] < a.shape[1]))
         return svd(a, full_matrices=full_matrices, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", spy)
     reduced = verdicts()
-    assert flags == [len(A0_MASKS[name]) < 3] * (2 if K.any() else 0)
+    # one block per degree searched (0, then 1), the degree-1 block is wide
+    # below three zero cells
+    wide = len(A0_MASKS[name]) < 3
+    assert flags == ([(False, False), (wide, wide)] * 2 if K.any() else [])
     monkeypatch.setattr(np.linalg, "svd",
                         lambda a, full_matrices=True, **kw:
                         svd(a, full_matrices=True, **kw))
     assert reduced == verdicts()
-    # a small A0 is violated by any admissible non-constant linear function
-    assert reduced == ([False, False] if name == "tall-pinned"
-                       else [True, False])
+    # constants are admissible only on the empty mask; otherwise a small A0
+    # is violated by any admissible non-constant linear function
+    assert reduced == {"tall-pinned": [None, None],
+                       "empty": ["kernel-element"] * 2}.get(
+                           name, ["A0-too-small", None])

@@ -90,6 +90,22 @@ def test_capacity_explicit_inputs_are_not_replaced(tmp_path, capsys, extra,
     assert not (tmp_path / "sub").exists()
 
 
+@pytest.mark.parametrize("extra,message", [
+    (["--m", 2, "--k", 1, "--p1", 0], "p1 must be positive"),
+    (["--m", 1, "--q", -1, "--form", "holder-6.23", "--h-order", 0,
+      "--lam", 0.25, "--grid-level", 3], "q must be positive"),
+], ids=["p1-zero", "q-negative"])
+def test_bound_rejects_nonpositive_exponents(tmp_path, capsys, extra,
+                                             message):
+    args = ["bound", "--domain", '{"kind":"interval","dim":1,"level":6}',
+            "--p", 2, "--s", -1, "--out", tmp_path / "sub"] + extra
+    assert run(args) == 2
+    record = json.loads(capsys.readouterr().out)
+    assert record["kind"] == "HardyError"
+    assert message in record["error"]
+    assert not (tmp_path / "sub").exists()
+
+
 def test_bound_and_percube_csv(tmp_path):
     code = run(["bound", "--domain", INTERVAL, "--case", "A", "--m", 1,
                 "--p", 2, "--q", 2, "--s", -1, "--out", tmp_path,

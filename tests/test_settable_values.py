@@ -12,7 +12,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 FILES = sorted((ROOT / "src" / "hardylab").glob("*.py"))
-SETTABLE_CEILING = 93
+SETTABLE_CEILING = 91
 
 
 def _is_dataclass(node):
