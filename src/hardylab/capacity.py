@@ -42,7 +42,14 @@ starts and the caller's starts.  The Hölder-form chain constant enters as
 an l-infinity term of one stacked difference operator, and the p != 2
 Poincaré constant as a term behind the projection off the polynomials.
 Ratio terms carry each operator with its transpose, built once per solve,
-so no gradient evaluation builds a sparse matrix.
+so no gradient evaluation builds a sparse matrix.  Both are `_Matvec`
+handles on the operator's CSR arrays: `@` calls scipy's `csr_matvec` (the
+transpose `csc_matvec` on the same three arrays) into a fresh zero vector,
+as scipy's own product does once its argument checks pass.  Every product
+has the same bits, without scipy's per-call dispatch, which dominates on
+the 64- and 256-entry lattices of the per-cube solves (a first-order
+operator on 64 entries: 7.6 us per scipy product, 3.1 us per handle
+product, 2-core x86 VM).
 """
 
 from __future__ import annotations
@@ -57,6 +64,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse import _sparsetools
 
 from .norms import _holder_pairs, multi_indices, multinomial
 
@@ -192,6 +200,14 @@ def _alpha_operator(m_cells: int, alpha: tuple[int, ...], h: float) -> sp.csr_ma
     return (op / h ** sum(alpha)).tocsr()
 
 
+def check_grid_level(grid_level: int, order: int) -> None:
+    """Raise CapacityError unless the 2**grid_level unit-cube lattice
+    carries order-`order` differences: grid_level >= 0 and more cells per
+    axis than the order."""
+    if grid_level < 0 or 2**grid_level <= order:
+        raise CapacityError("grid too coarse for the requested gradient order")
+
+
 def gradient_form_ops(m_cells: int, dim: int, order: int,
                       h: float | None = None):
     """[(multinomial weight, sparse operator)] for |grad^order u| aggregation
@@ -236,14 +252,21 @@ def gradient_norm_grad(u_flat: np.ndarray, ops, q: float, w):
     At q = inf the value is the square root of the largest aggregate (w is
     unused) and the gradient is that of the first anchor attaining it.
     ops holds (mult, op, opT) triples with opT the transpose of op, taken
-    once per solve; op and opT may be any operators with `@`."""
+    once per solve; op and opT may be any operators with `@`.
+
+    Accumulators start as 0.0 + their first term (what adding it to zeros
+    gives, -0.0 included) and add the rest in place, so the bits are those
+    of the zeros-then-add form."""
     vs = []
     agg = None
     for mult, op, opT in ops:
         v = op @ u_flat
         vs.append((mult, opT, v))
         term = mult * v * v
-        agg = term if agg is None else agg + term
+        if agg is None:
+            agg = term
+        else:
+            agg += term
     if q == math.inf:
         top = int(np.argmax(agg))
         val = math.sqrt(agg[top])
@@ -252,17 +275,21 @@ def gradient_norm_grad(u_flat: np.ndarray, ops, q: float, w):
     if val <= 0:
         return 0.0, np.zeros_like(u_flat)
     if q == math.inf:
-        w = np.zeros_like(agg)
+        w = np.zeros(len(agg))
         w[top] = 1.0 / val
     elif q != 2.0:
         # zero where the aggregate vanishes (the q < 2 power is infinite there)
         pos = agg > 0
-        scale = np.zeros_like(agg)
+        scale = np.zeros(len(agg))
         scale[pos] = agg[pos] ** (q / 2.0 - 1.0)
         w = w * scale
-    grad = np.zeros_like(u_flat)
+    grad = None
     for mult, opT, v in vs:
-        grad += mult * (opT @ (w * v))
+        t = mult * (opT @ (w * v))
+        if grad is None:
+            grad = 0.0 + t
+        else:
+            grad += t
     if q != math.inf:
         grad *= val ** (1.0 - q)
     return val, grad
@@ -274,14 +301,45 @@ def lp_norm_grad(u_flat: np.ndarray, p: float, w):
     val = float((absu**p * w).sum()) ** (1.0 / p)
     if val <= 0:
         return 0.0, np.zeros_like(u_flat)
-    grad = w * absu ** (p - 1.0) * np.sign(u_flat) * val ** (1.0 - p)
+    grad = w * absu ** (p - 1.0)
+    grad *= np.sign(u_flat)
+    grad *= val ** (1.0 - p)
     return val, grad
 
 
+class _Matvec:
+    """y = A x for a CSR matrix A (`transpose`: y = A^T x), by the kernel
+    scipy's own product calls once its argument checks pass: `csr_matvec`
+    (`csc_matvec` on the same three arrays for A^T) into a fresh zero
+    vector, so every product has the bits of `A @ x` (or `A.T @ x`)."""
+
+    __slots__ = ("shape", "_in_shape", "_kernel", "_rows", "_cols",
+                 "_indptr", "_indices", "_data")
+
+    def __init__(self, A, transpose: bool):
+        A = A.tocsr()
+        self._rows, self._cols = A.shape[::-1] if transpose else A.shape
+        self.shape = (self._rows, self._cols)
+        self._in_shape = (self._cols,)
+        self._kernel = (_sparsetools.csc_matvec if transpose
+                        else _sparsetools.csr_matvec)
+        self._indptr, self._indices, self._data = A.indptr, A.indices, A.data
+
+    def __matmul__(self, x):
+        if x.shape != self._in_shape:
+            raise ValueError(f"matvec: {self.shape} operator, "
+                             f"{x.shape} vector")
+        y = np.zeros(self._rows)
+        self._kernel(self._rows, self._cols, self._indptr, self._indices,
+                     self._data, x, y)
+        return y
+
+
 def _with_transposes(ops):
-    """[(mult, op, op.T)] for [(mult, op)]: the operators of a ratio term
-    with their transposes, taken once where a solve builds its terms."""
-    return [(mult, op, op.T) for mult, op in ops]
+    """[(mult, A, A^T)] for [(mult, sparse A)]: the operators of a ratio
+    term and their transposes as `_Matvec` handles on the same arrays,
+    taken once where a solve builds its terms."""
+    return [(mult, _Matvec(op, False), _Matvec(op, True)) for mult, op in ops]
 
 
 def _term_value_grad(u_flat: np.ndarray, term):
@@ -479,12 +537,16 @@ def _project(u, zero_flat, cone):
 
 
 def _sum_terms(u, terms):
-    """Summed values and gradients of ratio terms."""
-    val, grad = 0.0, np.zeros_like(u)
+    """Summed values and gradients of ratio terms, each sum started as
+    0.0 + its first term."""
+    val = grad = None
     for term in terms:
         v, g = _term_value_grad(u, term)
-        val += v
-        grad += g
+        if grad is None:
+            val, grad = 0.0 + v, 0.0 + g
+        else:
+            val += v
+            grad += g
     return val, grad
 
 
@@ -505,7 +567,12 @@ def _ratio(u, num, den, low=None, a0=0.0, vanishing=math.inf):
     if val_d <= 1e-300:
         return vanishing, g_n
     val = val_n / val_d
-    return val, g_n / val_d - val * g_d / val_d
+    # g_n / val_d - val * g_d / val_d, in place on the owned term gradients
+    g_n /= val_d
+    g_d *= val
+    g_d /= val_d
+    g_n -= g_d
+    return val, g_n
 
 
 def _ratio_descent(zero_flat, cone, seed, num, den, low=None, a0=0.0,
@@ -522,7 +589,7 @@ def _ratio_descent(zero_flat, cone, seed, num, den, low=None, a0=0.0,
     best_val, best_res = 0.0, 0.0
     for u0 in starts:
         u = _project(u0.copy(), zero_flat, cone)
-        nrm = np.linalg.norm(u)
+        nrm = math.sqrt(u.dot(u))
         if nrm == 0:
             continue
         u /= nrm
@@ -538,13 +605,13 @@ def _ratio_descent(zero_flat, cone, seed, num, den, low=None, a0=0.0,
             if cone:
                 # keep feasible directions only where u sits on the boundary
                 g = np.where((u <= 0) & (g < 0), 0.0, g)
-            res = float(np.linalg.norm(g))
+            res = math.sqrt(g.dot(g))
             if res <= 1e-10 * max(1.0, abs(val)):
                 break
             improved = False
             while step > 1e-12:
                 cand = _project(u + step * g, zero_flat, cone)
-                nc = np.linalg.norm(cand)
+                nc = math.sqrt(cand.dot(cand))
                 if nc > 0:
                     cand /= nc
                     cval, cgrad = _ratio(cand, num, den, low, a0, vanishing)
@@ -590,6 +657,8 @@ def _solve(constraints: ConstraintSet, grid_level: int, dim: int, num,
     when a0 > 0 (a0 = 0: every (order, q) of den_terms is below).  num is
     a ratio term.
 
+    - A lattice too coarse for the highest order of den_terms raises
+      CapacityError (check_grid_level), before any mask is read.
     - An all-zero mask is saturated: (0, 0, "saturated", "saturated").
     - An admissible polynomial below the lowest order of the terms below
       (and, with a0 > 0, below the moved order first) with a positive
@@ -603,6 +672,7 @@ def _solve(constraints: ConstraintSet, grid_level: int, dim: int, num,
       witness search a vanishing denominator counts as 0 when a0 > 0.
 
     Returns (best, residual, solver, note)."""
+    check_grid_level(grid_level, max(o for o, _ in den_terms))
     m_cells = 2**grid_level
     hN = (1.0 / m_cells) ** dim
     zero = constraints.zero_mask((m_cells,) * dim).reshape(-1)
@@ -740,9 +810,11 @@ def holder_ratio_best_constant(constraints: ConstraintSet, grid_level: int,
     ratio-core ascent is a projected subgradient ascent; it runs
     HOLDER_MAX_ITERS steps per start.  Returns (best, residual, solver).
     """
-    op = _holder_operator(2**grid_level, dim, h_order, lam)
+    check_grid_level(grid_level, h_order)
+    ops = _with_transposes([(1, _holder_operator(2**grid_level, dim, h_order,
+                                                 lam))])
     best, res, solver, _ = _solve(
-        constraints, grid_level, dim, ([(1, op, op.T)], math.inf, 1.0),
+        constraints, grid_level, dim, (ops, math.inf, 1.0),
         den_terms, seed, 0.0, 2, HOLDER_MAX_ITERS)
     return best, res, solver
 
@@ -750,9 +822,9 @@ def holder_ratio_best_constant(constraints: ConstraintSet, grid_level: int,
 class _PolyComplement:
     """u -> u - Q Q^T u for Q with orthonormal columns: the projection off
     their span.  It is symmetric, so its ratio-term triple carries it as
-    its own transpose.  A scipy LinearOperator would do, but its argument
-    checks cost 21-24% of a Poincaré solve (best of 4, dims 1-3, 2-core
-    x86 VM)."""
+    its own transpose.  Like the `_Matvec` handles of the sparse terms it
+    is a bare `@`: a scipy LinearOperator would do, but its argument checks
+    cost 21-24% of a Poincaré solve (best of 4, dims 1-3, 2-core x86 VM)."""
 
     def __init__(self, Q: np.ndarray):
         self.Q, self.QT = Q, Q.T

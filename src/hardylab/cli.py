@@ -20,8 +20,8 @@ from .grids import DomainSpec, DomainError, rasterize, read_ndfn, ndfn_text
 from .whitney import decompose, check_decomposition, to_svg, WhitneyError
 from .dimension import dim_loc, dim_mc_loc, DimensionError, \
     selfsimilarity_signature, export_gs_table, export_boxcount_table
-from .capacity import (CapacityError, ConstraintSet, gamma_capacity,
-                       theta_capacity, default_theta_a0)
+from .capacity import (CapacityError, ConstraintSet, check_grid_level,
+                       gamma_capacity, theta_capacity, default_theta_a0)
 from .hardy import (HardyError, HardyParams, LsWeightFunction,
                     constructive_bound, case_e_shift, corollary_619_check,
                     direct_best_constant, per_cube_capacity_field)
@@ -143,6 +143,7 @@ def cmd_dimloc(args) -> int:
 
 
 def cmd_capacity(args) -> int:
+    check_grid_level(args.grid_level, args.m)
     m_cells = 2**args.grid_level
     if args.mask:
         rows = args.mask.split("/")

@@ -24,6 +24,7 @@ from .capacity import (
     CapacityError,
     ConstraintSet,
     canonical_keys,
+    check_grid_level,
     default_theta_a0,
     _eigen_best_constant,
     _lobpcg_best_constant,
@@ -272,6 +273,7 @@ def per_cube_capacity_field(decomp: WhitneyDecomposition, params: HardyParams,
     Classes are solved in order of their first cube; records is per cube,
     and congruent cubes share their class's record.
     """
+    check_grid_level(grid_level, params.m)
     dom = decomp.domain
     pcap = params.capacity_exponent()
     k_eff = params.m - 1 if params.case == "E" else params.k

@@ -230,6 +230,23 @@ def test_ratio_best_constant_kernel_and_saturated():
     assert best == math.inf and solver == "kernel-element"
 
 
+@pytest.mark.parametrize("grid_level", [-1, 0])
+def test_entry_points_reject_grid_too_coarse(grid_level):
+    # a 2^level lattice of at most m cells per axis has no order-m
+    # difference; each entry point says so before it builds a term
+    cs = ConstraintSet("full-space")
+    solves = [
+        lambda: gamma_capacity(cs, 1, 0, 2.0, 2.0, grid_level, 2),
+        lambda: theta_capacity(cs, 1, 0, 2.0, 2.0, 0.1, grid_level, 2),
+        lambda: ratio_best_constant(cs, grid_level, 2, (0, 2.0), [(1, 2.0)]),
+        lambda: holder_ratio_best_constant(cs, grid_level, 2, 0, 0.5,
+                                           [(1, 2.0)]),
+    ]
+    for solve in solves:
+        with pytest.raises(CapacityError, match="grid too coarse"):
+            solve()
+
+
 @pytest.mark.parametrize("q", [1.5, 2.0, 3.0, math.inf])
 @pytest.mark.parametrize("weighted", [False, True])
 def test_ratio_core_value_and_gradient(q, weighted):
@@ -328,20 +345,14 @@ def test_every_ascent_runs_on_the_ratio_core(monkeypatch):
         assert calls, name
 
 
-class _CountedTranspose:
-    """A sparse operator that counts how often its transpose is taken."""
+class _CountedTranspose(sp.csr_matrix):
+    """A CSR operator that counts how often its transpose is taken."""
 
-    def __init__(self, op):
-        self.op = op
-        self.transposes = 0
+    transposes = 0
 
-    def __matmul__(self, u):
-        return self.op @ u
-
-    @property
-    def T(self):
+    def transpose(self, *args, **kwargs):
         self.transposes += 1
-        return self.op.T
+        return super().transpose(*args, **kwargs)
 
 
 def test_ascent_takes_each_transpose_once_per_solve(monkeypatch):

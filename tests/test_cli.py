@@ -106,6 +106,34 @@ def test_bound_rejects_nonpositive_exponents(tmp_path, capsys, extra,
     assert not (tmp_path / "sub").exists()
 
 
+SQUARE4 = '{"kind": "square", "dim": 2, "level": 4}'
+
+
+@pytest.mark.parametrize("args", [
+    ["capacity", "--m", 1, "--k", 0, "--p", 2, "--grid-level", 0,
+     "--slab", 1],
+    ["capacity", "--m", 1, "--k", 0, "--p", 2, "--grid-level", -1],
+    ["capacity", "--m", 2, "--k", 0, "--p", 2, "--grid-level", 1],
+    ["capacity", "--flavor", "theta", "--m", 1, "--k", 0, "--p", 2,
+     "--grid-level", 0],
+    ["bound", "--domain", SQUARE4, "--m", 1, "--p", 2, "--s", -1,
+     "--grid-level", 0],
+    ["bound", "--domain", SQUARE4, "--m", 1, "--p", 2, "--s", -1,
+     "--grid-level", 0, "--with-direct"],
+    ["bound", "--domain", SQUARE4, "--m", 1, "--p", 2, "--s", -1,
+     "--grid-level", -1],
+], ids=["capacity-level0-slab", "capacity-negative", "capacity-m2-level1",
+        "theta-level0", "bound-level0", "bound-level0-direct",
+        "bound-negative"])
+def test_grid_too_coarse_for_order(tmp_path, capsys, args):
+    # a lattice of at most m cells per axis has no order-m difference
+    assert run(args + ["--out", tmp_path / "sub"]) == 2
+    record = json.loads(capsys.readouterr().out)
+    assert record["kind"] == "CapacityError"
+    assert "grid too coarse" in record["error"]
+    assert not (tmp_path / "sub").exists()
+
+
 def test_bound_and_percube_csv(tmp_path):
     code = run(["bound", "--domain", INTERVAL, "--case", "A", "--m", 1,
                 "--p", 2, "--q", 2, "--s", -1, "--out", tmp_path,

@@ -1,8 +1,9 @@
 """Whole-array geometry kernels, the constraint-class map, the batched
 canonical keys, the window-local cone split, the array assembly of the
-constructive bound and the ratio-core Hölder and Poincaré solves, pinned to
-the per-edge, per-cube, per-image and full-grid loops and the hand-written
-objectives they replace (kept here as oracles)."""
+constructive bound, the ratio-core Hölder and Poincaré solves and the
+ratio-term matvec handles, pinned to the per-edge, per-cube, per-image and
+full-grid loops, the hand-written objectives and the scipy products they
+replace (kept here as oracles)."""
 
 import importlib.util
 import math
@@ -12,12 +13,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hardylab.capacity import (CapacityError, ConstraintSet, _poly_basis,
-                               _project, _sum_terms, _unit_term,
-                               _with_transposes, canonical_keys,
+from hardylab.capacity import (CapacityError, ConstraintSet, _Matvec,
+                               _holder_operator, _poly_basis, _project,
+                               _sum_terms, _unit_term, _with_transposes,
+                               canonical_keys, gamma_capacity,
                                gradient_form_ops, gradient_norm_grad,
                                holder_ratio_best_constant, lp_norm_grad,
-                               norm_equivalence_constant, poincare_constant)
+                               norm_equivalence_constant, poincare_constant,
+                               ratio_best_constant, theta_capacity)
 from hardylab.cone import (ALPHA_ENLARGE, BETA_ENLARGE, ConeSplit,
                            MajorantResult, _enlarged_boxes, _iterated_kernel,
                            cone_split, make_probe, overlap_count)
@@ -26,8 +29,9 @@ from hardylab.norms import (DiscreteFunction, WeightSpec, gradient_magnitude,
 from hardylab.grids import (DomainSpec, GridDomain, distance_transform,
                             rasterize, _koch_polygon, _points_in_polygon)
 from hardylab.hardy import (HardyParams, _case_sigma, _constraint_classes,
-                            _largest_cube_side, _projection_condition,
-                            constructive_bound, per_cube_capacity_field,
+                            _inside_ops, _largest_cube_side,
+                            _projection_condition, constructive_bound,
+                            direct_best_constant, per_cube_capacity_field,
                             weight_exponents)
 from hardylab.whitney import (WhitneyError, WhitneyDecomposition,
                               box_scatter, check_decomposition, decompose,
@@ -1139,3 +1143,107 @@ def test_poincare_ratio_matches_loop(dim, order, grid_level, p):
     want = loop_poincare_constant(dim, order, p, p, grid_level, seed=1)
     assert 0 < got < math.inf
     assert abs(got - want) <= RATIO_CORE_RTOL * want, (got, want)
+
+
+# -- ratio-term matvec handles against scipy's own products -----------------------
+
+
+def _same_bits(got, want):
+    return (got.dtype == want.dtype and np.array_equal(got, want)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
+def _handle_operators():
+    for dim, order, level in product([1, 2, 3], [1, 2, 3], [2, 3, 4]):
+        for _, op in gradient_form_ops(2**level, dim, order):
+            yield f"form-{dim}d-o{order}-l{level}", op
+    for dim, level, h_order, lam in [(1, 4, 0, 0.5), (1, 4, 1, 0.25),
+                                     (2, 3, 1, 0.4), (2, 4, 0, 0.25)]:
+        yield (f"holder-{dim}d-l{level}-h{h_order}",
+               _holder_operator(2**level, dim, h_order, lam))
+    for spec, m in [(dict(kind="lshape", dim=2, level=5), 1),
+                    (dict(kind="lshape", dim=2, level=5), 2),
+                    (dict(kind="cube-minus-compact", dim=3, level=4), 1)]:
+        dom = rasterize(DomainSpec(**spec))
+        for _, op in _inside_ops(dom, m):
+            yield f"inside-{spec['kind']}-m{m}", op
+
+
+def test_matvec_handles_are_the_scipy_kernel():
+    # a handle's product is scipy's `op @ x` (`op.T @ x` for the transpose)
+    # bit for bit, signed zeros included; a scipy release that changes its
+    # private kernel fails here first
+    rng = np.random.default_rng(18)
+    seen = 0
+    for name, op in _handle_operators():
+        (_, fwd, bwd), = _with_transposes([(1, op)])
+        assert fwd.shape == op.shape and bwd.shape == op.T.shape, name
+        for side, handle, ref in ((0, fwd, op), (1, bwd, op.T)):
+            n = op.shape[1 - side]
+            holey = rng.standard_normal(n)
+            holey[::3] = 0.0
+            holey[1::5] = -0.0
+            for x in (rng.standard_normal(n), holey, np.zeros(n), -holey):
+                assert _same_bits(handle @ x, ref @ x), (name, side)
+        seen += 1
+    assert seen > 100
+    with pytest.raises(ValueError):
+        _Matvec(op, transpose=False) @ np.zeros(op.shape[1] + 1)
+
+
+def _scipy_triples(ops):
+    """The (mult, op, op.T) triples of sparse products that ran before the
+    handles."""
+    return [(mult, op, op.T) for mult, op in ops]
+
+
+def _square6_class(cone):
+    dom = rasterize(DomainSpec(kind="square", dim=2, level=6))
+    reps, _ = _constraint_classes(decompose(dom), 3, cone)
+    # the class with the fewest zero cells that is not saturated
+    return min((cs for cs in reps if not cs.K.all()), key=lambda cs: cs.K.sum())
+
+
+ASCENT_CASES = {
+    # square L6 case B (p0 = 1) at capacity grid 3, as in bound-2d
+    "square6B-gamma-p1": lambda: gamma_capacity(
+        _square6_class(False), 1, 0, 1.0, 1.0, 3, 2, seed=1),
+    "square6B-chain-q2": lambda: ratio_best_constant(
+        _square6_class(False), 3, 2, (0, 2.0), [(1, 1.0)], seed=1),
+    "square6-cone": lambda: gamma_capacity(
+        _square6_class(True), 1, 0, 2.0, 2.0, 3, 2, seed=1),
+    "holder-inf": lambda: holder_ratio_best_constant(
+        _square6_class(False), 3, 2, 1, 0.25, [(1, 2.0)], seed=1),
+    "theta-a0": lambda: theta_capacity(
+        _square6_class(False), 1, 0, 1.5, 1.5, 0.01, 3, 2, seed=1),
+    "direct-lshape4-p1.5": lambda: direct_best_constant(
+        rasterize(DomainSpec(kind="lshape", dim=2, level=4)),
+        HardyParams(m=1, p=1.5, q=1.5, s=-1.0), seed=1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ASCENT_CASES))
+def test_ascents_on_handles_match_scipy_products(monkeypatch, name):
+    from hardylab import capacity, hardy
+    descent = capacity._ratio_descent
+
+    def run():
+        out = []
+
+        def recorded(*args, **kwargs):
+            out.append(descent(*args, **kwargs))
+            return out[-1]
+
+        with monkeypatch.context() as mp:
+            mp.setattr(capacity, "_ratio_descent", recorded)
+            mp.setattr(hardy, "_ratio_descent", recorded)
+            ASCENT_CASES[name]()
+        return out
+
+    on_handles = run()
+    with monkeypatch.context() as mp:
+        mp.setattr(capacity, "_with_transposes", _scipy_triples)
+        mp.setattr(hardy, "_with_transposes", _scipy_triples)
+        on_scipy = run()
+    assert len(on_handles) == 1 and on_handles[0][0] > 0
+    assert on_handles == on_scipy
