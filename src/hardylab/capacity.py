@@ -225,8 +225,12 @@ def gradient_form_ops(m_cells: int, dim: int, order: int,
     ]
 
 
+@lru_cache(maxsize=None)
 def quadratic_form(m_cells: int, dim: int, order: int) -> sp.csr_matrix:
-    """Sparse S with u^T S u = integral |grad^order u|^2 (unit cube)."""
+    """Sparse S with u^T S u = integral |grad^order u|^2 (unit cube).
+
+    Cached like _alpha_operator: every caller gets the same matrix, so none
+    may change it in place (sums, slices, tocsc and toarray make copies)."""
     hN = (1.0 / m_cells) ** dim
     S = None
     for mult, op in gradient_form_ops(m_cells, dim, order):

@@ -60,20 +60,25 @@ def g_s(decomp: WhitneyDecomposition, s: float, clamp: float | None = None):
     (s = 0 gives the volume of R_Q ∩ Ω), with delta clamped below at
     ``clamp`` (default half a cell).  All cubes are integrated at once by
     one summed-area table (WhitneyDecomposition.rq_distance_integrals).
+    The result is kept on the decomposition per (s, clamp), so a repeated
+    s (the bisection's points in export_gs_table) builds no second table.
 
-    Returns (sup_value, per_level) with per_level a list of
+    Returns (sup_value, per_level) with per_level a new list of
     (cube level, sup over cubes at that level).
     """
     dom = decomp.domain
     h = dom.h
     if clamp is None:
         clamp = 0.5 * h
-    integral = decomp.rq_distance_integrals(s, clamp)
-    vals = decomp.diams() ** (-dom.dim + s) * integral
-    table = [(k, float(vals[decomp.levels == k].max()))
-             for k in decomp.populated_levels()]
-    sup = max(v for _, v in table)
-    return sup, table
+    key = (s, clamp)
+    if key not in decomp.gs_tables:
+        integral = decomp.rq_distance_integrals(s, clamp)
+        vals = decomp.diams() ** (-dom.dim + s) * integral
+        table = tuple((k, float(vals[decomp.levels == k].max()))
+                      for k in decomp.populated_levels())
+        decomp.gs_tables[key] = (max(v for _, v in table), table)
+    sup, table = decomp.gs_tables[key]
+    return sup, list(table)
 
 
 def _fit_window_levels(decomp: WhitneyDecomposition, table):
@@ -317,31 +322,31 @@ def selfsimilarity_signature(decomp: WhitneyDecomposition):
     h = dom.h
     padded_out = ~dom.padded_inside()
     start, stop = _padded_rq_ranges(decomp)
+    radius = 0.5 * decomp.rq_side
+    center = decomp.rq_center
+    # too coarse to sign at the requested depth; ball leaves the raster
+    # (occupancy would be truncated); empty block
+    eligible = ((radius / h >= SIGNATURE_MIN_RADIUS_CELLS)
+                & ~(center - radius[:, None] < -h).any(axis=1)
+                & ~(center + radius[:, None] > 1.0 + h).any(axis=1)
+                & (stop > start).all(axis=1))
+    ids = np.nonzero(eligible)[0].tolist()
     sigs = []
-    ids = []
-    for i in range(decomp.n_cubes):
-        radius = 0.5 * float(decomp.rq_side[i])
-        if radius / h < SIGNATURE_MIN_RADIUS_CELLS:
-            continue  # too coarse to sign at the requested depth
-        center = decomp.rq_center[i]
-        if (center - radius < -h).any() or (center + radius > 1.0 + h).any():
-            continue  # ball leaves the raster; occupancy would be truncated
+    for i in ids:
         block = padded_out[tuple(map(slice, start[i], stop[i]))]
-        if block.size == 0:
-            continue
-        axes = [((np.arange(a, b) - 1 + 0.5) * h - center[ax]) / radius
-                for ax, (a, b) in enumerate(zip(start[i], stop[i]))]
-        grids = np.meshgrid(*axes, indexing="ij")
-        r2 = sum(g * g for g in grids)
+        # r^2 as a broadcast sum of per-axis squares, axes added in order
+        r2 = 0
+        for ax, (a, b) in enumerate(zip(start[i], stop[i])):
+            g = ((np.arange(a, b) - 1 + 0.5) * h - center[i, ax]) / radius[i]
+            r2 = r2 + (g * g).reshape((-1,) + (1,) * (dom.dim - 1 - ax))
         sig = []
         for j in range(1, SIGNATURE_ANNULI + 1):
             shell = ((r2 <= (j / SIGNATURE_ANNULI) ** 2)
                      & (r2 > ((j - 1) / SIGNATURE_ANNULI) ** 2))
-            tot = int(shell.sum())
-            hit = int((shell & block).sum())
+            tot = np.count_nonzero(shell)
+            hit = np.count_nonzero(shell & block)
             sig.append(math.log2((hit + 1.0) / (tot + 1.0)))
         sigs.append(sig)
-        ids.append(i)
     if len(sigs) < 2:
         return 0.0, []
     S = np.array(sigs)

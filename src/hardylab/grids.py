@@ -118,6 +118,11 @@ class GridDomain:
     distance : float array, same shape; Euclidean distance from each inside
         cell center to the nearest outside cell center (collar included),
         in units of the box side.  Zero on outside cells.
+    nearest : int array, shape (dim,) + padded shape; the nearest outside
+        cell of every cell of the padded grid, in padded indices (the
+        feature transform behind ``distance``; a cell in the padded
+        complement is its own nearest cell).  Set with ``distance`` by
+        distance_transform; whitney reads it for the R_Q centers.
     """
 
     dim: int
@@ -137,6 +142,7 @@ class GridDomain:
         # the collar supplies a complement; replication needs one in the box
         if self.pad_mode == "replicate" and not (~self.inside).any():
             raise DomainError("replicate padding needs outside cells in the box")
+        self.nearest = None
 
     def padded_inside(self) -> np.ndarray:
         """Inside mask with the one-cell boundary ring: an outside collar for
@@ -168,23 +174,24 @@ def rasterize(spec: DomainSpec) -> GridDomain:
 
     Polygons are filled by scanline crossings (see _points_in_polygon), so
     their cost grows with the edge-row crossings plus the cells, not with
-    edges times cells.
+    edges times cells.  Only the kinds that test N-D centers build the
+    center meshgrid.
     """
     n = 2 ** spec.level
     h = 2.0 ** (-spec.level)
     centers = [(np.arange(n) + 0.5) * h for _ in range(spec.dim)]
-    grids = np.meshgrid(*centers, indexing="ij")
 
     if spec.kind == "halfspace":
-        inside = grids[spec.dim - 1] > 0.5
+        inside = np.meshgrid(*centers, indexing="ij")[spec.dim - 1] > 0.5
     elif spec.kind in ("interval", "square"):
         inside = np.ones((n,) * spec.dim, dtype=bool)
     elif spec.kind == "lshape":
-        x, y = grids
+        x, y = np.meshgrid(*centers, indexing="ij")
         inside = ~((x > 0.5) & (y < 0.5))
     elif spec.kind == "cube-minus-compact":
         center = 0.5
-        r2 = sum((g - center) ** 2 for g in grids)
+        r2 = sum((g - center) ** 2
+                 for g in np.meshgrid(*centers, indexing="ij"))
         if spec.radius <= 0.0:
             inside = np.ones((n,) * spec.dim, dtype=bool)
             idx = np.unravel_index(np.argmin(r2), r2.shape)
@@ -196,7 +203,7 @@ def rasterize(spec: DomainSpec) -> GridDomain:
         inside = _points_in_polygon(centers[0], centers[1], verts)
     elif spec.kind == "cantor-complement":
         intervals = _cantor_intervals(spec.iterations, spec.ratio)
-        x = grids[0]
+        x = centers[0]
         covered = np.zeros_like(x, dtype=bool)
         for a, b in intervals:
             covered |= (x >= a) & (x <= b)
@@ -221,11 +228,14 @@ def distance_transform(domain: GridDomain) -> GridDomain:
     offset to the cell interface for flat axis-aligned boundaries and stays
     within half a cell of it in general; the result is floored at half a
     cell width, so boundary-adjacent centers measure h/2.  The raster is
-    padded with its one-cell boundary ring before the transform.  Idempotent
-    (recomputes from the inside flags).
+    padded with its one-cell boundary ring before the transform.  The one
+    transform also returns its feature map, kept as ``domain.nearest`` so
+    the Whitney decomposition reads the nearest outside cells without a
+    second pass.  Idempotent (recomputes both from the inside flags).
     """
     padded = domain.padded_inside()
-    dist = ndimage.distance_transform_edt(padded, sampling=domain.h)
+    dist, domain.nearest = ndimage.distance_transform_edt(
+        padded, sampling=domain.h, return_indices=True)
     crop = tuple(slice(1, -1) for _ in range(domain.dim))
     core = dist[crop]
     adjusted = np.maximum(core - 0.5 * domain.h, 0.5 * domain.h)

@@ -74,7 +74,9 @@ class WhitneyDecomposition:
     axis the first and last cell whose center lies in closed R_Q
     (unclipped), and ``rq_start``/``rq_stop``, that range clipped to the
     box as half-open bounds; ``dist_min``/``dist_max``, the extremes of the
-    distance field over the cube's cells.
+    distance field over the cube's cells.  ``gs_tables`` holds the results
+    of dimension.g_s per (s, clamp), so each G_s table is built once per
+    decomposition.
     """
 
     def __init__(self, domain: GridDomain, levels: np.ndarray, coords: np.ndarray):
@@ -85,6 +87,7 @@ class WhitneyDecomposition:
         self._build_owner_map()
         self._build_enlarged()
         self._touch_pairs = None
+        self.gs_tables = {}
 
     # -- construction helpers ------------------------------------------------
 
@@ -113,17 +116,11 @@ class WhitneyDecomposition:
         self.owner = owner
 
     def _build_enlarged(self):
-        from scipy import ndimage
-
         dom = self.domain
         h = dom.h
         dim = dom.dim
         n = 2**dom.level
-        padded = dom.padded_inside()
-        _, feat = ndimage.distance_transform_edt(
-            padded, sampling=h, return_indices=True
-        )
-        # feat[:, idx] is the nearest outside cell (padded indices).
+        # nearest[:, idx] is the nearest outside cell (padded indices).
         cell = np.zeros((self.n_cubes, dim), dtype=np.int64)
         dist_min = np.zeros(self.n_cubes)
         dist_max = np.zeros(self.n_cubes)
@@ -137,7 +134,8 @@ class WhitneyDecomposition:
             dist_max[ids] = block.max(axis=1)
             local = np.stack(np.unravel_index(flat, (m,) * dim), axis=1)
             cell[ids] = self.coords[ids] * m + local
-        near = feat[(slice(None),) + tuple(cell[:, a] + 1 for a in range(dim))].T
+        near = dom.nearest[(slice(None),)
+                           + tuple(cell[:, a] + 1 for a in range(dim))].T
         x0 = (near - 1 + 0.5) * h
         side_q = self.sides()
         lo = self.coords * side_q[:, None]
@@ -246,7 +244,7 @@ def decompose(domain: GridDomain) -> WhitneyDecomposition:
     Raises WhitneyError when the raster admits no cube at any level (e.g. an
     inside mask with no cells).
     """
-    if domain.distance is None:
+    if domain.distance is None or domain.nearest is None:
         raise WhitneyError("domain needs a distance field (run distance_transform)")
     if not domain.inside.any():
         raise WhitneyError("degenerate raster: no inside cells")

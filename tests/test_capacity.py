@@ -25,6 +25,18 @@ def slab_set(m_cells, width, dim=2, cone=False):
     return ConstraintSet(kind, K)
 
 
+def test_quadratic_form_built_once_and_left_unchanged():
+    S = quadratic_form(16, 2, 1)
+    fresh = quadratic_form.__wrapped__(16, 2, 1)
+    kept = [a.copy() for a in (S.data, S.indices, S.indptr)]
+    r = gamma_capacity(slab_set(16, 3), 1, 0, 2.0, 2.0, 4, 2)
+    assert r.solver == "eigen-exact"
+    assert quadratic_form(16, 2, 1) is S
+    for got, want, built in zip((S.data, S.indices, S.indptr), kept,
+                                (fresh.data, fresh.indices, fresh.indptr)):
+        assert np.array_equal(got, want) and np.array_equal(got, built)
+
+
 def test_full_space_capacity_zero():
     r = gamma_capacity(ConstraintSet("full-space"), 2, 0, 2.0, 2.0, 3, 2)
     assert r.capacity == 0.0

@@ -62,6 +62,27 @@ def test_dimloc_counts_boxes_once(tmp_path, monkeypatch):
         repr(count) for _, count in fitted]
 
 
+def test_dimloc_builds_each_gs_table_once(tmp_path, monkeypatch):
+    # the gs-table rows at s = 0.5, 0.75 and 1.0 are bisection points of
+    # dim_loc, so only s = 0.25 adds a summed-area table: 13 + 1, not 13 + 4
+    from hardylab.whitney import WhitneyDecomposition
+
+    calls = []
+    integrals = WhitneyDecomposition.rq_distance_integrals
+
+    def counted(self, s, clamp):
+        calls.append(s)
+        return integrals(self, s, clamp)
+
+    monkeypatch.setattr(WhitneyDecomposition, "rq_distance_integrals",
+                        counted)
+    code = run(["dimloc", "--domain",
+                '{"kind": "koch-polygon", "dim": 2, "level": 9, '
+                '"iterations": 4}', "--out", tmp_path])
+    assert code == 0
+    assert len(calls) == 14 and len(set(calls)) == 14
+
+
 def test_capacity_command(tmp_path):
     code = run(["capacity", "--m", 1, "--k", 0, "--p", 2, "--grid-level", 3,
                 "--slab", 2, "--out", tmp_path])

@@ -144,3 +144,20 @@ def test_csv_exports(halfspace8):
     assert export_gs_table(halfspace8, [0.5, 1.0]).startswith("s,level,sup")
     table = export_boxcount_table(dim_mc_loc(halfspace8))
     assert table.startswith("eps,sup_count")
+
+
+def test_gs_table_export_reuses_dim_loc_tables():
+    spec = DomainSpec(kind="koch-polygon", dim=2, level=8, iterations=4)
+    s_values = [0.25, 0.5, 0.75, 1.0]
+    used = decompose(rasterize(spec))
+    dim_loc(used)
+    assert export_gs_table(used, s_values) == export_gs_table(
+        decompose(rasterize(spec)), s_values)
+
+
+def test_gs_returns_copies_of_its_kept_table(halfspace8):
+    sup, table = g_s(halfspace8, 0.75)
+    want = list(table)
+    table[0] = (-1, -1.0)
+    table.append((99, 0.0))
+    assert g_s(halfspace8, 0.75) == (sup, want)

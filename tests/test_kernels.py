@@ -1,9 +1,9 @@
-"""Whole-array geometry kernels, the constraint-class map, the batched
-canonical keys, the window-local cone split, the array assembly of the
-constructive bound, the ratio-core Hölder and Poincaré solves and the
-ratio-term matvec handles, pinned to the per-edge, per-cube, per-image and
-full-grid loops, the hand-written objectives and the scipy products they
-replace (kept here as oracles)."""
+"""Whole-array geometry kernels, the self-similarity signature, the
+constraint-class map, the batched canonical keys, the window-local cone
+split, the array assembly of the constructive bound, the ratio-core Hölder
+and Poincaré solves and the ratio-term matvec handles, pinned to the
+per-edge, per-cube, per-image and full-grid loops, the hand-written
+objectives and the scipy products they replace (kept here as oracles)."""
 
 import importlib.util
 import math
@@ -364,6 +364,113 @@ def test_structures_match_loops(make):
               for i in range(dec.n_cubes)]
     assert np.array_equal(dec.dist_min, [b.min() for b in blocks])
     assert np.array_equal(dec.dist_max, [b.max() for b in blocks])
+
+
+def loop_signature(dec):
+    """selfsimilarity_signature as a per-cube loop: a center meshgrid per
+    eligible cube and one occupancy sum per annulus."""
+    from hardylab.dimension import (SIGNATURE_ANNULI,
+                                    SIGNATURE_FLAG_THRESHOLD,
+                                    SIGNATURE_MIN_RADIUS_CELLS)
+
+    dom = dec.domain
+    h = dom.h
+    n = 2**dom.level
+    padded_out = ~dom.padded_inside()
+    sigs, ids = [], []
+    for i in range(dec.n_cubes):
+        radius = 0.5 * float(dec.rq_side[i])
+        if radius / h < SIGNATURE_MIN_RADIUS_CELLS:
+            continue
+        center = dec.rq_center[i]
+        if (center - radius < -h).any() or (center + radius > 1.0 + h).any():
+            continue
+        start = [max(int(a) + 1, 0) for a in dec.rq_first[i]]
+        stop = [min(int(b) + 1, n + 1) + 1 for b in dec.rq_last[i]]
+        block = padded_out[tuple(map(slice, start, stop))]
+        if block.size == 0:
+            continue
+        axes = [((np.arange(a, b) - 1 + 0.5) * h - center[ax]) / radius
+                for ax, (a, b) in enumerate(zip(start, stop))]
+        grids = np.meshgrid(*axes, indexing="ij")
+        r2 = sum(g * g for g in grids)
+        sig = []
+        for j in range(1, SIGNATURE_ANNULI + 1):
+            shell = ((r2 <= (j / SIGNATURE_ANNULI) ** 2)
+                     & (r2 > ((j - 1) / SIGNATURE_ANNULI) ** 2))
+            tot = int(shell.sum())
+            hit = int((shell & block).sum())
+            sig.append(math.log2((hit + 1.0) / (tot + 1.0)))
+        sigs.append(sig)
+        ids.append(i)
+    if len(sigs) < 2:
+        return 0.0, []
+    diff = [[max(abs(x - y) for x, y in zip(sa, sb)) for sb in sigs]
+            for sa in sigs]
+    worst = max(max(row) for row in diff)
+    if worst <= SIGNATURE_FLAG_THRESHOLD:
+        return worst, []
+    flagged = [(ids[a], ids[b], diff[a][b]) for a in range(len(sigs))
+               for b in range(a + 1, len(sigs))
+               if diff[a][b] > SIGNATURE_FLAG_THRESHOLD]
+    return worst, flagged[:100]
+
+
+@pytest.mark.parametrize("spec", [
+    DomainSpec(kind="koch-polygon", dim=2, level=9, iterations=4),
+    DomainSpec(kind="koch-polygon", dim=2, level=10, iterations=4),
+    DomainSpec(kind="lshape", dim=2, level=9),
+], ids=["koch9", "koch10", "lshape9"])
+def test_signature_matches_loop(spec):
+    from hardylab.dimension import selfsimilarity_signature
+
+    dec = decompose(rasterize(spec))
+    disc, flagged = selfsimilarity_signature(dec)
+    want_disc, want_flagged = loop_signature(dec)
+    assert flagged  # radii of 32 cells and more: the signature is not empty
+    assert disc == want_disc
+    assert flagged == want_flagged
+
+
+@pytest.mark.parametrize("spec", [
+    DomainSpec(kind="square", dim=2, level=6),
+    DomainSpec(kind="koch-polygon", dim=2, level=8, iterations=4),
+    DomainSpec(kind="cube-minus-compact", dim=3, level=4),
+], ids=["square6", "koch8", "cube-minus-compact-3d-4"])
+def test_one_distance_transform_per_raster(monkeypatch, spec):
+    # rasterize keeps the feature map of its transform, and decompose and
+    # dim_loc read it and the distances instead of transforming again
+    from scipy import ndimage
+
+    from hardylab.dimension import DimensionError, dim_loc
+
+    calls = []
+    edt = ndimage.distance_transform_edt
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return edt(*args, **kwargs)
+
+    monkeypatch.setattr(ndimage, "distance_transform_edt", counted)
+    dec = decompose(rasterize(spec))
+    try:
+        dim_loc(dec)
+    except DimensionError:
+        pass  # too few levels to fit; g_s(0) has run
+    assert len(calls) == 1
+    monkeypatch.undo()
+    # against an oracle with a feature transform of its own
+    centers, sides = loop_enlarged(dec)
+    assert np.array_equal(dec.rq_center, centers)
+    assert np.array_equal(dec.rq_side, sides)
+    h = dec.domain.h
+    eps = 1e-9 * h
+    first = [[math.ceil((c - s / 2.0 + eps) / h - 0.5) for c in row]
+             for row, s in zip(centers, sides)]
+    last = [[math.floor((c + s / 2.0 - eps) / h - 0.5) for c in row]
+            for row, s in zip(centers, sides)]
+    assert np.array_equal(dec.rq_first, first)
+    assert np.array_equal(dec.rq_last, last)
 
 
 def test_overlapping_cubes_rejected():
