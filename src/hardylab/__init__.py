@@ -1,7 +1,7 @@
 """hardylab: Whitney decompositions, boundary dimensions, polynomial
 capacities, and constructive Hardy-inequality constants on dyadic rasters."""
 
-from .grids import DomainSpec, GridDomain, rasterize, distance_transform
+from .grids import DomainSpec, GridDomain, rasterize
 from .whitney import (
     WhitneyDecomposition,
     decompose,
@@ -14,7 +14,6 @@ __all__ = [
     "DomainSpec",
     "GridDomain",
     "rasterize",
-    "distance_transform",
     "WhitneyDecomposition",
     "decompose",
     "intersection_cutoff",

@@ -1,9 +1,11 @@
 """The acceptance suite: one runnable row per criterion.
 
 Each criterion function returns a dict with "passed" plus its measured
-details; run_suite executes all of them and emits a table.  The CLI `suite`
-command and tests/test_acceptance.py both route through here, so the gate
-is implemented exactly once.
+details; run_suite executes all of them and emits a table.  A criterion
+takes no arguments: its sizes, levels and seeds are the constants below or
+literals at their one use.  The CLI `suite` command and
+tests/test_acceptance.py both route through here, so the gate is
+implemented exactly once.
 """
 
 from __future__ import annotations
@@ -40,6 +42,17 @@ DIMENSION_ANCHORS = [
     ("koch-polygon", 2, 9, 4, math.log(4) / math.log(3)),
 ]
 
+# seed of every seeded criterion but determinism (9)
+SEED = 0
+# raster levels of criterion 1
+WHITNEY_LEVELS = (6, 7, 8, 9)
+# random functions per domain in criterion 2, probes in criterion 7
+SUMMATION_PROBES = 100
+CASE_E_PROBES = 50
+# unit-cube lattice level of criterion 4, raster level of criterion 5
+CAPACITY_GRID_LEVEL = 4
+ANCHOR_LEVEL = 12
+
 SOUNDNESS_COMBOS = [
     # (domain kind, dim, level, params overrides)
     ("interval", 1, 8, dict(m=1, s=-1.0, case="A")),
@@ -62,14 +75,14 @@ def _domain(kind, dim, level, iterations=0):
                                 iterations=iterations))
 
 
-def criterion_whitney(levels=(6, 7, 8, 9)) -> dict:
+def criterion_whitney() -> dict:
     """(6.0)-(6.2) plus the neighbor cutoff, 100% of cubes, all corpus
-    domains at the given levels, under 10 s per domain."""
+    domains at WHITNEY_LEVELS, under 10 s per domain and level."""
     rows = []
     passed = True
     for kind, dim, iters in WHITNEY_CORPUS:
         t0 = time.time()
-        for level in levels:
+        for level in WHITNEY_LEVELS:
             dom = _domain(kind, dim, level, iters)
             dec = decompose(dom)
             res = check_decomposition(dec)
@@ -80,25 +93,24 @@ def criterion_whitney(levels=(6, 7, 8, 9)) -> dict:
             rows.append({"domain": kind, "level": level, **res, "ok": ok})
             passed &= ok
         dt = time.time() - t0
-        passed &= dt < 10.0 * len(levels)
+        passed &= dt < 10.0 * len(WHITNEY_LEVELS)
         rows.append({"domain": kind, "runtime_all_levels": dt})
     return {"criterion": 1, "name": "whitney-validity", "passed": passed,
             "rows": rows}
 
 
-def criterion_summation(n_random: int = 100, level: int = 6,
-                        seed: int = 0) -> dict:
+def criterion_summation() -> dict:
     """lhs <= rhs_bound over random nonnegative f, plus the small-s growth
-    cap lhs(1/8)/lhs(1/4) <= 2.5."""
-    rng = np.random.default_rng(seed)
+    cap lhs(1/8)/lhs(1/4) <= 2.5, on 2-D level 6 and 1-D level 8."""
+    rng = np.random.default_rng(SEED)
     passed = True
     rows = []
     for kind, dim, iters in WHITNEY_CORPUS:
-        lev = level + (2 if dim == 1 else 0)
+        lev = 6 + (2 if dim == 1 else 0)
         dom = _domain(kind, dim, lev, iters)
         dec = decompose(dom)
         worst = 0.0
-        for j in range(n_random):
+        for j in range(SUMMATION_PROBES):
             f = rng.random(dom.shape) * dom.inside
             for s in (0.25, 0.5, 1.0, 2.0):
                 lhs, rhs = summation_lemma_ratio(dec, f, s)
@@ -142,36 +154,37 @@ def _oracle_constraint_sets(m_cells: int):
     for w in (2, 4, 6):
         K = np.zeros((m_cells, m_cells), dtype=bool)
         K[:w, :] = True
-        sets.append(("slab-" + str(w), ConstraintSet("zero-on-compact", K)))
+        sets.append(("slab-" + str(w), ConstraintSet(K, False)))
     K = np.zeros((m_cells, m_cells), dtype=bool)
     K[:4, :4] = True
-    sets.append(("corner", ConstraintSet("zero-on-compact", K)))
+    sets.append(("corner", ConstraintSet(K, False)))
     K = np.zeros((m_cells, m_cells), dtype=bool)
     K[:2, :] = True
     K[-2:, :] = True
-    sets.append(("two-sided", ConstraintSet("zero-on-compact", K)))
+    sets.append(("two-sided", ConstraintSet(K, False)))
     K = np.zeros((m_cells, m_cells), dtype=bool)
     c = m_cells // 2
     K[c - 2:c + 2, c - 2:c + 2] = True
-    sets.append(("center-block", ConstraintSet("zero-on-compact", K)))
+    sets.append(("center-block", ConstraintSet(K, False)))
     K = np.zeros((m_cells, m_cells), dtype=bool)
     K[:, :3] = True
-    sets.append(("side-3", ConstraintSet("zero-on-compact", K)))
+    sets.append(("side-3", ConstraintSet(K, False)))
     K = np.zeros((m_cells, m_cells), dtype=bool)
     K[::4, :] = True
-    sets.append(("stripes", ConstraintSet("zero-on-compact", K)))
+    sets.append(("stripes", ConstraintSet(K, False)))
     K = np.zeros((m_cells, m_cells), dtype=bool)
     K[:1, :] = True
-    sets.append(("thin-slab", ConstraintSet("zero-on-compact", K)))
+    sets.append(("thin-slab", ConstraintSet(K, False)))
     K = np.ones((m_cells, m_cells), dtype=bool)
     K[4:-4, 4:-4] = False
-    sets.append(("frame", ConstraintSet("zero-on-compact", K)))
+    sets.append(("frame", ConstraintSet(K, False)))
     return sets
 
 
-def criterion_capacity(grid_level: int = 4) -> dict:
+def criterion_capacity() -> dict:
     """Iterative eigensolve vs dense oracle within 2% on 10 sets;
     monotonicity on a nested slab family; full-space capacity 0."""
+    grid_level = CAPACITY_GRID_LEVEL
     m_cells = 2**grid_level
     rows = []
     passed = True
@@ -189,30 +202,31 @@ def criterion_capacity(grid_level: int = 4) -> dict:
     for w in (2, 4, 6, 8, 10):
         K = np.zeros((m_cells, m_cells), dtype=bool)
         K[:w, :] = True
-        caps.append(gamma_capacity(ConstraintSet("zero-on-compact", K),
+        caps.append(gamma_capacity(ConstraintSet(K, False),
                                    1, 0, 2.0, 2.0, grid_level, 2).capacity)
     mono = all(b >= a - 1e-12 for a, b in zip(caps, caps[1:]))
     passed &= mono
     rows.append({"nested_caps": caps, "monotone": mono})
-    full = gamma_capacity(ConstraintSet("full-space"), 1, 0, 2.0, 2.0,
-                          grid_level, 2)
+    full = gamma_capacity(
+        ConstraintSet(np.zeros((m_cells, m_cells), dtype=bool), False),
+        1, 0, 2.0, 2.0, grid_level, 2)
     passed &= full.capacity == 0.0
     rows.append({"full_space_capacity": full.capacity})
     return {"criterion": 4, "name": "capacity-oracle", "passed": passed,
             "rows": rows}
 
 
-def criterion_hardy_anchor(level: int = 12) -> dict:
+def criterion_hardy_anchor() -> dict:
     """1-D best-constant anchor: estimate^p within 5% of the classical 4."""
     t0 = time.time()
-    dom = _domain("interval", 1, level)
+    dom = _domain("interval", 1, ANCHOR_LEVEL)
     params = HardyParams(m=1, k=0, p=2.0, q=2.0, s=0.0)
     est = direct_best_constant(dom, params)
     a0 = est**2
     dt = time.time() - t0
     passed = abs(a0 - 4.0) <= 0.2 and dt < 30.0
     return {"criterion": 5, "name": "hardy-anchor", "passed": passed,
-            "rows": [{"level": level, "estimate_A0": a0, "target": 4.0,
+            "rows": [{"level": ANCHOR_LEVEL, "estimate_A0": a0, "target": 4.0,
                       "runtime": dt}]}
 
 
@@ -233,7 +247,7 @@ def _combo_dim_loc(kind, dim, level) -> dict:
             "dim_loc_fallback": True}
 
 
-def criterion_soundness(seed: int = 0) -> dict:
+def criterion_soundness() -> dict:
     """constant_A >= direct estimate on 12 combos spanning cases A-D."""
     rows = []
     passed = True
@@ -253,8 +267,7 @@ def criterion_soundness(seed: int = 0) -> dict:
             dim_info = dim_cache[key]
             params.dim_loc_value = dim_info["dim_loc"]
         try:
-            rep = constructive_bound(dec, params, grid_level=4, seed=seed,
-                                     with_direct=True)
+            rep = constructive_bound(dec, params, 4, SEED, with_direct=True)
             ok = rep.sound and math.isfinite(rep.direct_estimate)
             rows.append({
                 "domain": kind, "level": level, "case": params.case,
@@ -272,14 +285,14 @@ def criterion_soundness(seed: int = 0) -> dict:
             "rows": rows}
 
 
-def criterion_case_e(level: int = 7, n_probes: int = 50, seed: int = 0) -> dict:
+def criterion_case_e() -> dict:
     """Positive s0 on the slab-complement domain at p=2, probe verification
     at s0/2, and the p=1 decline."""
-    dom = _domain("halfspace", 2, level)
+    dom = _domain("halfspace", 2, 7)
     dec = decompose(dom)
     rows = []
     params = HardyParams(m=1, k=0, p=2.0, q=2.0, s=0.0, case="E")
-    rep = case_e_shift(dec, params, grid_level=4, seed=seed)
+    rep = case_e_shift(dec, params, 4, SEED)
     s0 = rep.s0
     passed = bool(s0 and s0 > 0)
     rows.append({"s0": s0, "constant": rep.constant_A,
@@ -287,14 +300,13 @@ def criterion_case_e(level: int = 7, n_probes: int = 50, seed: int = 0) -> dict:
     if passed:
         s_half = s0 / 2.0
         rep2 = case_e_shift(dec, HardyParams(m=1, k=0, p=2.0, q=2.0,
-                                             s=s_half, case="E"),
-                            grid_level=4, seed=seed)
+                                             s=s_half, case="E"), 4, SEED)
         a_e = rep2.constant_A
         t_exp = 2.0 - s_half
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(SEED)
         grids = dom.center_grid()
         worst = 0.0
-        for _ in range(n_probes):
+        for _ in range(CASE_E_PROBES):
             c = rng.uniform(0.1, 0.9, size=2)
             w = rng.uniform(0.05, 0.4)
             r2 = sum((g - cc) ** 2 for g, cc in zip(grids, c)) / w**2
@@ -303,10 +315,10 @@ def criterion_case_e(level: int = 7, n_probes: int = 50, seed: int = 0) -> dict:
             rhs = gradient_seminorm(u, 1, 2.0, WeightSpec(exponent=s_half))
             worst = max(worst, lhs / (a_e * rhs))
         rows.append({"s_half": s_half, "constant_at_s_half": a_e,
-                     "worst_probe_ratio": worst, "probes": n_probes})
+                     "worst_probe_ratio": worst, "probes": CASE_E_PROBES})
         passed &= worst <= 1.0
     rep1 = case_e_shift(dec, HardyParams(m=1, k=0, p=1.0, q=1.0, s=0.0,
-                                         case="E"), grid_level=4, seed=seed)
+                                         case="E"), 4, SEED)
     declined = (not rep1.s0) or rep1.s0 == 0.0
     rows.append({"p1_s0": rep1.s0, "p1_flags": rep1.flags,
                  "declined": declined})
@@ -314,16 +326,16 @@ def criterion_case_e(level: int = 7, n_probes: int = 50, seed: int = 0) -> dict:
     return {"criterion": 7, "name": "case-e", "passed": passed, "rows": rows}
 
 
-def criterion_cone(level: int = 6, n_probes: int = 20, seed: int = 0) -> dict:
+def criterion_cone() -> dict:
     """Exact nonnegative splits on finite-mass probes, cusp rejection, and
     the odd/even-order experiment table."""
     rows = []
     passed = True
     for kind in ("square", "lshape"):
-        dom = _domain(kind, 2, level)
+        dom = _domain(kind, 2, 6)
         dec = decompose(dom)
-        for j in range(n_probes):
-            u = make_probe(dom, seed * 997 + j)
+        for j in range(20):
+            u = make_probe(dom, SEED * 997 + j)
             try:
                 split = cone_split(u, dec, m=2, p=2.0, s=0.0)
             except ConeError as exc:
@@ -353,13 +365,13 @@ def criterion_cone(level: int = 6, n_probes: int = 20, seed: int = 0) -> dict:
         passed &= rejected
     table = conjecture_experiment(_domain("square", 2, 5),
                                   decompose(_domain("square", 2, 5)),
-                                  n_probes=3, seed=seed)
+                                  3, SEED)
     rows.append({"conjecture_table": table["rows"]})
     return {"criterion": 8, "name": "cone-split", "passed": passed,
             "rows": rows}
 
 
-def criterion_determinism(seed: int = 1234) -> dict:
+def criterion_determinism() -> dict:
     """Byte-identical reports when representative commands rerun with the
     same seed."""
     import tempfile
@@ -393,7 +405,7 @@ def criterion_determinism(seed: int = 1234) -> dict:
             run_digests = {}
             for i, cmd in enumerate(cmds):
                 code = cli.main(cmd + ["--out", str(out / f"cmd{i}"),
-                                       "--seed", str(seed)])
+                                       "--seed", "1234"])
                 if code != 0:
                     return {"criterion": 9, "name": "determinism",
                             "passed": False,
@@ -419,7 +431,7 @@ ALL_CRITERIA = [
 ]
 
 
-def run_suite(selected=None) -> list[dict]:
+def run_suite(selected) -> list[dict]:
     results = []
     for fn in ALL_CRITERIA:
         name = fn.__name__.replace("criterion_", "")

@@ -3,8 +3,9 @@ inequalities on the unit cube.
 
 The capacities are defined operationally: the gamma flavor is the best
 constant C in  ||u||_Lp(Q) <= C (||grad^(k+1) u||_Lp1 + ||grad^m u||_Lp)
-over an admissible class (zero on a compact cell set, the nonnegative cone,
-their intersection, or everything), and the theta flavor is the best C in
+over an admissible class (zero on a cell set K, optionally intersected with
+the nonnegative cone; an empty K leaves the full space or the whole cone),
+and the theta flavor is the best C in
 ||u||_Lp <= A0 ||grad^(k+1) u||_Lp1 + C ||grad^m u||_Lp with A0 fixed.
 Capacity = best_constant^-p, with capacity 0 when the constant is unbounded
 (a nonzero polynomial of degree <= k is admissible) and +inf when the
@@ -68,13 +69,6 @@ from scipy.sparse import _sparsetools
 
 from .norms import _holder_pairs, multi_indices, multinomial
 
-CONSTRAINT_KINDS = (
-    "zero-on-compact",
-    "nonnegative-cone",
-    "zero-on-compact-and-nonnegative",
-    "full-space",
-)
-
 
 class CapacityError(RuntimeError):
     """Solver failure or invalid capacity parameters."""
@@ -82,44 +76,27 @@ class CapacityError(RuntimeError):
 
 @dataclass(frozen=True)
 class ConstraintSet:
-    """Admissible class on the unit-cube grid.
+    """Admissible class on the unit-cube grid: the functions that vanish on
+    the cells of the boolean mask K, restricted to the nonnegative cone when
+    cone is set.  An all-False K is the full space (or the whole cone)."""
 
-    K is a boolean cell mask (zero set) for the zero-on-compact kinds and
-    must be None for the others.
-    """
-
-    kind: str
-    K: np.ndarray | None = None
+    K: np.ndarray
+    cone: bool
 
     def __post_init__(self):
-        if self.kind not in CONSTRAINT_KINDS:
-            raise CapacityError(f"unknown constraint kind {self.kind!r}")
-        needs_k = self.kind in ("zero-on-compact", "zero-on-compact-and-nonnegative")
-        if needs_k and self.K is None:
-            raise CapacityError(f"{self.kind} requires a cell set K")
-        if not needs_k and self.K is not None:
-            raise CapacityError(f"{self.kind} does not take a cell set")
-        if self.K is not None:
-            object.__setattr__(self, "K", np.asarray(self.K, dtype=bool))
-
-    @property
-    def has_cone(self) -> bool:
-        return self.kind in ("nonnegative-cone", "zero-on-compact-and-nonnegative")
+        object.__setattr__(self, "K", np.asarray(self.K, dtype=bool))
 
     def zero_mask(self, shape) -> np.ndarray:
-        if self.K is None:
-            return np.zeros(shape, dtype=bool)
         if self.K.shape != shape:
             raise CapacityError("constraint mask shape does not match grid")
         return self.K
 
 
-def canonical_keys(kind: str, masks: np.ndarray) -> list[bytes]:
-    """Cache key, invariant under the cube symmetry group, of the class
-    ConstraintSet(kind, K) for every mask K of a stack (axis 0): the kind
-    and the lexicographically least byte image of K under the transposes
-    and flips of the cube, kept as a running row-wise minimum over the
-    images of the whole stack, one image at a time."""
+def canonical_keys(masks: np.ndarray) -> list[bytes]:
+    """Cache key, invariant under the cube symmetry group, of every mask K
+    of a stack (axis 0): the lexicographically least byte image of K under
+    the transposes and flips of the cube, kept as a running row-wise
+    minimum over the images of the whole stack, one image at a time."""
     n, dim = len(masks), masks.ndim - 1
     best = None
     for perm in permutations(range(dim)):
@@ -138,7 +115,7 @@ def canonical_keys(kind: str, masks: np.ndarray) -> list[bytes]:
             less = best[np.arange(n), first] > rows[np.arange(n), first]
             best[less] = rows[less]
     tail = str(masks.shape[1:]).encode()
-    return [kind.encode() + b"|" + row.tobytes() + tail for row in best]
+    return [row.tobytes() + tail for row in best]
 
 
 @dataclass
@@ -155,8 +132,8 @@ class CapacityResult:
     residual: float
     grid_level: int
     dim: int
-    seed: int = 0
-    note: str = ""
+    seed: int
+    note: str
 
     def to_record(self) -> dict:
         return {
@@ -401,7 +378,7 @@ def _unbounded_witness(constraints: ConstraintSet, m_cells: int, dim: int,
 
     The candidates are the null-space basis vectors of the admissible
     polynomials of each degree in `degrees` (ascending), then 64 d seeded
-    combinations of the last degree's d basis vectors.  For cone kinds a
+    combinations of the last degree's d basis vectors.  Under the cone a
     candidate must be sign-definite on the grid, and is taken nonnegative.
     A polynomial of degree below the denominator's lowest order kills the
     denominator, so such a witness makes the ratio unbounded."""
@@ -418,7 +395,7 @@ def _unbounded_witness(constraints: ConstraintSet, m_cells: int, dim: int,
     for P in chain(vectors, combos):
         if np.abs(P).max() < 1e-12:
             continue
-        if constraints.has_cone and not (P >= -1e-10).all():
+        if constraints.cone and not (P >= -1e-10).all():
             if not (P <= 1e-10).all():
                 continue
             P = -P
@@ -554,12 +531,13 @@ def _sum_terms(u, terms):
     return val, grad
 
 
-def _ratio(u, num, den, low=None, a0=0.0, vanishing=math.inf):
+def _ratio(u, num, den, low, a0, vanishing):
     """(num(u) - a0 low(u)) / sum of den(u), and its gradient.
 
-    Terms are (ops, q, w) as in _term_value_grad.  With a lower-order term
-    the ratio is clamped at 0 where the numerator is not positive; a
-    vanishing denominator gives `vanishing`.
+    Terms are (ops, q, w) as in _term_value_grad; low is one too, or None
+    for no lower-order term.  With a lower-order term the ratio is clamped
+    at 0 where the numerator is not positive; a vanishing denominator gives
+    `vanishing`.
     """
     val_n, g_n = _term_value_grad(u, num)
     if low is not None:
@@ -697,7 +675,7 @@ def _solve(constraints: ConstraintSet, grid_level: int, dim: int, num,
                 "kernel-element" if killed else "A0-too-small")
 
     starts = []
-    if num[0] is None and not constraints.has_cone and all(
+    if num[0] is None and not constraints.cone and all(
             abs(q - 2) < 1e-12 for q in [num[1]] + [q for _, q in den_terms]):
         S = None
         for order, _ in den_terms:
@@ -712,7 +690,7 @@ def _solve(constraints: ConstraintSet, grid_level: int, dim: int, num,
     if poly_degree is not None:
         starts += list(_poly_basis(m_cells, dim, poly_degree).T)
     den = [_unit_term(m_cells, dim, o, q) for o, q in below]
-    best, res = _ratio_descent(zero, constraints.has_cone, seed, num, den,
+    best, res = _ratio_descent(zero, constraints.cone, seed, num, den,
                                low=low, a0=a0,
                                vanishing=0.0 if fixed else math.inf,
                                starts=starts, max_iters=max_iters)
@@ -732,7 +710,7 @@ def _capacity_result(flavor, m, k, p, p1, A0, grid_level, dim, seed, best,
 
 
 def gamma_capacity(constraints: ConstraintSet, m: int, k: int, p: float,
-                   p1: float, grid_level: int, dim: int = 2,
+                   p1: float, grid_level: int, dim: int,
                    seed: int = 0) -> CapacityResult:
     """Best-constant capacity for the two-seminorm-sum Poincaré inequality."""
     validate_exponents(dim, m, k, p, p1)
@@ -748,8 +726,8 @@ def gamma_capacity(constraints: ConstraintSet, m: int, k: int, p: float,
 
 
 def theta_capacity(constraints: ConstraintSet, m: int, k: int, p: float,
-                   p1: float, A0: float, grid_level: int, dim: int = 2,
-                   seed: int = 0) -> CapacityResult:
+                   p1: float, A0: float, grid_level: int, dim: int,
+                   seed: int) -> CapacityResult:
     """Best-constant capacity for the fixed-A0 Poincaré inequality."""
     validate_exponents(dim, m, k, p, p1)
     if A0 <= 0:
@@ -762,8 +740,7 @@ def theta_capacity(constraints: ConstraintSet, m: int, k: int, p: float,
 
 
 def ratio_best_constant(constraints: ConstraintSet, grid_level: int, dim: int,
-                        num_spec, den_terms, seed: int = 0,
-                        a0: float = 0.0):
+                        num_spec, den_terms, seed: int, a0: float = 0.0):
     """General constrained ratio maximization on the unit-cube lattice.
 
     num_spec = (order, q): numerator ||grad^order u||_q (order 0: plain norm).
@@ -804,7 +781,7 @@ def _holder_operator(m_cells: int, dim: int, h_order: int,
 
 def holder_ratio_best_constant(constraints: ConstraintSet, grid_level: int,
                                dim: int, h_order: int, lam: float,
-                               den_terms, seed: int = 0):
+                               den_terms, seed: int):
     """Best constant of the pointwise-Hölder-quotient Poincaré inequality on
     the unit lattice: sup of the order-h quotient with exponent lam (pairs
     up to norms.HOLDER_RADIUS_CELLS cells apart) over the admissible class
@@ -838,14 +815,14 @@ class _PolyComplement:
 
 
 def poincare_constant(dim: int, order: int, p: float, p1: float,
-                      grid_level: int, seed: int = 0) -> float:
+                      grid_level: int) -> float:
     """Unconstrained order-gradient Poincaré constant of the unit cube:
     sup ||u - proj_poly u||_p / ||grad^order u||_p1 with the L2 projection
     onto polynomials of degree < order.  Used for the default theta A0.
 
     At p = p1 = 2 it is a dense generalized eigenproblem; otherwise the
-    ratio-core ascent maximises ||P u||_p / ||grad^order u||_p1 with P the
-    projection (a vanishing denominator counts as 0)."""
+    ratio-core ascent (seed 0) maximises ||P u||_p / ||grad^order u||_p1
+    with P the projection (a vanishing denominator counts as 0)."""
     m_cells = 2**grid_level
     hN = (1.0 / m_cells) ** dim
     Qb, _ = np.linalg.qr(_poly_basis(m_cells, dim, order - 1))
@@ -859,7 +836,7 @@ def poincare_constant(dim: int, order: int, p: float, p1: float,
         return math.sqrt(max(lam, 0.0))
 
     proj = _PolyComplement(Qb)
-    best, _ = _ratio_descent(np.zeros(n, dtype=bool), False, seed,
+    best, _ = _ratio_descent(np.zeros(n, dtype=bool), False, 0,
                              ([(1, proj, proj)], p, hN),
                              [_unit_term(m_cells, dim, order, p1)],
                              vanishing=0.0)
@@ -873,7 +850,7 @@ def default_theta_a0(dim: int, k: int, p1: float, grid_level: int) -> float:
 
 def norm_equivalence_constant(q_sub_corner, q_sub_side: float, m: int, k: int,
                               p: float, p1: float, grid_level: int,
-                              dim: int = 2, seed: int = 0) -> float:
+                              dim: int, seed: int) -> float:
     """Probe-estimated smallest A with
 
         ||grad^(k+1) u||_Lp1(Q0) <= A (||grad^(k+1) u||_Lp1(Q) +

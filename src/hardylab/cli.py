@@ -24,7 +24,7 @@ from .capacity import (CapacityError, ConstraintSet, check_grid_level,
                        gamma_capacity, theta_capacity, default_theta_a0)
 from .hardy import (HardyError, HardyParams, LsWeightFunction,
                     constructive_bound, case_e_shift, corollary_619_check,
-                    direct_best_constant, per_cube_capacity_field)
+                    direct_best_constant)
 from .cone import ConeError, cone_split
 from .norms import DiscreteFunction
 from ._util import stable_json, sha256_of_file
@@ -82,15 +82,9 @@ def _spec_record(dom) -> dict:
 
 def _params_from_args(args) -> HardyParams:
     kw = dict(m=args.m, k=args.k, p=args.p, p1=args.p1, q=args.q, s=args.s,
-              case=args.case, p0=args.p0, cone=args.cone, A0=args.A0)
-    if getattr(args, "form", None):
-        kw["form"] = args.form
-    if getattr(args, "h_order", None) is not None:
-        kw["h_order"] = args.h_order
-    if getattr(args, "lam", None) is not None:
-        kw["lam"] = args.lam
-    if getattr(args, "dim_loc", None) is not None:
-        kw["dim_loc_value"] = args.dim_loc
+              case=args.case, p0=args.p0, cone=args.cone, A0=args.A0,
+              form=args.form, h_order=args.h_order, lam=args.lam,
+              dim_loc_value=args.dim_loc)
     return HardyParams(**{k: v for k, v in kw.items() if v is not None})
 
 
@@ -155,8 +149,7 @@ def cmd_capacity(args) -> int:
         K = np.zeros((m_cells,) * args.dim, dtype=bool)
         K[tuple(slice(0, args.slab) if a == 0 else slice(None)
                 for a in range(args.dim))] = True
-    kind = "zero-on-compact-and-nonnegative" if args.cone else "zero-on-compact"
-    cs = ConstraintSet(kind, K)
+    cs = ConstraintSet(K, args.cone)
     p1 = args.p if args.p1 is None else args.p1
     if args.flavor == "gamma":
         res = gamma_capacity(cs, args.m, args.k, args.p, p1,
@@ -183,26 +176,20 @@ def cmd_bound(args) -> int:
         vals = np.array([float(tok) for tok
                          in Path(args.f_weights).read_text().split()])
         f = LsWeightFunction(vals, LsWeightFunction.sequence_exponent(params))
-    # the lambda-field SVG reuses the field the bound is assembled from
-    field = None
-    if args.svg and dom.dim == 2 and params.case != "E":
-        field = per_cube_capacity_field(dec, params, args.grid_level,
-                                        args.seed)
     if params.case == "E":
-        report = case_e_shift(dec, params, grid_level=args.grid_level,
-                              seed=args.seed)
+        report = case_e_shift(dec, params, args.grid_level, args.seed)
     else:
-        report = constructive_bound(dec, params, f=f, field=field,
-                                    grid_level=args.grid_level,
-                                    seed=args.seed,
-                                    with_direct=args.with_direct)
+        report = constructive_bound(dec, params, args.grid_level, args.seed,
+                                    f=f, with_direct=args.with_direct)
     emitter = _Emitter(args.out, "bound")
     emitter.add_json("bound-report.json",
                      {"seed": args.seed, "spec": _spec_record(dom),
                       **report.to_record()})
     emitter.add_text("bound-percube.csv", _per_cube_csv(report))
-    if field is not None:
-        emitter.add_text("lambda-field.svg", _lambda_svg(dec, field.lam))
+    if args.svg and dom.dim == 2 and params.case != "E":
+        # the Lambda column of the per-cube rows is the assembled field
+        lam = np.array([row["lambda"] for row in report.per_cube])
+        emitter.add_text("lambda-field.svg", _lambda_svg(dec, lam))
     emitter.flush()
     return 0
 

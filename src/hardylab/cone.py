@@ -27,7 +27,7 @@ it returns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,6 +39,8 @@ from .whitney import WhitneyDecomposition, box_scatter
 ALPHA_ENLARGE = 4.0 / 3.0        # support of the cutoff pieces
 BETA_ENLARGE = 16.0 / 9.0        # support of the local majorants
 FINITENESS_SLOPE_THRESHOLD = 0.25
+# cells a make_probe bump is kept clear of the boundary
+PROBE_MARGIN_CELLS = 6
 
 
 class ConeError(RuntimeError):
@@ -56,7 +58,7 @@ def cutoff(domain: GridDomain, center: np.ndarray, side: float,
     slice window: 1 on the cube, exactly 0 off its ALPHA_ENLARGE-fold."""
     out = np.ones(domain.inside[window].shape)
     for a in range(domain.dim):
-        x = domain.cell_centers(a)[window[a]]
+        x = domain.cell_centers()[window[a]]
         rel = np.abs(x - center[a]) / (side / 2.0)
         prof = smoothstep((ALPHA_ENLARGE - rel) / (ALPHA_ENLARGE - 1.0))
         shape = [1] * domain.dim
@@ -217,7 +219,6 @@ def finiteness_slope(u: DiscreteFunction, m: int, p: float, s: float) -> float |
     dom = u.domain
     if dom.spec is None:
         return None
-    from dataclasses import replace
     fine_spec = replace(dom.spec, level=dom.spec.level + 1)
     fine = rasterize(fine_spec)
     vals = u.values
@@ -232,7 +233,7 @@ def finiteness_slope(u: DiscreteFunction, m: int, p: float, s: float) -> float |
 
 
 def cone_split(u: DiscreteFunction, decomp: WhitneyDecomposition, m: int,
-               p: float, s: float = 0.0) -> ConeSplit:
+               p: float, s: float) -> ConeSplit:
     """Split u = u1 - u2 with both parts nonnegative in the weighted space.
 
     Fails when the weighted low-order integral diverges under refinement
@@ -356,9 +357,9 @@ def chain_inequality_sides(u: DiscreteFunction, split: ConeSplit, m: int,
     return lhs, split.factors["chain_bound"] * rhs_core
 
 
-def make_probe(domain: GridDomain, seed: int, margin_cells: int = 6,
-               signed: bool = True) -> DiscreteFunction:
-    """Random interior bump probe with support clear of the boundary."""
+def make_probe(domain: GridDomain, seed: int) -> DiscreteFunction:
+    """Random interior bump probe: three signed bumps, cut to zero within
+    PROBE_MARGIN_CELLS cells of the boundary."""
     rng = np.random.default_rng(seed)
     grids = domain.center_grid()
     dist = domain.distance
@@ -366,10 +367,10 @@ def make_probe(domain: GridDomain, seed: int, margin_cells: int = 6,
     for _ in range(3):
         c = rng.uniform(0.2, 0.8, size=domain.dim)
         w = rng.uniform(0.05, 0.2)
-        amp = rng.uniform(0.2, 1.0) * (rng.choice([-1.0, 1.0]) if signed else 1.0)
+        amp = rng.uniform(0.2, 1.0) * rng.choice([-1.0, 1.0])
         r2 = sum((g - cc) ** 2 for g, cc in zip(grids, c)) / w**2
         vals += amp * np.exp(-np.minimum(r2, 60.0))
-    vals = np.where(dist > margin_cells * domain.h, vals, 0.0)
+    vals = np.where(dist > PROBE_MARGIN_CELLS * domain.h, vals, 0.0)
     return DiscreteFunction(domain, vals)
 
 
@@ -385,7 +386,7 @@ def make_cusp_probe(domain: GridDomain) -> DiscreteFunction:
 
 
 def conjecture_experiment(domain: GridDomain, decomp: WhitneyDecomposition,
-                          n_probes: int = 4, seed: int = 0):
+                          n_probes: int, seed: int):
     """Evidence table for the odd/even-order cone-generation conjecture:
     split success rates at p = 2 for gradient orders 1-3, no assertion
     attached."""

@@ -39,7 +39,7 @@ class DimensionEstimate:
     per_level_sups: list
     divergence_slope: float
     confidence_band: tuple[float, float]
-    threshold: float = DIVERGENCE_SLOPE_THRESHOLD
+    threshold: float
     # mc-loc only: {j: sup box count} at every counted scale (not recorded)
     box_counts: dict | None = None
 
@@ -53,31 +53,27 @@ class DimensionEstimate:
         }
 
 
-def g_s(decomp: WhitneyDecomposition, s: float, clamp: float | None = None):
+def g_s(decomp: WhitneyDecomposition, s: float):
     """Cube supremum of (diam Q)^(s-N) * integral_{R_Q ∩ Ω} delta^-s dx.
 
     The integral runs over the inside cells of R_Q only, at every s
-    (s = 0 gives the volume of R_Q ∩ Ω), with delta clamped below at
-    ``clamp`` (default half a cell).  All cubes are integrated at once by
-    one summed-area table (WhitneyDecomposition.rq_distance_integrals).
-    The result is kept on the decomposition per (s, clamp), so a repeated
-    s (the bisection's points in export_gs_table) builds no second table.
+    (s = 0 gives the volume of R_Q ∩ Ω), with delta clamped below at half
+    a cell.  All cubes are integrated at once by one summed-area table
+    (WhitneyDecomposition.rq_distance_integrals).  The result is kept on
+    the decomposition per s, so a repeated s (the bisection's points in
+    export_gs_table) builds no second table.
 
     Returns (sup_value, per_level) with per_level a new list of
     (cube level, sup over cubes at that level).
     """
     dom = decomp.domain
-    h = dom.h
-    if clamp is None:
-        clamp = 0.5 * h
-    key = (s, clamp)
-    if key not in decomp.gs_tables:
-        integral = decomp.rq_distance_integrals(s, clamp)
+    if s not in decomp.gs_tables:
+        integral = decomp.rq_distance_integrals(s, 0.5 * dom.h)
         vals = decomp.diams() ** (-dom.dim + s) * integral
         table = tuple((k, float(vals[decomp.levels == k].max()))
                       for k in decomp.populated_levels())
-        decomp.gs_tables[key] = (max(v for _, v in table), table)
-    sup, table = decomp.gs_tables[key]
+        decomp.gs_tables[s] = (max(v for _, v in table), table)
+    sup, table = decomp.gs_tables[s]
     return sup, list(table)
 
 

@@ -115,24 +115,39 @@ class GridDomain:
     """Raster of an open set with its boundary distance field.
 
     inside : bool array, shape (2^level,)*dim; cell center in the domain
+
+    Construction runs the one feature transform (see __post_init__) and
+    sets two more arrays from the inside flags:
+
     distance : float array, same shape; Euclidean distance from each inside
         cell center to the nearest outside cell center (collar included),
         in units of the box side.  Zero on outside cells.
     nearest : int array, shape (dim,) + padded shape; the nearest outside
         cell of every cell of the padded grid, in padded indices (the
         feature transform behind ``distance``; a cell in the padded
-        complement is its own nearest cell).  Set with ``distance`` by
-        distance_transform; whitney reads it for the R_Q centers.
+        complement is its own nearest cell).  whitney reads it for the R_Q
+        centers.
     """
 
     dim: int
     level: int
     inside: np.ndarray
-    distance: np.ndarray | None = None
     spec: DomainSpec | None = field(default=None, repr=False)
     pad_mode: str = "collar"
 
     def __post_init__(self):
+        """Check the raster, then the distance field.
+
+        The distance is the exact center-to-center Euclidean transform
+        (two-pass dimensional reduction) minus half a cell width, which is
+        the exact offset to the cell interface for flat axis-aligned
+        boundaries and stays within half a cell of it in general; it is
+        floored at half a cell width, so boundary-adjacent centers measure
+        h/2.  The raster is padded with its one-cell boundary ring before
+        the transform, which also returns its feature map, kept as
+        ``nearest`` so the Whitney decomposition reads the nearest outside
+        cells without a second pass.
+        """
         n = 2 ** self.level
         if self.inside.shape != (n,) * self.dim:
             raise DomainError("inside mask shape does not match level")
@@ -142,7 +157,12 @@ class GridDomain:
         # the collar supplies a complement; replication needs one in the box
         if self.pad_mode == "replicate" and not (~self.inside).any():
             raise DomainError("replicate padding needs outside cells in the box")
-        self.nearest = None
+        dist, self.nearest = ndimage.distance_transform_edt(
+            self.padded_inside(), sampling=self.h, return_indices=True)
+        core = dist[tuple(slice(1, -1) for _ in range(self.dim))]
+        adjusted = np.maximum(core - 0.5 * self.h, 0.5 * self.h)
+        self.distance = np.ascontiguousarray(
+            np.where(self.inside, adjusted, 0.0))
 
     def padded_inside(self) -> np.ndarray:
         """Inside mask with the one-cell boundary ring: an outside collar for
@@ -159,14 +179,13 @@ class GridDomain:
     def shape(self):
         return self.inside.shape
 
-    def cell_centers(self, axis: int) -> np.ndarray:
-        n = 2 ** self.level
-        return (np.arange(n) + 0.5) * self.h
+    def cell_centers(self) -> np.ndarray:
+        """Cell-center coordinates along any axis (the raster is cubic)."""
+        return (np.arange(2 ** self.level) + 0.5) * self.h
 
     def center_grid(self) -> list[np.ndarray]:
         """Meshgrid (ij indexing) of cell-center coordinates."""
-        axes = [self.cell_centers(a) for a in range(self.dim)]
-        return np.meshgrid(*axes, indexing="ij")
+        return np.meshgrid(*[self.cell_centers()] * self.dim, indexing="ij")
 
 
 def rasterize(spec: DomainSpec) -> GridDomain:
@@ -209,39 +228,14 @@ def rasterize(spec: DomainSpec) -> GridDomain:
             covered |= (x >= a) & (x <= b)
         inside = ~covered
     elif spec.kind == "raw-mask":
-        inside = read_ndgrid(spec.path, expect_dim=spec.dim, expect_level=spec.level)
+        inside = read_ndgrid(spec.path, spec.dim, spec.level)
     else:  # pragma: no cover - guarded by DomainSpec
         raise DomainError(spec.kind)
 
     unbounded = spec.kind in ("halfspace", "cube-minus-compact")
     pad_mode = "replicate" if unbounded else "collar"
-    dom = GridDomain(dim=spec.dim, level=spec.level, inside=inside, spec=spec,
-                     pad_mode=pad_mode)
-    return distance_transform(dom)
-
-
-def distance_transform(domain: GridDomain) -> GridDomain:
-    """Euclidean distance from inside cell centers to the outside region.
-
-    Computed as the exact center-to-center Euclidean transform (two-pass
-    dimensional reduction) minus half a cell width, which is the exact
-    offset to the cell interface for flat axis-aligned boundaries and stays
-    within half a cell of it in general; the result is floored at half a
-    cell width, so boundary-adjacent centers measure h/2.  The raster is
-    padded with its one-cell boundary ring before the transform.  The one
-    transform also returns its feature map, kept as ``domain.nearest`` so
-    the Whitney decomposition reads the nearest outside cells without a
-    second pass.  Idempotent (recomputes both from the inside flags).
-    """
-    padded = domain.padded_inside()
-    dist, domain.nearest = ndimage.distance_transform_edt(
-        padded, sampling=domain.h, return_indices=True)
-    crop = tuple(slice(1, -1) for _ in range(domain.dim))
-    core = dist[crop]
-    adjusted = np.maximum(core - 0.5 * domain.h, 0.5 * domain.h)
-    domain.distance = np.ascontiguousarray(
-        np.where(domain.inside, adjusted, 0.0))
-    return domain
+    return GridDomain(dim=spec.dim, level=spec.level, inside=inside,
+                      spec=spec, pad_mode=pad_mode)
 
 
 # -- built-in corpus geometry ------------------------------------------------
@@ -324,16 +318,16 @@ def _points_in_polygon(xs: np.ndarray, ys: np.ndarray,
 # -- raw grid / function file formats ----------------------------------------
 
 
-def read_ndgrid(path, expect_dim=None, expect_level=None) -> np.ndarray:
+def read_ndgrid(path, expect_dim: int, expect_level: int) -> np.ndarray:
     """Read an NDGRID v1 mask: header "NDGRID v1 <N> <L>" then 0/1 chars."""
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 4 or header[0] != "NDGRID" or header[1] != "v1":
             raise DomainError(f"{path}: bad NDGRID header")
         ndim, level = int(header[2]), int(header[3])
-        if expect_dim is not None and ndim != expect_dim:
+        if ndim != expect_dim:
             raise DomainError(f"{path}: mask dim {ndim} != spec dim {expect_dim}")
-        if expect_level is not None and level != expect_level:
+        if level != expect_level:
             raise DomainError(f"{path}: mask level {level} != spec level {expect_level}")
         body = fh.read()
     bits = [ch for ch in body if not ch.isspace()]

@@ -13,13 +13,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 import scipy.sparse as sp
+from scipy import ndimage
 
 from .grids import GridDomain
-from .norms import _weight_on_anchors
+from .norms import (DiscreteFunction, WeightSpec, gradient_magnitude,
+                    gradient_seminorm, _weight_on_anchors)
 from .whitney import WhitneyDecomposition, packing_constant
+from .dimension import (DimensionError, boundary_cells_padded, dim_loc,
+                        selfsimilarity_signature)
 from .capacity import (
     CapacityError,
     ConstraintSet,
@@ -103,9 +108,9 @@ class HardyParams:
         return self.case in ("C", "D")
 
     def one_term(self) -> bool:
-        """k = m-1 (case E always): both right-hand terms are grad^m norms,
-        and the one-term route, which reads no p1, is the tighter one."""
-        return self.case == "E" or self.k == self.m - 1
+        """k = m-1: both right-hand terms are grad^m norms, and the one-term
+        route, which reads no p1, is the tighter one."""
+        return self.k == self.m - 1
 
     def capacity_exponent(self) -> float:
         if self.case in ("B", "D"):
@@ -242,15 +247,14 @@ def _constraint_classes(decomp: WhitneyDecomposition, grid_level: int,
     _, first, inverse = np.unique(
         rows.view(np.dtype((np.void, rows.shape[1]))).ravel(),
         return_index=True, return_inverse=True)
-    kind = "zero-on-compact-and-nonnegative" if cone else "zero-on-compact"
     class_of: dict[bytes, int] = {}
     mask_class = np.zeros(len(first), dtype=np.int64)
     reps = []
     order = np.argsort(first)
-    for u, key in zip(order, canonical_keys(kind, K[first[order]])):
+    for u, key in zip(order, canonical_keys(K[first[order]])):
         if key not in class_of:
             class_of[key] = len(reps)
-            reps.append(ConstraintSet(kind, K[first[u]].copy()))
+            reps.append(ConstraintSet(K[first[u]].copy(), cone))
         mask_class[u] = class_of[key]
     return reps, mask_class[inverse]
 
@@ -259,24 +263,23 @@ THETA_C2_FLOOR_FRACTION = 1e-6
 
 
 def per_cube_capacity_field(decomp: WhitneyDecomposition, params: HardyParams,
-                            grid_level: int = 4, seed: int = 0) -> CubeCapacities:
+                            grid_level: int, seed: int) -> CubeCapacities:
     """Capacities of the rescaled complements, one solve per congruence
     class of cubes (_constraint_classes), spread to the cubes by class.
 
     Reported Lambda(x) follows the case: gamma capacity at exponent p (A),
-    p0 (B), theta capacity at p (C), p0 (D); case E uses the gamma capacity
-    at k = m-1.  Alongside the reported fields, chain constants for the
-    assembly are solved with the numerator at exponent q (they coincide with
-    the reported solve when q matches, the common case).  Theta best
-    constants are clamped below at a small fraction of A0, which keeps the
-    capacity weights finite and only weakens the per-cube inequality.
-    Classes are solved in order of their first cube; records is per cube,
-    and congruent cubes share their class's record.
+    p0 (B), theta capacity at p (C), p0 (D).  Alongside the reported
+    fields, chain constants for the assembly are solved with the numerator
+    at exponent q (they coincide with the reported solve when q matches,
+    the common case).  Theta best constants are clamped below at a small
+    fraction of A0, which keeps the capacity weights finite and only
+    weakens the per-cube inequality.  Classes are solved in order of their
+    first cube; records is per cube, and congruent cubes share their
+    class's record.
     """
     check_grid_level(grid_level, params.m)
     dom = decomp.domain
     pcap = params.capacity_exponent()
-    k_eff = params.m - 1 if params.case == "E" else params.k
     theta = params.theta_case()
     holder = params.form == "holder-6.23"
     single = params.one_term()
@@ -290,20 +293,20 @@ def per_cube_capacity_field(decomp: WhitneyDecomposition, params: HardyParams,
     p1_eff = pcap if single else params.p1
     A0 = params.A0
     if theta and A0 is None:
-        A0 = default_theta_a0(dom.dim, k_eff, p1_eff, grid_level)
+        A0 = default_theta_a0(dom.dim, params.k, p1_eff, grid_level)
     c2_floor = THETA_C2_FLOOR_FRACTION * A0 if theta else 0.0
 
     # chain denominators; theta moves the first term up, scaled by A0
     a0 = A0 if theta else 0.0
     den_terms = [(params.m, pcap)] if single and not theta else [
-        (k_eff + 1, p1_eff), (params.m, pcap)]
+        (params.k + 1, p1_eff), (params.m, pcap)]
 
     def solve(cs: ConstraintSet):
         if theta:
-            rep = theta_capacity(cs, params.m, k_eff, pcap, p1_eff, A0,
+            rep = theta_capacity(cs, params.m, params.k, pcap, p1_eff, A0,
                                  grid_level, dom.dim, seed)
         else:
-            rep = gamma_capacity(cs, params.m, k_eff, pcap, p1_eff,
+            rep = gamma_capacity(cs, params.m, params.k, pcap, p1_eff,
                                  grid_level, dom.dim, seed)
         if holder:
             chain, _, _ = holder_ratio_best_constant(
@@ -427,9 +430,8 @@ def _norm_equivalence_constants(decomp: WhitneyDecomposition,
 
 
 def constructive_bound(decomp: WhitneyDecomposition, params: HardyParams,
+                       grid_level: int, seed: int,
                        f: LsWeightFunction | None = None,
-                       field: CubeCapacities | None = None,
-                       grid_level: int = 4, seed: int = 0,
                        with_direct: bool = False) -> HardyBoundReport:
     """Assemble the constructive constant for cases A-D.
 
@@ -468,8 +470,7 @@ def constructive_bound(decomp: WhitneyDecomposition, params: HardyParams,
         if expected is not None and abs(f.seq_exponent - expected) > 1e-9:
             raise HardyError("f carries the wrong sequence exponent")
 
-    if field is None:
-        field = per_cube_capacity_field(decomp, params, grid_level, seed)
+    field = per_cube_capacity_field(decomp, params, grid_level, seed)
     pcap = params.capacity_exponent()
     theta = params.theta_case()
     single = params.one_term()
@@ -729,8 +730,6 @@ def _commutator_norm(decomp: WhitneyDecomposition, params: HardyParams,
 
     with g = -2 beta / p, maximized over 12 seeded random bump probes.
     """
-    from .norms import DiscreteFunction, WeightSpec, gradient_seminorm, \
-        gradient_magnitude
     dom = decomp.domain
     m, p = params.m, params.p
     rng = np.random.default_rng(seed + 7)
@@ -756,15 +755,30 @@ def _commutator_norm(decomp: WhitneyDecomposition, params: HardyParams,
         lhs = float((defect**p * wanch).sum() * hN) ** (1.0 / p)
         rhs = 0.0
         for k in range(m):
-            wk = WeightSpec(exponent=-(beta + (m - k) * p), clamp=clamp)
+            wk = WeightSpec(exponent=-(beta + (m - k) * p))
             rhs += gradient_seminorm(u, k, p, wk)
         if rhs > 1e-300 and gamma > 0:
             worst = max(worst, lhs / (gamma * rhs))
     return worst
 
 
+def _capacity_floor(decomp: WhitneyDecomposition, m: int, p: float,
+                    cone: bool, grid_level: int, seed: int) -> float:
+    """Uniform capacity floor b: the smallest gamma capacity at (m, m-1, p)
+    over the cubes whose rescaled complement class is not saturated, 0 when
+    every class is saturated.  One solve per congruence class, as in
+    per_cube_capacity_field, and no chain constants."""
+    check_grid_level(grid_level, m)
+    reps, cls = _constraint_classes(decomp, grid_level, cone)
+    results = [gamma_capacity(cs, m, m - 1, p, p, grid_level,
+                              decomp.domain.dim, seed) for cs in reps]
+    lam = np.asarray([r.capacity for r in results], dtype=float)[cls]
+    usable = ~np.array([r.note == "saturated" for r in results])[cls]
+    return float(lam[usable].min()) if usable.any() else 0.0
+
+
 def case_e_shift(decomp: WhitneyDecomposition, params: HardyParams,
-                 grid_level: int = 4, seed: int = 0) -> HardyBoundReport:
+                 grid_level: int, seed: int) -> HardyBoundReport:
     """Largest positive weight exponent s0 reachable from the negative-s
     bounds by the dependent-variable change u -> u * delta^(-2 beta / p).
 
@@ -779,9 +793,7 @@ def case_e_shift(decomp: WhitneyDecomposition, params: HardyParams,
     t_check, _ = weight_exponents(params, dom.dim)
     if params.q < p:
         raise HardyError("case E requires q >= p")
-    field = per_cube_capacity_field(decomp, params, grid_level, seed)
-    usable = ~field.saturated
-    b = float(field.lam[usable].min()) if usable.any() else 0.0
+    b = _capacity_floor(decomp, params.m, p, params.cone, grid_level, seed)
     flags = []
     report_params = params.to_record()
     packing = packing_constant(dom.dim)
@@ -840,6 +852,8 @@ def case_e_shift(decomp: WhitneyDecomposition, params: HardyParams,
 
 
 COROLLARY_CASES = ("i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "ix", "x")
+# capacity floor b the capacity-gated cases i-iv, ix and x must exceed
+COROLLARY_B_THRESHOLD = 1e-4
 # smallest r-cube side the projection cases v-viii accept
 PROJECTION_MIN_SIDE = 0.05
 
@@ -853,7 +867,6 @@ def _projection_condition(decomp: WhitneyDecomposition, grid_level: int,
     permute the projections, flips keep the largest full sub-cube), so one
     cube per congruence class stands for its class."""
     dom = decomp.domain
-    from itertools import combinations
     worst = math.inf
     for cs in _constraint_classes(decomp, grid_level, cone=False)[0]:
         K = cs.K
@@ -874,7 +887,6 @@ def _largest_cube_side(mask: np.ndarray) -> int:
     """Side (cells) of the largest axis-aligned full cube inside a mask."""
     if not mask.any():
         return 0
-    from scipy import ndimage
     side = 1
     while True:
         size = side + 1
@@ -890,8 +902,6 @@ def _largest_cube_side(mask: np.ndarray) -> int:
 
 def _boundary_in_hyperplane(domain: GridDomain) -> bool:
     """True when all boundary cells lie in a common hyperplane (SVD rank)."""
-    from .dimension import boundary_cells_padded
-
     cells = boundary_cells_padded(domain)
     pts = np.argwhere(cells).astype(float)
     if len(pts) < 2:
@@ -903,10 +913,8 @@ def _boundary_in_hyperplane(domain: GridDomain) -> bool:
 
 def corollary_619_check(domain: GridDomain, decomp: WhitneyDecomposition,
                         case_id: str, params: HardyParams,
-                        grid_level: int = 4, seed: int = 0,
-                        b_threshold: float = 1e-4,
-                        r_dim: int | None = None,
-                        asserted_selfsimilar: bool = False):
+                        grid_level: int, seed: int, r_dim: int | None,
+                        asserted_selfsimilar: bool):
     """Hypothesis gate + bound instantiation for the one-term corollary cases.
 
     Returns (hypotheses_ok, report_or_None, details).  Capacity lower bounds
@@ -934,16 +942,12 @@ def corollary_619_check(domain: GridDomain, decomp: WhitneyDecomposition,
 
     # capacity floor over cubes (cases i-iv and the global-capacity gate)
     if case_id in ("i", "ii", "iii", "iv") and not failures:
-        probe = HardyParams(m=cap_m, k=cap_m - 1, p=pcap, case="A", s=-1.0,
-                            cone=cone)
-        cfield = per_cube_capacity_field(decomp, probe, grid_level, seed)
-        usable = ~cfield.saturated
-        b = float(cfield.lam[usable].min()) if usable.any() else 0.0
+        b = _capacity_floor(decomp, cap_m, pcap, cone, grid_level, seed)
         details["capacity_floor"] = b
-        if not (b > b_threshold):
+        if not (b > COROLLARY_B_THRESHOLD):
             failures.append(
                 f"capacity lower bound fails: min grid capacity {b:.3g} <= "
-                f"threshold {b_threshold:.3g}")
+                f"threshold {COROLLARY_B_THRESHOLD:.3g}")
 
     if case_id in ("v", "vi", "vii", "viii"):
         if r_dim is None:
@@ -962,7 +966,6 @@ def corollary_619_check(domain: GridDomain, decomp: WhitneyDecomposition,
                     f"< {PROJECTION_MIN_SIDE:.3g}")
 
     if case_id in ("ix", "x"):
-        from .dimension import selfsimilarity_signature
         if not asserted_selfsimilar:
             failures.append("self-similarity not asserted by caller")
         disc, flagged = selfsimilarity_signature(decomp)
@@ -972,18 +975,13 @@ def corollary_619_check(domain: GridDomain, decomp: WhitneyDecomposition,
                 f"self-similarity signature gate fails ({len(flagged)} pairs)")
         if _boundary_in_hyperplane(domain):
             failures.append("boundary is contained in a hyperplane")
-        probe = HardyParams(m=params.m, k=params.m - 1, p=pcap, case="A",
-                            s=-1.0, cone=False)
-        cfield = per_cube_capacity_field(decomp, probe, grid_level, seed)
-        usable = ~cfield.saturated
-        b = float(cfield.lam[usable].min()) if usable.any() else 0.0
+        b = _capacity_floor(decomp, params.m, pcap, False, grid_level, seed)
         details["capacity_floor"] = b
-        if not (b > b_threshold):
+        if not (b > COROLLARY_B_THRESHOLD):
             failures.append("global capacity proxy vanishes")
 
     dim_loc_cases = ("ii", "iv", "vi", "viii", "x")
     if case_id in dim_loc_cases and not failures:
-        from .dimension import DimensionError, dim_loc
         dl = params.dim_loc_value
         if dl is None:
             try:

@@ -38,25 +38,13 @@ class DiscreteFunction:
 
 @dataclass
 class WeightSpec:
-    """Weight delta^s with the distance clamped below.
+    """Weight delta^exponent with the distance clamped below at half a cell
+    width of the domain it is applied to."""
 
-    clamp=None resolves to half a cell width of the domain it is applied to.
-    """
-
-    exponent: float = 0.0
-    clamp: float | None = None
-
-    def resolve_clamp(self, domain: GridDomain) -> float:
-        return 0.5 * domain.h if self.clamp is None else self.clamp
+    exponent: float
 
     def field(self, domain: GridDomain) -> np.ndarray:
-        clamp = self.resolve_clamp(domain)
-        if clamp <= 0:
-            raise ValueError("clamp must be positive")
-        return np.maximum(domain.distance, clamp) ** self.exponent
-
-
-UNIT_WEIGHT = WeightSpec(exponent=0.0, clamp=1.0)
+        return np.maximum(domain.distance, 0.5 * domain.h) ** self.exponent
 
 
 def multi_indices(dim: int, order: int) -> list[tuple[int, ...]]:
@@ -137,7 +125,7 @@ def gradient_magnitude(u: DiscreteFunction, order: int):
 
 
 def gradient_seminorm(u: DiscreteFunction, order: int, p: float,
-                      w: WeightSpec = UNIT_WEIGHT) -> float:
+                      w: WeightSpec) -> float:
     """(sum |grad^j u|^p * weight * dx)^(1/p); order 0 is the weighted L^p norm."""
     if p < 1:
         raise ValueError("p must be >= 1")

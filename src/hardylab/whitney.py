@@ -75,7 +75,7 @@ class WhitneyDecomposition:
     (unclipped), and ``rq_start``/``rq_stop``, that range clipped to the
     box as half-open bounds; ``dist_min``/``dist_max``, the extremes of the
     distance field over the cube's cells.  ``gs_tables`` holds the results
-    of dimension.g_s per (s, clamp), so each G_s table is built once per
+    of dimension.g_s per s, so each G_s table is built once per
     decomposition.
     """
 
@@ -244,8 +244,6 @@ def decompose(domain: GridDomain) -> WhitneyDecomposition:
     Raises WhitneyError when the raster admits no cube at any level (e.g. an
     inside mask with no cells).
     """
-    if domain.distance is None or domain.nearest is None:
-        raise WhitneyError("domain needs a distance field (run distance_transform)")
     if not domain.inside.any():
         raise WhitneyError("degenerate raster: no inside cells")
     dim, L = domain.dim, domain.level
@@ -412,7 +410,7 @@ def check_decomposition(decomp: WhitneyDecomposition) -> dict:
     }
 
 
-def to_svg(decomp: WhitneyDecomposition, show_enlarged: bool = False) -> str:
+def to_svg(decomp: WhitneyDecomposition, show_enlarged: bool) -> str:
     """SVG text of a 2-D decomposition (cubes, optional R_Q overlays)."""
     if decomp.domain.dim != 2:
         raise ValueError("SVG export requires a 2-D domain")

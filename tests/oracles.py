@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from hardylab.hardy import LsWeightFunction
-from hardylab.norms import (UNIT_WEIGHT, _holder_pairs, _weight_on_anchors,
+from hardylab.norms import (WeightSpec, _holder_pairs, _weight_on_anchors,
                             difference_fields)
 
 
@@ -16,7 +16,7 @@ def brute_force_distance(domain):
     """O(n^2) all-pairs distance oracle (includes the ring).
 
     Scans every outside cell center for every inside cell and applies the
-    same interface offset as grids.distance_transform.
+    same interface offset as the GridDomain distance field.
     """
     h = domain.h
     padded = domain.padded_inside()
@@ -39,7 +39,8 @@ def interior_fields(u, order):
             [idx[order:] for idx in widx])
 
 
-def holder_quotient(u, h_order, lam, w=UNIT_WEIGHT, interior=False):
+def holder_quotient(u, h_order, lam, w=WeightSpec(exponent=0.0),
+                    interior=False):
     """Pointwise Hölder quotient, grid form.
 
     sup over inside anchors x, distinct |alpha| = h_order, and the pairs

@@ -21,8 +21,7 @@ from oracles import holder_quotient
 def slab_set(m_cells, width, dim=2, cone=False):
     K = np.zeros((m_cells,) * dim, dtype=bool)
     K[tuple(slice(0, width) if a == 0 else slice(None) for a in range(dim))] = True
-    kind = "zero-on-compact-and-nonnegative" if cone else "zero-on-compact"
-    return ConstraintSet(kind, K)
+    return ConstraintSet(K, cone)
 
 
 def test_quadratic_form_built_once_and_left_unchanged():
@@ -38,14 +37,15 @@ def test_quadratic_form_built_once_and_left_unchanged():
 
 
 def test_full_space_capacity_zero():
-    r = gamma_capacity(ConstraintSet("full-space"), 2, 0, 2.0, 2.0, 3, 2)
+    r = gamma_capacity(ConstraintSet(np.zeros((8, 8), dtype=bool), False),
+                       2, 0, 2.0, 2.0, 3, 2)
     assert r.capacity == 0.0
     assert not math.isfinite(r.best_constant)
 
 
 def test_saturated_sentinel():
     K = np.ones((8, 8), dtype=bool)
-    r = gamma_capacity(ConstraintSet("zero-on-compact", K), 1, 0, 2.0, 2.0, 3, 2)
+    r = gamma_capacity(ConstraintSet(K, False), 1, 0, 2.0, 2.0, 3, 2)
     assert r.capacity == math.inf
     assert r.note == "saturated"
     assert r.best_constant == 0.0
@@ -83,9 +83,9 @@ def test_symmetry_invariance():
     m_cells = 8
     K = np.zeros((m_cells, m_cells), dtype=bool)
     K[:2, :] = True
-    base = gamma_capacity(ConstraintSet("zero-on-compact", K), 1, 0, 2.0, 2.0, 3, 2)
+    base = gamma_capacity(ConstraintSet(K, False), 1, 0, 2.0, 2.0, 3, 2)
     for img in (K[::-1, :].copy(), K[:, ::-1].copy(), K.T.copy()):
-        r = gamma_capacity(ConstraintSet("zero-on-compact", img), 1, 0, 2.0,
+        r = gamma_capacity(ConstraintSet(img, False), 1, 0, 2.0,
                            2.0, 3, 2)
         assert r.best_constant == pytest.approx(base.best_constant, rel=1e-10)
 
@@ -96,7 +96,7 @@ def test_kernel_detection_linear_poly():
     m_cells = 8
     K = np.zeros((m_cells, m_cells), dtype=bool)
     K[0, :] = True
-    r = gamma_capacity(ConstraintSet("zero-on-compact", K), 2, 1, 2.0, 2.0, 3, 2)
+    r = gamma_capacity(ConstraintSet(K, False), 2, 1, 2.0, 2.0, 3, 2)
     assert r.capacity == 0.0 and r.note == "kernel-element"
 
 
@@ -108,7 +108,7 @@ def test_kernel_detection_with_few_zero_cells(zero_cells):
     K = np.zeros((8, 8), dtype=bool)
     for cell in zero_cells:
         K[cell] = True
-    cs = ConstraintSet("zero-on-compact", K)
+    cs = ConstraintSet(K, False)
     kern = _unbounded_witness(cs, 8, 2, [1], _unit_term(8, 2, 0, 2.0), None,
                               0.0)
     r = gamma_capacity(cs, 2, 1, 2.0, 2.0, 3, 2)
@@ -122,7 +122,8 @@ def test_kernel_detection_with_few_zero_cells(zero_cells):
 
 
 def test_cone_kernel_detection():
-    r = gamma_capacity(ConstraintSet("nonnegative-cone"), 1, 0, 2.0, 2.0, 3, 2)
+    r = gamma_capacity(ConstraintSet(np.zeros((8, 8), dtype=bool), True),
+                       1, 0, 2.0, 2.0, 3, 2)
     assert r.capacity == 0.0  # constants are admissible in the cone
 
 
@@ -130,7 +131,7 @@ def test_theta_against_gamma_slab():
     cs = slab_set(16, 2)
     g = gamma_capacity(cs, 1, 0, 2.0, 2.0, 4, 2)
     A0 = default_theta_a0(2, 0, 2.0, 4)
-    t = theta_capacity(cs, 1, 0, 2.0, 2.0, A0, 4, 2)
+    t = theta_capacity(cs, 1, 0, 2.0, 2.0, A0, 4, 2, 0)
     assert t.capacity >= g.capacity / 2.0**2 - 1e-9
     # with a small A0 the theta constant is finite and positive
     t2 = theta_capacity(cs, 1, 0, 2.0, 2.0, 0.1, 4, 2, seed=2)
@@ -179,15 +180,15 @@ def test_theta_a0_too_small_flag():
     m_cells = 8
     K = np.zeros((m_cells, m_cells), dtype=bool)
     K[0, 0] = True
-    r = theta_capacity(ConstraintSet("zero-on-compact", K), 2, 0, 2.0, 2.0,
-                       1e-4, 3, 2)
+    r = theta_capacity(ConstraintSet(K, False), 2, 0, 2.0, 2.0,
+                       1e-4, 3, 2, 0)
     assert r.capacity == 0.0
     assert r.note in ("A0-too-small", "kernel-element")
 
 
 def test_a0_large_limit_clamps_numerator():
     cs = slab_set(8, 2)
-    r = theta_capacity(cs, 1, 0, 2.0, 2.0, 1e6, 3, 2)
+    r = theta_capacity(cs, 1, 0, 2.0, 2.0, 1e6, 3, 2, 0)
     assert r.best_constant == 0.0 and r.capacity == math.inf
 
 
@@ -220,9 +221,9 @@ def test_norm_equivalence_stability_across_levels():
 
 def test_norm_equivalence_rejects():
     with pytest.raises(CapacityError):
-        norm_equivalence_constant((0.0, 0.0), 0.25, 1, 0, 2.0, 2.0, 4, 2)
+        norm_equivalence_constant((0.0, 0.0), 0.25, 1, 0, 2.0, 2.0, 4, 2, 0)
     with pytest.raises(CapacityError):
-        norm_equivalence_constant((0.0, 0.0), 0.01, 2, 0, 2.0, 2.0, 4, 2)
+        norm_equivalence_constant((0.0, 0.0), 0.01, 2, 0, 2.0, 2.0, 4, 2, 0)
 
 
 def test_poincare_constant_reasonable():
@@ -234,11 +235,12 @@ def test_poincare_constant_reasonable():
 def test_ratio_best_constant_kernel_and_saturated():
     m_cells = 8
     best, _, solver = ratio_best_constant(
-        ConstraintSet("zero-on-compact", np.ones((m_cells,) * 2, dtype=bool)),
-        3, 2, (0, 2.0), [(1, 2.0)])
+        ConstraintSet(np.ones((m_cells,) * 2, dtype=bool), False),
+        3, 2, (0, 2.0), [(1, 2.0)], 0)
     assert best == 0.0 and solver == "saturated"
     best, _, solver = ratio_best_constant(
-        ConstraintSet("full-space"), 3, 2, (0, 2.0), [(1, 2.0)])
+        ConstraintSet(np.zeros((m_cells,) * 2, dtype=bool), False), 3, 2,
+        (0, 2.0), [(1, 2.0)], 0)
     assert best == math.inf and solver == "kernel-element"
 
 
@@ -246,13 +248,14 @@ def test_ratio_best_constant_kernel_and_saturated():
 def test_entry_points_reject_grid_too_coarse(grid_level):
     # a 2^level lattice of at most m cells per axis has no order-m
     # difference; each entry point says so before it builds a term
-    cs = ConstraintSet("full-space")
+    cs = ConstraintSet(np.zeros((1, 1), dtype=bool), False)
     solves = [
         lambda: gamma_capacity(cs, 1, 0, 2.0, 2.0, grid_level, 2),
-        lambda: theta_capacity(cs, 1, 0, 2.0, 2.0, 0.1, grid_level, 2),
-        lambda: ratio_best_constant(cs, grid_level, 2, (0, 2.0), [(1, 2.0)]),
+        lambda: theta_capacity(cs, 1, 0, 2.0, 2.0, 0.1, grid_level, 2, 0),
+        lambda: ratio_best_constant(cs, grid_level, 2, (0, 2.0), [(1, 2.0)],
+                                    0),
         lambda: holder_ratio_best_constant(cs, grid_level, 2, 0, 0.5,
-                                           [(1, 2.0)]),
+                                           [(1, 2.0)], 0),
     ]
     for solve in solves:
         with pytest.raises(CapacityError, match="grid too coarse"):
@@ -300,7 +303,7 @@ def test_ratio_core_value_and_gradient(q, weighted):
         for vals in (np.abs(u), dense_agg(u, ops1), dense_agg(u, ops2)):
             top2 = np.sort(vals)[-2:]
             assert top2[1] - top2[0] > 1e-3 * top2[1]
-    val, grad = _ratio(u, num, den, low=low, a0=a0)
+    val, grad = _ratio(u, num, den, low, a0, math.inf)
     assert val > 0
     assert val == pytest.approx(dense_ratio(u), rel=1e-12)
     step = 1e-6
@@ -343,10 +346,11 @@ def test_every_ascent_runs_on_the_ratio_core(monkeypatch):
     dom = rasterize(DomainSpec(kind="interval", dim=1, level=5))
     solves = {
         "gamma": lambda: gamma_capacity(cs, 1, 0, 1.5, 1.5, 3, 1),
-        "theta": lambda: theta_capacity(cs, 1, 0, 2.0, 2.0, 0.1, 3, 1),
-        "ratio": lambda: ratio_best_constant(cs, 3, 1, (0, 1.5), [(1, 2.0)]),
+        "theta": lambda: theta_capacity(cs, 1, 0, 2.0, 2.0, 0.1, 3, 1, 0),
+        "ratio": lambda: ratio_best_constant(cs, 3, 1, (0, 1.5), [(1, 2.0)],
+                                             0),
         "holder": lambda: holder_ratio_best_constant(cs, 3, 1, 0, 0.5,
-                                                     [(1, 2.0)]),
+                                                     [(1, 2.0)], 0),
         "poincare": lambda: poincare_constant(1, 1, 1.5, 1.5, 3),
         "direct": lambda: direct_best_constant(
             dom, HardyParams(m=1, p=1.5, q=1.5, s=-1.0)),
@@ -385,7 +389,7 @@ def test_ascent_takes_each_transpose_once_per_solve(monkeypatch):
 
     monkeypatch.setattr(capacity, "gradient_form_ops", counted_ops)
     monkeypatch.setattr(capacity, "gradient_norm_grad", counted_grad)
-    res = gamma_capacity(slab_set(8, 2), 1, 0, 1.5, 1.5, 3)
+    res = gamma_capacity(slab_set(8, 2), 1, 0, 1.5, 1.5, 3, 2)
     assert res.solver == "descent"
     assert len(evals) > 100
     assert wrapped and all(op.transposes <= 1 for op in wrapped)
@@ -508,14 +512,13 @@ def test_a0_violation_verdict_with_reduced_svd(monkeypatch, name):
     K = np.zeros((8, 8), dtype=bool)
     for cell in A0_MASKS[name]:
         K[cell] = True
-    kind = "zero-on-compact" if K.any() else "full-space"
-    cs = ConstraintSet(kind, K if K.any() else None)
+    cs = ConstraintSet(K, False)
     svd = np.linalg.svd
 
     def verdicts():
         # the note of an unbounded ratio, None for a bounded one
         return [r.note if r.best_constant == math.inf else None
-                for r in (capacity.theta_capacity(cs, 2, 0, 2.0, 2.0, A0, 3, 2)
+                for r in (capacity.theta_capacity(cs, 2, 0, 2.0, 2.0, A0, 3, 2, 0)
                           for A0 in (1e-3, 1e3))]
 
     flags = []

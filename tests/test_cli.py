@@ -166,6 +166,25 @@ def test_bound_and_percube_csv(tmp_path):
     assert csv.splitlines()[0].startswith("cube,level,lambda")
 
 
+@pytest.mark.parametrize("case,extra", [("A", []), ("C", ["--A0", 0.1])])
+def test_bound_svg_shades_the_assembled_field(tmp_path, case, extra):
+    # lambda-field.svg draws the Lambda field of the bound's own solve
+    from hardylab.hardy import HardyParams, per_cube_capacity_field
+    from hardylab.whitney import decompose
+
+    code = run(["bound", "--domain", LSHAPE, "--case", case, "--m", 1,
+                "--p", 2, "--q", 2, "--s", -1, "--grid-level", 3,
+                "--seed", 5, "--svg", "--out", tmp_path] + extra)
+    assert code == 0
+    dec = decompose(rasterize(DomainSpec.from_json(LSHAPE)))
+    params = HardyParams(m=1, p=2.0, q=2.0, s=-1.0, case=case,
+                         A0=0.1 if extra else None)
+    want = cli._lambda_svg(dec, per_cube_capacity_field(dec, params, 3, 5).lam)
+    assert (tmp_path / "lambda-field.svg").read_text() == want
+    manifest = json.loads((tmp_path / "bound-manifest.json").read_text())
+    assert "lambda-field.svg" in manifest["files"]
+
+
 def test_direct_command(tmp_path):
     code = run(["direct", "--domain", INTERVAL, "--m", 1, "--p", 2, "--s", 0,
                 "--out", tmp_path])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hardylab.grids import DomainSpec, GridDomain, distance_transform, rasterize
+from hardylab.grids import DomainSpec, GridDomain, rasterize
 from hardylab.whitney import decompose
 from hardylab.dimension import (DimensionError, g_s, dim_loc, dim_mc_loc,
                                 selfsimilarity_signature, _divergence_slope,
@@ -116,7 +116,7 @@ def test_thickened_boundary_does_not_lower_slope():
     for rows_out in (1, 3):
         inside = np.zeros((n, n), dtype=bool)
         inside[:, rows_out:] = True
-        dom = distance_transform(GridDomain(dim=2, level=7, inside=inside))
+        dom = GridDomain(dim=2, level=7, inside=inside)
         dec = decompose(dom)
         _, table = g_s(dec, 1.5)
         window = _fit_window_levels(dec, table)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hardylab.grids import (DomainSpec, DomainError, GridDomain, MAX_CELLS,
-                            rasterize, distance_transform, read_ndgrid,
+                            rasterize, read_ndgrid,
                             read_ndfn, write_ndfn, _cantor_intervals)
 from hardylab.whitney import _pool
 from oracles import brute_force_distance
@@ -76,9 +76,9 @@ def test_single_outside_cell_corner_distance():
 
 def test_distance_idempotent_and_positive_exactly_inside():
     dom = rasterize(DomainSpec(kind="lshape", dim=2, level=5))
-    d1 = dom.distance.copy()
-    distance_transform(dom)
-    assert np.array_equal(d1, dom.distance)
+    again = GridDomain(dim=2, level=5, inside=dom.inside.copy())
+    assert np.array_equal(again.distance, dom.distance)
+    assert np.array_equal(again.nearest, dom.nearest)
     assert ((dom.distance > 0) == dom.inside).all()
 
 
@@ -129,10 +129,10 @@ def test_bad_ndgrid_rejected(tmp_path):
     path = tmp_path / "bad.grid"
     path.write_text("NDGRID v1 2 2\n0101\n")
     with pytest.raises(DomainError):
-        read_ndgrid(path)
+        read_ndgrid(path, 2, 2)
     path.write_text("NOPE v1 2 2\n" + "0" * 16)
     with pytest.raises(DomainError):
-        read_ndgrid(path)
+        read_ndgrid(path, 2, 2)
 
 
 @pytest.mark.parametrize("kwargs", [

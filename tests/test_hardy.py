@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from hardylab.capacity import CapacityError
-from hardylab.grids import DomainSpec, GridDomain, distance_transform, rasterize
+from hardylab.grids import DomainSpec, GridDomain, rasterize
 from hardylab.whitney import decompose
 from hardylab.norms import DiscreteFunction, WeightSpec, gradient_seminorm
 from hardylab.hardy import (HardyError, HardyParams, weight_exponents,
@@ -56,13 +56,15 @@ def test_weight_exponent_precondition_names():
 def test_case_gate_validation(halfspace6):
     dom, dec = halfspace6
     with pytest.raises(HardyError, match="s < 0"):
-        constructive_bound(dec, HardyParams(m=1, s=0.5, case="A"))
+        constructive_bound(dec, HardyParams(m=1, s=0.5, case="A"), 4, 0)
     with pytest.raises(HardyError, match="p0"):
-        constructive_bound(dec, HardyParams(m=1, s=0.5, case="B"))
+        constructive_bound(dec, HardyParams(m=1, s=0.5, case="B"), 4, 0)
     with pytest.raises(HardyError, match="dim_loc"):
-        constructive_bound(dec, HardyParams(m=1, s=0.5, case="B", p0=1.0))
+        constructive_bound(dec, HardyParams(m=1, s=0.5, case="B", p0=1.0),
+                           4, 0)
     with pytest.raises(HardyError, match="q < \\[p,p1\\]"):
-        constructive_bound(dec, HardyParams(m=1, s=-1.0, q=1.5, case="A"))
+        constructive_bound(dec, HardyParams(m=1, s=-1.0, q=1.5, case="A"),
+                           4, 0)
 
 
 # -- per-cube capacities ----------------------------------------------------------
@@ -71,7 +73,7 @@ def test_case_gate_validation(halfspace6):
 def test_halfspace_levelwise_constant_lambda(halfspace6):
     dom, dec = halfspace6
     params = HardyParams(m=1, k=0, p=2.0, q=2.0, s=-1.0, case="A")
-    field = per_cube_capacity_field(dec, params, grid_level=4)
+    field = per_cube_capacity_field(dec, params, 4, 0)
     for k in dec.populated_levels():
         idx = dec.cubes_at_level(k)
         # interior cubes at one level see congruent pictures
@@ -82,7 +84,7 @@ def test_halfspace_levelwise_constant_lambda(halfspace6):
 def test_capacity_field_never_empty_complement(halfspace6):
     dom, dec = halfspace6
     params = HardyParams(m=1, k=0, p=2.0, q=2.0, s=-1.0, case="A")
-    field = per_cube_capacity_field(dec, params, grid_level=4)
+    field = per_cube_capacity_field(dec, params, 4, 0)
     assert not field.saturated.any()
     assert (field.lam[~field.degenerate] > 0).all()
 
@@ -95,11 +97,11 @@ def test_case_a_summation_factor_form(interval8):
     from hardylab.whitney import packing_constant
     for s in (-0.25, -0.125):
         rep = constructive_bound(dec, HardyParams(m=1, s=s, case="A"),
-                                 grid_level=4)
+                                 grid_level=4, seed=0)
         expected = packing_constant(1) / (1.0 - 2.0 ** s)
         assert rep.summation_constant == pytest.approx(expected, rel=1e-12)
-    r1 = constructive_bound(dec, HardyParams(m=1, s=-0.25, case="A"), grid_level=4)
-    r2 = constructive_bound(dec, HardyParams(m=1, s=-0.125, case="A"), grid_level=4)
+    r1 = constructive_bound(dec, HardyParams(m=1, s=-0.25, case="A"), 4, 0)
+    r2 = constructive_bound(dec, HardyParams(m=1, s=-0.125, case="A"), 4, 0)
     growth = r2.summation_constant / r1.summation_constant
     assert 1.5 <= growth <= 2.5  # ~1/s doubling for small s
 
@@ -108,25 +110,25 @@ def test_q_independent_capacity_fields(halfspace6):
     dom, dec = halfspace6
     base = HardyParams(m=1, k=0, p=2.0, q=2.0, s=-1.0, case="A")
     other = HardyParams(m=1, k=0, p=2.0, q=2.5, s=-1.0, case="A")
-    f1 = per_cube_capacity_field(dec, base, grid_level=3)
-    f2 = per_cube_capacity_field(dec, other, grid_level=3)
+    f1 = per_cube_capacity_field(dec, base, 3, 0)
+    f2 = per_cube_capacity_field(dec, other, 3, 0)
     assert np.allclose(f1.lam, f2.lam)
 
 
 def test_soundness_case_a_and_c(interval8):
     dom, dec = interval8
     repA = constructive_bound(dec, HardyParams(m=1, s=-1.0, case="A"),
-                              grid_level=4, with_direct=True)
+                              grid_level=4, seed=0, with_direct=True)
     assert repA.sound and repA.constant_A >= repA.direct_estimate
     repC = constructive_bound(dec, HardyParams(m=1, s=-1.0, case="C", A0=0.1),
-                              grid_level=4, with_direct=True)
+                              grid_level=4, seed=0, with_direct=True)
     assert repC.sound
 
 
 def test_case_b_holder_defect(halfspace6):
     dom, dec = halfspace6
     params = HardyParams(m=1, s=0.3, case="B", p0=1.0, dim_loc_value=1.0)
-    rep = constructive_bound(dec, params, grid_level=4, with_direct=True)
+    rep = constructive_bound(dec, params, 4, 0, with_direct=True)
     assert rep.sound
     assert rep.factors["case_offset_a"] == pytest.approx(0.5 * (1.0 - 0.3))
     defects = [row["holder_defect"] for row in rep.per_cube if "beta" in row]
@@ -137,7 +139,7 @@ def test_two_term_case_a(interval8):
     # k < m-1 routes through the norm-equivalence bridge
     dom, dec = interval8
     params = HardyParams(m=3, k=0, p=2.0, p1=2.0, q=2.0, s=-1.0, case="A")
-    rep = constructive_bound(dec, params, grid_level=4)
+    rep = constructive_bound(dec, params, grid_level=4, seed=0)
     assert rep.factors["alpha_sup"] > 0
     # two-term split carries the (a+b)^r <= 2^(r-1)(a^r+b^r) factor
     assert rep.factors["quasinorm_factor"] == pytest.approx(2 ** 0.5)
@@ -148,24 +150,26 @@ def test_f_branch_continuity(interval8):
     # q slightly below p needs f; the constant approaches the q = p value
     params_lo = HardyParams(m=1, k=0, p=2.0, p1=2.0, q=1.9, s=-1.0, case="A")
     f = equidistributed(dec.n_cubes, params_lo)
-    rep_lo = constructive_bound(dec, params_lo, f=f, grid_level=4)
+    rep_lo = constructive_bound(dec, params_lo, f=f, grid_level=4, seed=0)
     rep_eq = constructive_bound(dec, HardyParams(m=1, k=0, p=2.0, q=2.0,
                                                  s=-1.0, case="A"),
-                                grid_level=4)
+                                grid_level=4, seed=0)
     assert rep_lo.constant_A == pytest.approx(rep_eq.constant_A, rel=0.25)
     with pytest.raises(HardyError):
         equidistributed(dec.n_cubes, HardyParams(m=1, q=2.0, s=-1.0))
 
 
-def test_capacity_degenerate_flagged(interval8):
+def test_capacity_degenerate_flagged(monkeypatch, interval8):
     # a degenerate cube (unbounded per-cube constant) is excluded from the
     # assembly and flagged, and the report falls back to the weighted form
+    from hardylab import hardy
     dom, dec = interval8
     params = HardyParams(m=1, k=0, p=2.0, q=2.0, s=-1.0, case="A")
-    field = per_cube_capacity_field(dec, params, grid_level=4)
+    field = per_cube_capacity_field(dec, params, 4, 0)
     field.lam[0] = 0.0
     field.degenerate[0] = True
-    rep = constructive_bound(dec, params, field=field, grid_level=4)
+    monkeypatch.setattr(hardy, "per_cube_capacity_field", lambda *a: field)
+    rep = constructive_bound(dec, params, grid_level=4, seed=0)
     assert "capacity-degenerate" in rep.flags
     assert math.isfinite(rep.factors["constant_weighted_form"])
     assert any(row.get("skipped") == "degenerate" for row in rep.per_cube)
@@ -178,14 +182,14 @@ def test_theta_floor_flagged():
     dec = decompose(dom)
     params = HardyParams(m=1, s=0.3, case="D", p0=1.0, A0=0.1,
                          dim_loc_value=0.0)
-    field = per_cube_capacity_field(dec, params, grid_level=4)
-    rep = constructive_bound(dec, params, field=field, grid_level=4)
+    field = per_cube_capacity_field(dec, params, 4, 0)
+    rep = constructive_bound(dec, params, grid_level=4, seed=0)
     on_floor = int((field.rep_best <= field.c2_floor).sum())
     assert field.c2_floor == pytest.approx(1e-6 * 0.1)
     assert on_floor > 0
     assert f"theta-floor:{on_floor}" in rep.flags
     repC = constructive_bound(dec, HardyParams(m=1, s=-1.0, case="C", A0=0.1),
-                              grid_level=4)
+                              grid_level=4, seed=0)
     assert not any(flag.startswith("theta-floor") for flag in repC.flags)
 
 
@@ -204,7 +208,7 @@ def test_direct_maximizer_concentrates_at_boundary(interval8):
     xs = dom.center_grid()[0]
     bump = DiscreteFunction(dom, np.exp(-((xs - 0.5) / 0.1) ** 2))
     num = gradient_seminorm(bump, 0, 2.0, WeightSpec(exponent=-2.0))
-    den = gradient_seminorm(bump, 1, 2.0)
+    den = gradient_seminorm(bump, 1, 2.0, WeightSpec(exponent=0.0))
     assert num / den < est  # interior bumps are far from optimal
 
 
@@ -274,7 +278,7 @@ def halfspace7_casee():
     dom = rasterize(DomainSpec(kind="halfspace", dim=2, level=7))
     dec = decompose(dom)
     rep = case_e_shift(dec, HardyParams(m=1, k=0, p=2.0, q=2.0, s=0.0,
-                                        case="E"), grid_level=4)
+                                        case="E"), grid_level=4, seed=0)
     return dom, dec, rep
 
 
@@ -288,7 +292,7 @@ def test_case_e_positive_shift(halfspace7_casee):
 def test_case_e_declines_at_p1(halfspace7_casee):
     dom, dec, _ = halfspace7_casee
     rep = case_e_shift(dec, HardyParams(m=1, k=0, p=1.0, q=1.0, s=0.0,
-                                        case="E"), grid_level=4)
+                                        case="E"), grid_level=4, seed=0)
     assert rep.s0 == 0.0
     assert "no-positive-s0" in rep.flags
 
@@ -297,7 +301,7 @@ def test_case_e_requires_q_at_least_p(halfspace7_casee):
     dom, dec, _ = halfspace7_casee
     with pytest.raises(HardyError):
         case_e_shift(dec, HardyParams(m=1, k=0, p=2.0, q=1.5, s=0.0,
-                                      case="E"), grid_level=4)
+                                      case="E"), grid_level=4, seed=0)
 
 
 def test_case_e_monotone_in_complement():
@@ -307,10 +311,10 @@ def test_case_e_monotone_in_complement():
     for rows in (8, 24):
         inside = np.zeros((n, n), dtype=bool)
         inside[:, rows:] = True
-        dom = distance_transform(GridDomain(dim=2, level=6, inside=inside))
+        dom = GridDomain(dim=2, level=6, inside=inside)
         dec = decompose(dom)
         rep = case_e_shift(dec, HardyParams(m=1, k=0, p=2.0, q=2.0, s=0.0,
-                                            case="E"), grid_level=4)
+                                            case="E"), grid_level=4, seed=0)
         s0[rows] = rep.s0
     assert s0[24] >= 0.98 * s0[8]  # equal local pictures up to jitter
 
@@ -318,21 +322,25 @@ def test_case_e_monotone_in_complement():
 # -- corollary gates ---------------------------------------------------------------------
 
 
-def test_corollary_case_i(halfspace6):
+def test_corollary_case_i(monkeypatch, halfspace6):
+    from hardylab import hardy
     dom, dec = halfspace6
     ok, rep, det = corollary_619_check(dom, dec, "i",
-                                       HardyParams(m=1, p=2.0, s=-1.0))
+                                       HardyParams(m=1, p=2.0, s=-1.0),
+                                       4, 0, None, False)
     assert ok and rep is not None and rep.constant_A > 0
+    monkeypatch.setattr(hardy, "COROLLARY_B_THRESHOLD", 1e9)
     ok2, _, det2 = corollary_619_check(dom, dec, "i",
                                        HardyParams(m=1, p=2.0, s=-1.0),
-                                       b_threshold=1e9)
+                                       4, 0, None, False)
     assert not ok2 and "capacity lower bound fails" in det2["failures"][0]
 
 
 def test_corollary_p0_case_needs_p0(halfspace6):
     dom, dec = halfspace6
     ok, rep, det = corollary_619_check(dom, dec, "ii",
-                                       HardyParams(m=2, p=2.0, s=-1.0))
+                                       HardyParams(m=2, p=2.0, s=-1.0),
+                                       4, 0, None, False)
     assert not ok and rep is None
     assert det["failures"] == ["p0 missing or outside [1, p)"]
 
@@ -341,7 +349,7 @@ def test_corollary_case_v_full_dimension_projection(halfspace6):
     dom, dec = halfspace6
     ok, rep, det = corollary_619_check(dom, dec, "v",
                                        HardyParams(m=1, p=2.0, s=-1.0),
-                                       r_dim=2)
+                                       4, 0, 2, False)
     assert ok and det["projection_b"] >= 0.3
 
 
@@ -350,7 +358,7 @@ def test_corollary_case_ix_lshape_fails_signature():
     dec = decompose(dom)
     ok, rep, det = corollary_619_check(dom, dec, "ix",
                                        HardyParams(m=1, p=2.0, s=-1.0),
-                                       asserted_selfsimilar=True)
+                                       4, 0, None, True)
     assert not ok
     assert any("signature" in f for f in det["failures"])
 
@@ -358,7 +366,8 @@ def test_corollary_case_ix_lshape_fails_signature():
 def test_corollary_unknown_case(halfspace6):
     dom, dec = halfspace6
     with pytest.raises(HardyError):
-        corollary_619_check(dom, dec, "xi", HardyParams(m=1, p=2.0, s=-1.0))
+        corollary_619_check(dom, dec, "xi", HardyParams(m=1, p=2.0, s=-1.0),
+                            4, 0, None, False)
 
 
 def test_constant_monotone_under_complement_growth():
@@ -369,7 +378,7 @@ def test_constant_monotone_under_complement_growth():
                                    iterations=iters))
         dec = decompose(dom)
         reps[iters] = constructive_bound(
-            dec, HardyParams(m=1, s=-1.0, case="A"), grid_level=4)
+            dec, HardyParams(m=1, s=-1.0, case="A"), grid_level=4, seed=0)
     # iteration 3 keeps a smaller complement, so its constant is no smaller
     assert reps[2].constant_A <= reps[3].constant_A * 1.05
 
@@ -379,7 +388,7 @@ def test_holder_form_bound_sound_on_probes(interval8):
     params = HardyParams(m=1, k=0, p=2.0, s=-1.0, lam=0.4,
                          form="holder-6.23", case="A")
     t, _ = weight_exponents(params, 1)
-    rep = constructive_bound(dec, params, grid_level=4)
+    rep = constructive_bound(dec, params, grid_level=4, seed=0)
     assert math.isfinite(rep.constant_A) and rep.constant_A > 0
     rng = np.random.default_rng(0)
     xs = dom.center_grid()[0]
@@ -392,7 +401,7 @@ def test_holder_form_bound_sound_on_probes(interval8):
     with pytest.raises(HardyError):
         constructive_bound(dec, HardyParams(m=1, s=-1.0, case="C", A0=0.1,
                                             lam=0.4, form="holder-6.23"),
-                           grid_level=4)
+                           grid_level=4, seed=0)
 
 
 # -- 3-D direct estimate by LOBPCG ------------------------------------------------

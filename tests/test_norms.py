@@ -46,7 +46,8 @@ def test_xy_hessian_matches_analytic(square6):
 def test_sobolev_zero_and_constant(square6):
     # the W^{1,2} norm, the sum of the gradient seminorms of orders 0 and 1
     z = sampled(square6, lambda x, y: 0 * x)
-    assert sum(gradient_seminorm(z, k, 2.0) for k in (0, 1)) == 0.0
+    unit = WeightSpec(exponent=0.0)
+    assert sum(gradient_seminorm(z, k, 2.0, unit) for k in (0, 1)) == 0.0
     one = sampled(square6, lambda x, y: 0 * x + 1.0)
     assert sum(interior_seminorm(one, k, 2.0) for k in (0, 1)) \
         == pytest.approx(1.0, abs=1e-12)
@@ -108,12 +109,13 @@ def test_dilation_table_scaling():
 
 
 def test_weight_spec_clamp_default(square6):
-    w = WeightSpec(exponent=-1.0)
-    assert w.resolve_clamp(square6) == 0.5 * square6.h
-    field = w.field(square6)
+    # the distance is clamped below at half a cell, so a singular weight
+    # stays finite on the complement
+    field = WeightSpec(exponent=-1.0).field(square6)
     assert np.isfinite(field).all()
-    with pytest.raises(ValueError):
-        WeightSpec(exponent=1.0, clamp=-1.0).field(square6)
+    assert np.array_equal(
+        field, 1.0 / np.maximum(square6.distance, 0.5 * square6.h))
+    assert (WeightSpec(exponent=0.0).field(square6) == 1.0).all()
 
 
 def test_zero_extension_enforced(square6):
@@ -128,7 +130,7 @@ def test_zero_extension_enforced(square6):
 def test_gradient_rejects_bad_p(square6):
     u = sampled(square6, lambda x, y: x)
     with pytest.raises(ValueError):
-        gradient_seminorm(u, 1, 0.5)
+        gradient_seminorm(u, 1, 0.5, WeightSpec(exponent=0.0))
 
 
 @pytest.mark.parametrize("kind,dim,level", [("interval", 1, 5), ("lshape", 2, 4),

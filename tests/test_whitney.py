@@ -20,8 +20,8 @@ def frame7():
     n = 2**7
     inside = np.zeros((n, n), dtype=bool)
     inside[1:-1, 1:-1] = True
-    from hardylab.grids import GridDomain, distance_transform
-    dom = distance_transform(GridDomain(dim=2, level=7, inside=inside))
+    from hardylab.grids import GridDomain
+    dom = GridDomain(dim=2, level=7, inside=inside)
     return decompose(dom)
 
 
@@ -187,9 +187,9 @@ def test_gs_percube_stable_under_refinement():
 
 
 def test_degenerate_raster_fails():
-    from hardylab.grids import GridDomain, distance_transform
+    from hardylab.grids import GridDomain
     inside = np.zeros((16, 16), dtype=bool)
-    dom = distance_transform(GridDomain(dim=2, level=4, inside=inside))
+    dom = GridDomain(dim=2, level=4, inside=inside)
     with pytest.raises(WhitneyError):
         decompose(dom)
 
