@@ -216,19 +216,10 @@ def quadratic_form(m_cells: int, dim: int, order: int) -> sp.csr_matrix:
     return S.tocsr()
 
 
-def gradient_norm_value(u_flat: np.ndarray, ops, q: float, w) -> float:
-    """(sum |grad^j u|^q w)^(1/q) via the pointwise l2 aggregate; w is the
-    cell volume or a per-anchor weight array."""
-    agg = None
-    for mult, op in ops:
-        v = op @ u_flat
-        term = mult * v * v
-        agg = term if agg is None else agg + term
-    return float((agg ** (q / 2.0) * w).sum()) ** (1.0 / q)
-
-
 def gradient_norm_grad(u_flat: np.ndarray, ops, q: float, w):
-    """Value and d/du of the weighted gradient q-norm (w as above).
+    """Value and d/du of the weighted gradient q-norm
+    (sum |grad^j u|^q w)^(1/q), through the pointwise l2 aggregate; w is
+    the cell volume or a per-anchor weight array.
 
     At q = inf the value is the square root of the largest aggregate (w is
     unused) and the gradient is that of the first anchor attaining it.
@@ -820,21 +811,21 @@ def poincare_constant(dim: int, order: int, p: float, p1: float,
     sup ||u - proj_poly u||_p / ||grad^order u||_p1 with the L2 projection
     onto polynomials of degree < order.  Used for the default theta A0.
 
-    At p = p1 = 2 it is a dense generalized eigenproblem; otherwise the
-    ratio-core ascent (seed 0) maximises ||P u||_p / ||grad^order u||_p1
+    At p = p1 = 2 it is eigenvalue d (from 0) of the dense pencil
+    (S, hN I), S vanishing on the d polynomials below the order; otherwise
+    the ratio-core ascent (seed 0) maximises ||P u||_p / ||grad^order u||_p1
     with P the projection (a vanishing denominator counts as 0)."""
     m_cells = 2**grid_level
     hN = (1.0 / m_cells) ** dim
-    Qb, _ = np.linalg.qr(_poly_basis(m_cells, dim, order - 1))
-    n = m_cells**dim
+    B = _poly_basis(m_cells, dim, order - 1)
+    n, d = B.shape
     if abs(p - 2) < 1e-12 and abs(p1 - 2) < 1e-12:
-        S = quadratic_form(m_cells, dim, order).toarray()
-        proj = np.eye(n) - Qb @ Qb.T
-        Mproj = hN * (proj.T @ proj)
-        lam = scipy.linalg.eigh(Mproj, S + 1e-14 * np.eye(n),
-                                eigvals_only=True)[-1]
-        return math.sqrt(max(lam, 0.0))
+        lam = scipy.linalg.eigh(quadratic_form(m_cells, dim, order).toarray(),
+                                hN * np.eye(n), subset_by_index=[d, d],
+                                eigvals_only=True)[0]
+        return math.sqrt(1.0 / max(lam, 1e-300))
 
+    Qb, _ = np.linalg.qr(B)
     proj = _PolyComplement(Qb)
     best, _ = _ratio_descent(np.zeros(n, dtype=bool), False, 0,
                              ([(1, proj, proj)], p, hN),
@@ -875,8 +866,8 @@ def norm_equivalence_constant(q_sub_corner, q_sub_side: float, m: int, k: int,
         if c < 0 or c + side_cells > m_cells:
             raise CapacityError("subcube leaves the unit cube")
 
-    ops_low = gradient_form_ops(m_cells, dim, k + 1)
-    ops_top = gradient_form_ops(m_cells, dim, m)
+    ops_low = _with_transposes(gradient_form_ops(m_cells, dim, k + 1))
+    ops_top = _with_transposes(gradient_form_ops(m_cells, dim, m))
     # anchors are embedded in the full lattice; mark those inside the subcube
     sub_mask = np.zeros((m_cells,) * dim, dtype=bool)
     sub_sl = tuple(
@@ -903,9 +894,9 @@ def norm_equivalence_constant(q_sub_corner, q_sub_side: float, m: int, k: int,
 
     worst = 0.0
     for u in probes:
-        lhs = gradient_norm_value(u, ops_low, p1, hN)
-        rhs = gradient_norm_value(u, ops_low, p1, sub_weight) \
-            + gradient_norm_value(u, ops_top, p, hN)
+        lhs = _term_value_grad(u, (ops_low, p1, hN))[0]
+        rhs = _term_value_grad(u, (ops_low, p1, sub_weight))[0] \
+            + _term_value_grad(u, (ops_top, p, hN))[0]
         if rhs < 1e-12 * max(lhs, 1.0):
             continue
         worst = max(worst, lhs / rhs)

@@ -32,8 +32,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .grids import GridDomain, rasterize
-from .norms import (DiscreteFunction, WeightSpec, block_seminorms,
-                    gradient_magnitude, gradient_seminorm, _weight_on_anchors)
+from .norms import (DiscreteFunction, block_seminorms, distance_weight,
+                    gradient_magnitude, gradient_seminorm)
 from .whitney import WhitneyDecomposition, box_scatter
 
 ALPHA_ENLARGE = 4.0 / 3.0        # support of the cutoff pieces
@@ -183,8 +183,8 @@ def local_majorant(domain: GridDomain, block: np.ndarray, window: tuple,
     defect_norm = float((defect**p).sum() * hN) ** (1.0 / p)
     v = v + defect
 
-    norm_u = sum(block_seminorms(domain, block, window, m, p))
-    norm_v = sum(block_seminorms(domain, v, window, m, p))
+    norm_u = sum(block_seminorms(domain, block, window, m, p, None))
+    norm_v = sum(block_seminorms(domain, v, window, m, p, None))
     factor = norm_v / norm_u if norm_u > 0 else 1.0
     return MajorantResult(v, factor, defect_norm, cond)
 
@@ -206,10 +206,10 @@ class ConeSplit:
 def weighted_low_order_mass(u: DiscreteFunction, m: int, p: float,
                             s: float) -> float:
     """The hypothesis integral: int |u|^p delta^(-mp+s) dx (cell sums)."""
-    w = WeightSpec(exponent=s - m * p)
     dom = u.domain
     hN = dom.h**dom.dim
-    return float((np.abs(u.values) ** p * w.field(dom)).sum() * hN)
+    return float((np.abs(u.values) ** p
+                  * distance_weight(dom, s - m * p, None)).sum() * hN)
 
 
 def finiteness_slope(u: DiscreteFunction, m: int, p: float, s: float) -> float | None:
@@ -252,11 +252,8 @@ def cone_split(u: DiscreteFunction, decomp: WhitneyDecomposition, m: int,
     per_cube = []
     sup_rho = 0.0
     sup_a0 = 0.0
-    wspec = WeightSpec(exponent=s)
-    wlow = WeightSpec(exponent=s - m * p)
     hN = dom.h**dom.dim
-    w_field = wspec.field(dom)
-    wlow_field = wlow.field(dom)
+    w_field = distance_weight(dom, s, None)
     spectra: dict = {}
 
     # global top-order anchor integrand |grad^m u|^p * delta^s * dx, summed
@@ -264,9 +261,9 @@ def cone_split(u: DiscreteFunction, decomp: WhitneyDecomposition, m: int,
     # against the measured anchor multiplicity keep every chain step an
     # exact inequality
     mag, widx = gradient_magnitude(u, m)
-    wanch = _weight_on_anchors(w_field, widx)
-    g_top = mag**p * wanch * hN
-    low_field = np.abs(u.values) ** p * wlow_field * hN
+    g_top = mag**p * distance_weight(dom, s, widx) * hN
+    low_field = (np.abs(u.values) ** p * distance_weight(dom, s - m * p, None)
+                 * hN)
     lo43, hi43 = _enlarged_boxes(dom, decomp, ALPHA_ENLARGE)
     lo169, hi169 = _enlarged_boxes(dom, decomp, BETA_ENLARGE)
     anchor_hi = np.minimum(hi43 + 2 * m, g_top.shape)
@@ -318,12 +315,12 @@ def cone_split(u: DiscreteFunction, decomp: WhitneyDecomposition, m: int,
     mult_top = box_scatter(g_top.shape, lo43[hit], anchor_hi[hit], ones)
     overlap = overlap_count(dom, decomp, BETA_ENLARGE)
     window_mult = max(int(mult_low.max()), int(mult_top.max()))
-    norm_u = sum(gradient_seminorm(u, k, p, wspec) for k in range(m + 1))
+    norm_u = sum(gradient_seminorm(u, k, p, s) for k in range(m + 1))
     nf = 0.0
     if norm_u > 0:
         nf = max(
-            sum(gradient_seminorm(u1, k, p, wspec) for k in range(m + 1)),
-            sum(gradient_seminorm(u2, k, p, wspec) for k in range(m + 1)),
+            sum(gradient_seminorm(u1, k, p, s) for k in range(m + 1)),
+            sum(gradient_seminorm(u2, k, p, s) for k in range(m + 1)),
         ) / norm_u
     factors = {
         "overlap_count": overlap,
@@ -349,11 +346,10 @@ def chain_inequality_sides(u: DiscreteFunction, split: ConeSplit, m: int,
 
     with A the itemized chain_bound of the split (every factor a measured
     supremum, so the inequality holds step by step)."""
-    wspec = WeightSpec(exponent=s)
-    lhs = sum(gradient_seminorm(split.u1, k, p, wspec)
+    lhs = sum(gradient_seminorm(split.u1, k, p, s)
               for k in range(m + 1)) ** p
     rhs_core = weighted_low_order_mass(u, m, p, s) \
-        + gradient_seminorm(u, m, p, wspec) ** p
+        + gradient_seminorm(u, m, p, s) ** p
     return lhs, split.factors["chain_bound"] * rhs_core
 
 

@@ -57,8 +57,8 @@ def g_s(decomp: WhitneyDecomposition, s: float):
     """Cube supremum of (diam Q)^(s-N) * integral_{R_Q ∩ Ω} delta^-s dx.
 
     The integral runs over the inside cells of R_Q only, at every s
-    (s = 0 gives the volume of R_Q ∩ Ω), with delta clamped below at half
-    a cell.  All cubes are integrated at once by one summed-area table
+    (s = 0 gives the volume of R_Q ∩ Ω), where delta is at least half a
+    cell.  All cubes are integrated at once by one summed-area table
     (WhitneyDecomposition.rq_distance_integrals).  The result is kept on
     the decomposition per s, so a repeated s (the bisection's points in
     export_gs_table) builds no second table.
@@ -68,7 +68,7 @@ def g_s(decomp: WhitneyDecomposition, s: float):
     """
     dom = decomp.domain
     if s not in decomp.gs_tables:
-        integral = decomp.rq_distance_integrals(s, 0.5 * dom.h)
+        integral = decomp.rq_distance_integrals(s)
         vals = decomp.diams() ** (-dom.dim + s) * integral
         table = tuple((k, float(vals[decomp.levels == k].max()))
                       for k in decomp.populated_levels())

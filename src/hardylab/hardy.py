@@ -20,8 +20,8 @@ import scipy.sparse as sp
 from scipy import ndimage
 
 from .grids import GridDomain
-from .norms import (DiscreteFunction, WeightSpec, gradient_magnitude,
-                    gradient_seminorm, _weight_on_anchors)
+from .norms import (WEIGHT_FLOOR_CELLS, DiscreteFunction, distance_weight,
+                    gradient_magnitude, gradient_seminorm)
 from .whitney import WhitneyDecomposition, packing_constant
 from .dimension import (DimensionError, boundary_cells_padded, dim_loc,
                         selfsimilarity_signature)
@@ -45,6 +45,10 @@ from .capacity import (
 
 CASES = ("A", "B", "C", "D", "E")
 FORMS = ("holder-6.23", "integral-6.24")
+# distance floor, in cells, of the direct estimate's weights: midpoint
+# sampling of the singular weight against functions vanishing at the
+# interface overweights the first cell by ~4/3; 3h/4 restores the
+# conforming boundary-cell mass
 DIRECT_WEIGHT_CLAMP_CELLS = 0.75
 # upper end of the case-E bisection for the weight shift beta
 CASE_E_BETA_MAX = 2.0
@@ -492,10 +496,9 @@ def constructive_bound(decomp: WhitneyDecomposition, params: HardyParams,
     # per-cube factors over the contributing cubes, multiplied in the
     # order of the per-cube inequality
     cubes = np.flatnonzero(contributing)
-    clamp = 0.5 * dom.h
     side_r = decomp.rq_side[cubes]
-    d_q = np.maximum(decomp.dist_min[cubes], clamp)
-    d_max = np.maximum(decomp.dist_max[cubes], clamp)
+    d_q = decomp.dist_min[cubes]
+    d_max = decomp.dist_max[cubes]
     if holder:
         # supremum-type left side: no volume factor, quotient rescaling
         base = (d_q if t >= 0 else d_max) ** (-t) \
@@ -505,7 +508,7 @@ def constructive_bound(decomp: WhitneyDecomposition, params: HardyParams,
     h_defect = np.ones(len(cubes))
     if params.case in ("B", "D"):
         expo = (params.s + a_offset) * pm / (params.p - pm)
-        h_defect = decomp.rq_distance_integrals(expo, clamp)[cubes] \
+        h_defect = decomp.rq_distance_integrals(expo)[cubes] \
             ** ((params.p - pm) / (params.p * pm))
     chain = field.chain_best[cubes]
     # capacity-weight pairing: Lambda^(1/p) times the chain constant
@@ -585,7 +588,7 @@ def constructive_bound(decomp: WhitneyDecomposition, params: HardyParams,
         "A0": field.A0,
         "theta_c2_floor": field.c2_floor,
         "norm_convention": "lp-of-gradients",
-        "clamp": clamp,
+        "clamp": WEIGHT_FLOOR_CELLS * dom.h,
         "capacity_grid_level": field.grid_level,
         "capacity_proxy_caveat": "grid capacities stand in for Sobolev "
                                  "capacities up to unvalidated equivalence "
@@ -647,20 +650,15 @@ def direct_best_constant(domain: GridDomain, params: HardyParams,
     if abs(params.q - params.p) > 1e-12:
         raise HardyError("direct estimates require q = p")
     m, p, s = params.m, params.p, params.s
-    # Boundary-consistent clamp: midpoint sampling of the singular weight
-    # against functions vanishing at the interface overweights the first
-    # cell by ~4/3; 3h/4 restores the conforming boundary-cell mass.
-    clamp = DIRECT_WEIGHT_CLAMP_CELLS * domain.h
     hN = domain.h**domain.dim
     n = 2**domain.level
     ops = _inside_ops(domain, m)
     # padded anchors read the weight of the nearest cell of the box
     pad_idx = np.clip(np.arange(n + 2 * m) - m, 0, n - 1)
-    w_top = _weight_on_anchors(np.maximum(domain.distance, clamp) ** s,
-                               [pad_idx] * domain.dim).reshape(-1) * hN
-    inside_flat = domain.inside.reshape(-1)
-    w_low = (np.maximum(domain.distance, clamp).reshape(-1)[inside_flat]
-             ** (s - m * p)) * hN
+    floor = DIRECT_WEIGHT_CLAMP_CELLS
+    w_top = distance_weight(domain, s, [pad_idx] * domain.dim,
+                            floor).reshape(-1) * hN
+    w_low = distance_weight(domain, s - m * p, None, floor)[domain.inside] * hN
 
     if abs(p - 2) < 1e-12 and not params.cone:
         A_mat = None
@@ -703,15 +701,14 @@ def _case_a_lower_order_constant(decomp: WhitneyDecomposition,
     cube's beta-independent constant of ||grad^k u|| <= C ||grad^m u|| on
     its rescaled complement class.
     """
-    dom = decomp.domain
     m, p = params.m, params.p
-    clamp = 0.5 * dom.h
-    delta_b = np.where(dom.inside, np.maximum(dom.distance, clamp), 0.0) ** beta
+    # delta is 0 outside, and inside distances and dist_min are >= h/2
+    delta_b = decomp.domain.distance ** beta
 
     if not np.isfinite(percube).all():
         return math.inf
 
-    d_q = np.maximum(decomp.dist_min, clamp)
+    d_q = decomp.dist_min
     total = 0.0
     for k in range(m):
         t_k = beta + (m - k) * p
@@ -735,8 +732,7 @@ def _commutator_norm(decomp: WhitneyDecomposition, params: HardyParams,
     rng = np.random.default_rng(seed + 7)
     gexp = -2.0 * beta / p
     gamma = 2.0 * beta / p
-    clamp = 0.5 * dom.h
-    dreg = np.maximum(dom.distance, clamp)
+    dgexp = distance_weight(dom, gexp, None)
     worst = 0.0
     grids = dom.center_grid()
     for _ in range(12):
@@ -745,18 +741,16 @@ def _commutator_norm(decomp: WhitneyDecomposition, params: HardyParams,
         r2 = sum((g - cc) ** 2 for g, cc in zip(grids, c)) / w**2
         u_vals = np.exp(-np.minimum(r2, 50.0)) * dom.inside
         u = DiscreteFunction(dom, u_vals)
-        v = DiscreteFunction(dom, u_vals * dreg**gexp)
+        v = DiscreteFunction(dom, u_vals * dgexp)
         mag_v, widx = gradient_magnitude(v, m)
         mag_u, _ = gradient_magnitude(u, m)
-        danch = _weight_on_anchors(dreg, widx)
-        wanch = _weight_on_anchors(dreg**(-beta), widx)
+        wanch = distance_weight(dom, -beta, widx)
         hN = dom.h**dom.dim
-        defect = np.abs(mag_v - danch**gexp * mag_u)
+        defect = np.abs(mag_v - distance_weight(dom, gexp, widx) * mag_u)
         lhs = float((defect**p * wanch).sum() * hN) ** (1.0 / p)
         rhs = 0.0
         for k in range(m):
-            wk = WeightSpec(exponent=-(beta + (m - k) * p))
-            rhs += gradient_seminorm(u, k, p, wk)
+            rhs += gradient_seminorm(u, k, p, -(beta + (m - k) * p))
         if rhs > 1e-300 and gamma > 0:
             worst = max(worst, lhs / (gamma * rhs))
     return worst
@@ -940,15 +934,6 @@ def corollary_619_check(domain: GridDomain, decomp: WhitneyDecomposition,
         failures.append("p0 missing or outside [1, p)")
     pcap = params.p0 if use_p0 else p
 
-    # capacity floor over cubes (cases i-iv and the global-capacity gate)
-    if case_id in ("i", "ii", "iii", "iv") and not failures:
-        b = _capacity_floor(decomp, cap_m, pcap, cone, grid_level, seed)
-        details["capacity_floor"] = b
-        if not (b > COROLLARY_B_THRESHOLD):
-            failures.append(
-                f"capacity lower bound fails: min grid capacity {b:.3g} <= "
-                f"threshold {COROLLARY_B_THRESHOLD:.3g}")
-
     if case_id in ("v", "vi", "vii", "viii"):
         if r_dim is None:
             failures.append("projection cases need r_dim")
@@ -975,10 +960,17 @@ def corollary_619_check(domain: GridDomain, decomp: WhitneyDecomposition,
                 f"self-similarity signature gate fails ({len(flagged)} pairs)")
         if _boundary_in_hyperplane(domain):
             failures.append("boundary is contained in a hyperplane")
-        b = _capacity_floor(decomp, params.m, pcap, False, grid_level, seed)
+
+    # capacity floor over cubes (cases i-iv and the global-capacity gate of
+    # ix/x), solved only while no hypothesis has failed
+    if case_id in ("i", "ii", "iii", "iv", "ix", "x") and not failures:
+        b = _capacity_floor(decomp, cap_m, pcap, cone, grid_level, seed)
         details["capacity_floor"] = b
         if not (b > COROLLARY_B_THRESHOLD):
-            failures.append("global capacity proxy vanishes")
+            failures.append(
+                "global capacity proxy vanishes" if case_id in ("ix", "x")
+                else f"capacity lower bound fails: min grid capacity {b:.3g} "
+                f"<= threshold {COROLLARY_B_THRESHOLD:.3g}")
 
     dim_loc_cases = ("ii", "iv", "vi", "viii", "x")
     if case_id in dim_loc_cases and not failures:

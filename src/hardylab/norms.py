@@ -36,17 +36,6 @@ class DiscreteFunction:
                                np.asarray(self.values, dtype=float), 0.0)
 
 
-@dataclass
-class WeightSpec:
-    """Weight delta^exponent with the distance clamped below at half a cell
-    width of the domain it is applied to."""
-
-    exponent: float
-
-    def field(self, domain: GridDomain) -> np.ndarray:
-        return np.maximum(domain.distance, 0.5 * domain.h) ** self.exponent
-
-
 def multi_indices(dim: int, order: int) -> list[tuple[int, ...]]:
     """Distinct multi-indices of the given total order."""
     if order == 0:
@@ -66,23 +55,15 @@ def multinomial(alpha: tuple[int, ...]) -> int:
     return c
 
 
-def difference_fields(u: DiscreteFunction, order: int):
-    """All distinct order-j forward-difference fields on a common anchor
-    lattice, scaled by h^-j.
+def _differences(values: np.ndarray, order: int, h: float, start, n: int):
+    """All distinct order-j forward-difference fields, scaled by h^-j, of a
+    block of an n^dim grid whose first cell sits at index start[a] on axis
+    a, on a common anchor lattice.
 
     Returns (fields dict alpha -> array, weight_index) where weight_index
-    gives, per axis, the original-cell index each anchor reads its weight
+    gives, per axis, the whole-grid cell index each anchor reads its weight
     from (clipped at the box for virtual anchors).
     """
-    dom = u.domain
-    return _differences(u.values, order, dom.h, (0,) * dom.dim, dom.shape[0])
-
-
-def _differences(values: np.ndarray, order: int, h: float, start, n: int):
-    """Array core of difference_fields for a block of an n^dim grid whose
-    first cell sits at index start[a] on axis a; the weight index is in
-    whole-grid cells.  With the full grid as the block this is
-    difference_fields itself."""
     j = order
     if j == 0:
         idx = [np.arange(s, s + k) for s, k in zip(start, values.shape)]
@@ -110,6 +91,23 @@ def _weight_on_anchors(w: np.ndarray, widx) -> np.ndarray:
     return out
 
 
+# distance floor, in cells, of the weights the norms read: GridDomain puts
+# every inside cell at delta >= h/2 already, so the floor acts only on the
+# outside cells that difference anchors read
+WEIGHT_FLOOR_CELLS = 0.5
+
+
+def distance_weight(domain: GridDomain, exponent: float, anchors,
+                    floor_cells: float = WEIGHT_FLOOR_CELLS) -> np.ndarray:
+    """The lattice weight max(delta, floor_cells * h)^exponent on the cells
+    of the box (anchors None) or read at difference anchors (a weight index
+    of _differences): the one rule every floored weight goes through."""
+    d = domain.distance
+    if anchors is not None:
+        d = _weight_on_anchors(d, anchors)
+    return np.maximum(d, floor_cells * domain.h) ** exponent
+
+
 def _magnitude(fields: dict) -> np.ndarray:
     acc = None
     for alpha, f in fields.items():
@@ -120,33 +118,46 @@ def _magnitude(fields: dict) -> np.ndarray:
 
 def gradient_magnitude(u: DiscreteFunction, order: int):
     """Pointwise |grad^j u| field and its anchor weight index."""
-    fields, widx = difference_fields(u, order)
+    dom = u.domain
+    fields, widx = _differences(u.values, order, dom.h, (0,) * dom.dim,
+                                dom.shape[0])
     return _magnitude(fields), widx
 
 
+def _order_seminorm(values: np.ndarray, order: int, p: float, h: float,
+                    start, n: int, weight: np.ndarray | None) -> float:
+    """(sum |grad^order v|^p * weight * dx)^(1/p) over the anchors of the
+    block `values` (placed as in _differences); weight is a whole-grid
+    field read at the anchors, None the unit weight."""
+    fields, widx = _differences(values, order, h, start, n)
+    terms = _magnitude(fields) ** p
+    if weight is not None:
+        terms = terms * _weight_on_anchors(weight, widx)
+    return float(terms.sum() * h**values.ndim) ** (1.0 / p)
+
+
 def gradient_seminorm(u: DiscreteFunction, order: int, p: float,
-                      w: WeightSpec) -> float:
-    """(sum |grad^j u|^p * weight * dx)^(1/p); order 0 is the weighted L^p norm."""
+                      exponent: float) -> float:
+    """(sum |grad^j u|^p * delta^exponent * dx)^(1/p), the weight floored
+    as distance_weight does; order 0 is the weighted L^p norm."""
     if p < 1:
         raise ValueError("p must be >= 1")
     if order < 0:
         raise ValueError("order must be >= 0")
     dom = u.domain
-    mag, widx = gradient_magnitude(u, order)
-    wfield = _weight_on_anchors(w.field(dom), widx)
-    hN = dom.h**dom.dim
-    return float((mag**p * wfield).sum() * hN) ** (1.0 / p)
+    return _order_seminorm(u.values, order, p, dom.h, (0,) * dom.dim,
+                           dom.shape[0], distance_weight(dom, exponent, None))
 
 
 def block_seminorms(domain: GridDomain, block: np.ndarray, sl, m: int,
-                    p: float, weight: np.ndarray | None = None) -> list[float]:
+                    p: float, weight: np.ndarray | None) -> list[float]:
     """gradient_seminorm for orders 0..m of the function equal to block on
     the box slice sl and zero elsewhere (masked to the domain like a
     DiscreteFunction), evaluated on sl grown by m cells.
 
-    weight is the whole-grid weight field; None is the unit weight.  Every
-    nonzero anchor term equals gradient_seminorm's, so only the summation
-    order differs.
+    weight is the whole-grid weight field (distance_weight on the cells);
+    None is the unit weight.  Every nonzero anchor term equals
+    gradient_seminorm's, so only the summation order differs.
     """
     n = domain.shape[0]
     grown = tuple(slice(max(s.start - m, 0), min(s.stop + m, n)) for s in sl)
@@ -155,15 +166,8 @@ def block_seminorms(domain: GridDomain, block: np.ndarray, sl, m: int,
                for s, g in zip(sl, grown))] = block
     vals = np.where(domain.inside[grown], vals, 0.0)
     start = tuple(g.start for g in grown)
-    hN = domain.h**domain.dim
-    out = []
-    for k in range(m + 1):
-        fields, widx = _differences(vals, k, domain.h, start, n)
-        terms = _magnitude(fields) ** p
-        if weight is not None:
-            terms = terms * _weight_on_anchors(weight, widx)
-        out.append(float(terms.sum() * hN) ** (1.0 / p))
-    return out
+    return [_order_seminorm(vals, k, p, domain.h, start, n, weight)
+            for k in range(m + 1)]
 
 
 def _pair_views(arr: np.ndarray, off):

@@ -183,12 +183,14 @@ class WhitneyDecomposition:
         return box_scatter(self.domain.shape, self.rq_start, self.rq_stop,
                            values)
 
-    def rq_distance_integrals(self, s: float, clamp: float) -> np.ndarray:
-        """Per-cube integral over R_Q ∩ Ω of max(delta, clamp)^-s dx (cell
-        sums); complement cells count at no s, so s = 0 gives |R_Q ∩ Ω|."""
+    def rq_distance_integrals(self, s: float) -> np.ndarray:
+        """Per-cube integral over R_Q ∩ Ω of delta^-s dx (cell sums; inside
+        cells sit at delta >= h/2); complement cells count at no s, so
+        s = 0 gives |R_Q ∩ Ω|."""
         dom = self.domain
-        weight = np.where(dom.inside, np.maximum(dom.distance, clamp) ** (-s),
-                          0.0)
+        weight = np.zeros(dom.shape)
+        # the power runs on inside cells only: delta is 0 outside
+        weight[dom.inside] = dom.distance[dom.inside] ** (-s)
         return self.rq_sums(weight) * dom.h**dom.dim
 
     # -- per-cube arrays ---------------------------------------------------------

@@ -8,8 +8,8 @@ import math
 import numpy as np
 
 from hardylab.hardy import LsWeightFunction
-from hardylab.norms import (WeightSpec, _holder_pairs, _weight_on_anchors,
-                            difference_fields)
+from hardylab.norms import (_differences, _holder_pairs, _weight_on_anchors,
+                            distance_weight)
 
 
 def brute_force_distance(domain):
@@ -29,32 +29,38 @@ def brute_force_distance(domain):
     return out
 
 
+def whole_grid_fields(u, order):
+    """The difference fields of u on the whole grid and their weight
+    index (norms._differences with the full grid as the block)."""
+    dom = u.domain
+    return _differences(u.values, order, dom.h, (0,) * dom.dim, dom.shape[0])
+
+
 def interior_fields(u, order):
-    """difference_fields at the anchors whose order-j stencil reads only
+    """whole_grid_fields at the anchors whose order-j stencil reads only
     cells of the box, the anchors j..n-1 on every axis: the fields of u
     without its zero extension beyond the box."""
-    fields, widx = difference_fields(u, order)
+    fields, widx = whole_grid_fields(u, order)
     window = (slice(order, u.domain.shape[0]),) * u.domain.dim
     return ({alpha: f[window] for alpha, f in fields.items()},
             [idx[order:] for idx in widx])
 
 
-def holder_quotient(u, h_order, lam, w=WeightSpec(exponent=0.0),
-                    interior=False):
+def holder_quotient(u, h_order, lam, exponent=0.0, interior=False):
     """Pointwise Hölder quotient, grid form.
 
     sup over inside anchors x, distinct |alpha| = h_order, and the pairs
     (x, y) of `norms._holder_pairs` of |D^a u(x) - D^a u(y)| / |x-y|^lam *
-    weight(x).  The limsup of the continuum definition is replaced by this
+    delta(x)^exponent.  The limsup of the continuum definition is replaced by this
     finite-neighborhood sup, with y up to HOLDER_RADIUS_CELLS cells from x.
     interior=True reads only the anchors of interior_fields.
     """
     if not (0.0 < lam <= 1.0):
         raise ValueError("lambda must lie in (0, 1]")
     dom = u.domain
-    fields, widx = (interior_fields if interior else difference_fields)(
+    fields, widx = (interior_fields if interior else whole_grid_fields)(
         u, h_order)
-    wfield = _weight_on_anchors(w.field(dom), widx).reshape(-1)
+    wfield = distance_weight(dom, exponent, widx).reshape(-1)
     inside_anchor = (_weight_on_anchors(dom.inside.astype(float), widx)
                      > 0.5).reshape(-1)
     shape = next(iter(fields.values())).shape

@@ -232,6 +232,25 @@ def test_poincare_constant_reasonable():
     assert 0.15 < c < 0.4
 
 
+@pytest.mark.parametrize("dim,order,grid_level", [
+    (1, 1, 4), (1, 2, 4), (2, 1, 3), (2, 2, 3), (3, 2, 2)])
+def test_poincare_constant_matches_complement_pencil(dim, order, grid_level):
+    # the p = 2 constant is the pencil (S, hN I) restricted to the
+    # orthogonal complement of the polynomials below the order, where S is
+    # definite; order 2 used to fail to factor S + 1e-14 I
+    from hardylab.capacity import _poly_basis
+    m_cells = 2**grid_level
+    hN = (1.0 / m_cells) ** dim
+    B = _poly_basis(m_cells, dim, order - 1)
+    Q, _ = np.linalg.qr(B, mode="complete")
+    Z = Q[:, B.shape[1]:]
+    S = quadratic_form(m_cells, dim, order).toarray()
+    lam = np.linalg.eigvalsh(Z.T @ S @ Z)[0] / hN
+    want = math.sqrt(1.0 / lam)
+    got = poincare_constant(dim, order, 2.0, 2.0, grid_level)
+    assert abs(got - want) <= 1e-10 * want, (got, want)
+
+
 def test_ratio_best_constant_kernel_and_saturated():
     m_cells = 8
     best, _, solver = ratio_best_constant(

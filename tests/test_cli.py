@@ -1,4 +1,5 @@
 import json
+from itertools import product
 
 import numpy as np
 import pytest
@@ -70,9 +71,9 @@ def test_dimloc_builds_each_gs_table_once(tmp_path, monkeypatch):
     calls = []
     integrals = WhitneyDecomposition.rq_distance_integrals
 
-    def counted(self, s, clamp):
+    def counted(self, s):
         calls.append(s)
-        return integrals(self, s, clamp)
+        return integrals(self, s)
 
     monkeypatch.setattr(WhitneyDecomposition, "rq_distance_integrals",
                         counted)
@@ -203,6 +204,19 @@ def test_corollary_command(tmp_path):
     assert rep["hypotheses_ok"] is True
 
 
+def test_corollary_x_without_p0_reports_the_failure(tmp_path):
+    # the capacity floor of cases ix/x needs p0; with it missing the
+    # report carries the failure instead of solving at no exponent
+    code = run(["corollary", "--domain", INTERVAL, "--corollary-case", "x",
+                "--m", 1, "--p", 2, "--s", -1, "--selfsimilar",
+                "--grid-level", 2, "--out", tmp_path])
+    assert code == 1
+    rep = json.loads((tmp_path / "corollary-report.json").read_text())
+    assert rep["hypotheses_ok"] is False
+    assert "p0 missing or outside [1, p)" in rep["details"]["failures"]
+    assert "capacity_floor" not in rep["details"]
+
+
 def test_cone_split_roundtrip(tmp_path):
     dom = rasterize(DomainSpec.from_json(LSHAPE))
     xs, ys = dom.center_grid()
@@ -246,3 +260,78 @@ def test_repeat_run_byte_identical(tmp_path):
         assert code == 0
         digests.append({p.name: sha256_of_file(p) for p in sorted(out.iterdir())})
     assert digests[0] == digests[1]
+
+
+# -- argument sweep: every combination ends in a report or an error record ----
+
+SWEEP_DOMAINS = {
+    "interval6": '{"kind": "interval", "dim": 1, "level": 6}',
+    "square6": '{"kind": "square", "dim": 2, "level": 6}',
+}
+REPORTS = {"bound": "bound-report.json", "direct": "direct-report.json",
+           "corollary": "corollary-report.json",
+           "capacity": "capacity-report.json"}
+
+
+def _sweep_bound():
+    for dom, case, m in product(SWEEP_DOMAINS, "ABCD", (1, 2)):
+        p0s = (None, 1.5) if case in "BD" else (None,)
+        a0s = (None, 0.1) if case in "CD" else (None,)
+        for p0, a0 in product(p0s, a0s):
+            argv = ["bound", "--domain", SWEEP_DOMAINS[dom], "--case", case,
+                    "--m", m, "--p", 2, "--s", -1, "--grid-level", 2]
+            argv += ["--p0", p0, "--dim-loc", 0.5] if p0 is not None else []
+            argv += ["--A0", a0] if a0 is not None else []
+            yield argv
+
+
+def _sweep_corollary():
+    for case, m, s, p0 in product("i ii iii iv v vi vii viii ix x".split(),
+                                  (1, 2), (-1, 0.5), (None, 1.5)):
+        argv = ["corollary", "--domain", SWEEP_DOMAINS["interval6"],
+                "--corollary-case", case, "--m", m, "--p", 2, "--s", s,
+                "--grid-level", 2, "--r-dim", 1, "--selfsimilar"]
+        yield argv + (["--p0", p0] if p0 is not None else [])
+
+
+def _sweep_capacity():
+    for flavor, dim, m, a0 in product(("gamma", "theta"), (1, 2), (1, 2),
+                                      (None, 0.1)):
+        argv = ["capacity", "--flavor", flavor, "--dim", dim, "--m", m,
+                "--k", m - 1, "--p", 2, "--grid-level", 2]
+        yield argv + (["--A0", a0] if a0 is not None else [])
+
+
+def _sweep_direct():
+    for dom, m, s in product(SWEEP_DOMAINS, (1, 2), (-1, 0.5)):
+        yield ["direct", "--domain", SWEEP_DOMAINS[dom], "--m", m, "--p", 2,
+               "--s", s]
+
+
+@pytest.mark.parametrize("sweep", [_sweep_bound, _sweep_corollary,
+                                   _sweep_capacity, _sweep_direct],
+                         ids=["bound", "corollary", "capacity", "direct"])
+def test_argument_sweep_ends_in_report_or_error_record(tmp_path, capsys,
+                                                       sweep):
+    # exit 0 (1: failed corollary hypotheses) with a report, or exit 2
+    # with an error record and no outputs; never another exception
+    bad = []
+    for i, argv in enumerate(sweep()):
+        out = tmp_path / str(i)
+        capsys.readouterr()
+        try:
+            code = run(argv + ["--out", out])
+        except Exception as exc:  # noqa: BLE001 - the sweep's finding
+            bad.append((argv, repr(exc)))
+            continue
+        printed = capsys.readouterr().out
+        report = out / REPORTS[argv[0]]
+        if code == 0 or (code == 1 and argv[0] == "corollary"):
+            ok = report.exists() and (code == 0 or not json.loads(
+                report.read_text())["hypotheses_ok"])
+        else:
+            record = json.loads(printed) if code == 2 else {}
+            ok = {"error", "kind"} <= set(record) and not out.exists()
+        if not ok:
+            bad.append((argv, code, printed))
+    assert bad == []

@@ -8,7 +8,7 @@ import scipy.sparse.linalg as spla
 from hardylab.capacity import CapacityError
 from hardylab.grids import DomainSpec, GridDomain, rasterize
 from hardylab.whitney import decompose
-from hardylab.norms import DiscreteFunction, WeightSpec, gradient_seminorm
+from hardylab.norms import DiscreteFunction, gradient_seminorm
 from hardylab.hardy import (HardyError, HardyParams, weight_exponents,
                             per_cube_capacity_field, constructive_bound,
                             direct_best_constant, case_e_shift,
@@ -207,8 +207,8 @@ def test_direct_maximizer_concentrates_at_boundary(interval8):
     est = direct_best_constant(dom, HardyParams(m=1, k=0, p=2.0, q=2.0, s=0.0))
     xs = dom.center_grid()[0]
     bump = DiscreteFunction(dom, np.exp(-((xs - 0.5) / 0.1) ** 2))
-    num = gradient_seminorm(bump, 0, 2.0, WeightSpec(exponent=-2.0))
-    den = gradient_seminorm(bump, 1, 2.0, WeightSpec(exponent=0.0))
+    num = gradient_seminorm(bump, 0, 2.0, -2.0)
+    den = gradient_seminorm(bump, 1, 2.0, 0.0)
     assert num / den < est  # interior bumps are far from optimal
 
 
@@ -263,8 +263,8 @@ def test_dilation_identity_scale_matched_weights():
     v = DiscreteFunction(fine, bump(2 * xs, 2 * (ys - 0.5) + 0.5))
 
     def ratio(w, dom):
-        lhs = gradient_seminorm(w, 0, p, WeightSpec(exponent=-t))
-        rhs = gradient_seminorm(w, m, p, WeightSpec(exponent=s))
+        lhs = gradient_seminorm(w, 0, p, -t)
+        rhs = gradient_seminorm(w, m, p, s)
         return lhs / rhs
 
     assert ratio(v, fine) == pytest.approx(ratio(u, coarse), rel=0.1)
@@ -395,8 +395,8 @@ def test_holder_form_bound_sound_on_probes(interval8):
     for _ in range(10):
         c, w = rng.uniform(0.15, 0.85), rng.uniform(0.05, 0.3)
         u = DiscreteFunction(dom, np.exp(-((xs - c) / w) ** 2))
-        lhs = holder_quotient(u, 0, 0.4, WeightSpec(exponent=-t))
-        rhs = gradient_seminorm(u, 1, 2.0, WeightSpec(exponent=-1.0))
+        lhs = holder_quotient(u, 0, 0.4, -t)
+        rhs = gradient_seminorm(u, 1, 2.0, -1.0)
         assert lhs <= rep.constant_A * rhs
     with pytest.raises(HardyError):
         constructive_bound(dec, HardyParams(m=1, s=-1.0, case="C", A0=0.1,

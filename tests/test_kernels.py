@@ -24,8 +24,8 @@ from hardylab.capacity import (CapacityError, ConstraintSet, _Matvec,
 from hardylab.cone import (ALPHA_ENLARGE, BETA_ENLARGE, ConeSplit,
                            MajorantResult, _enlarged_boxes, _iterated_kernel,
                            cone_split, make_probe, overlap_count)
-from hardylab.norms import (DiscreteFunction, WeightSpec, gradient_magnitude,
-                            gradient_seminorm, _weight_on_anchors)
+from hardylab.norms import (DiscreteFunction, distance_weight,
+                            gradient_magnitude, gradient_seminorm)
 from hardylab.grids import (DomainSpec, GridDomain, rasterize, _koch_polygon,
                             _points_in_polygon)
 from hardylab.hardy import (HardyParams, _case_sigma, _constraint_classes,
@@ -677,8 +677,7 @@ def loop_local_majorant(u_q, m, p, cube_side, cube_center):
     v = v + defect
 
     def sobolev(f):
-        return sum(gradient_seminorm(f, k, p, WeightSpec(exponent=0.0))
-                   for k in range(m + 1))
+        return sum(gradient_seminorm(f, k, p, 0.0) for k in range(m + 1))
 
     norm_u = sobolev(u_q)
     norm_v = sobolev(DiscreteFunction(dom, v))
@@ -721,12 +720,11 @@ def loop_cone_split(u, decomp, m, p, s):
     v = np.zeros(dom.shape)
     per_cube = []
     sup_rho = sup_a0 = 0.0
-    wspec = WeightSpec(exponent=s)
     hN = dom.h**dom.dim
     mag, widx = gradient_magnitude(u, m)
-    g_top = mag**p * _weight_on_anchors(wspec.field(dom), widx) * hN
+    g_top = mag**p * distance_weight(dom, s, widx) * hN
     low_field = (np.abs(u.values) ** p
-                 * WeightSpec(exponent=s - m * p).field(dom) * hN)
+                 * distance_weight(dom, s - m * p, None) * hN)
     mult_top = np.zeros(g_top.shape, dtype=np.int32)
     mult_low = np.zeros(dom.shape, dtype=np.int32)
     for i in range(decomp.n_cubes):
@@ -743,7 +741,7 @@ def loop_cone_split(u, decomp, m, p, s):
         mult_low[sl43] += 1
         mult_top[awin] += 1
         num = sum(gradient_seminorm(DiscreteFunction(dom, res.values), k, p,
-                                    wspec) ** p for k in range(m + 1))
+                                    s) ** p for k in range(m + 1))
         denom = float(low_field[sl43].sum()) + float(g_top[awin].sum())
         rho = num / denom if denom > 0 else 0.0
         sup_rho = max(sup_rho, rho)
@@ -761,12 +759,12 @@ def loop_cone_split(u, decomp, m, p, s):
     u2 = DiscreteFunction(dom, np.where(dom.inside, u1.values - u.values, 0.0))
     overlap = loop_overlap_count(dom, decomp, BETA_ENLARGE)
     window_mult = max(int(mult_low.max()), int(mult_top.max()))
-    norm_u = sum(gradient_seminorm(u, k, p, wspec) for k in range(m + 1))
+    norm_u = sum(gradient_seminorm(u, k, p, s) for k in range(m + 1))
     nf = 0.0
     if norm_u > 0:
         nf = max(
-            sum(gradient_seminorm(u1, k, p, wspec) for k in range(m + 1)),
-            sum(gradient_seminorm(u2, k, p, wspec) for k in range(m + 1)),
+            sum(gradient_seminorm(u1, k, p, s) for k in range(m + 1)),
+            sum(gradient_seminorm(u2, k, p, s) for k in range(m + 1)),
         ) / norm_u
     factors = {
         "overlap_count": overlap,
@@ -911,7 +909,7 @@ def loop_constructive_bound(decomp, params, field, f, seed):
     h_integrals = None
     if params.case in ("B", "D"):
         expo = (params.s + a_offset) * pm / (params.p - pm)
-        h_integrals = decomp.rq_distance_integrals(expo, clamp)
+        h_integrals = decomp.rq_distance_integrals(expo)
 
     a614_cache = {}
     fallback = 0

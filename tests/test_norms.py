@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from hardylab.grids import DomainSpec, rasterize
-from hardylab.norms import (DiscreteFunction, WeightSpec, _magnitude,
-                            gradient_seminorm, multinomial, difference_fields)
+from hardylab.norms import (DiscreteFunction, _differences, _magnitude,
+                            distance_weight, gradient_seminorm, multinomial)
 from oracles import holder_quotient, interior_fields
 
 
@@ -46,8 +46,7 @@ def test_xy_hessian_matches_analytic(square6):
 def test_sobolev_zero_and_constant(square6):
     # the W^{1,2} norm, the sum of the gradient seminorms of orders 0 and 1
     z = sampled(square6, lambda x, y: 0 * x)
-    unit = WeightSpec(exponent=0.0)
-    assert sum(gradient_seminorm(z, k, 2.0, unit) for k in (0, 1)) == 0.0
+    assert sum(gradient_seminorm(z, k, 2.0, 0.0) for k in (0, 1)) == 0.0
     one = sampled(square6, lambda x, y: 0 * x + 1.0)
     assert sum(interior_seminorm(one, k, 2.0) for k in (0, 1)) \
         == pytest.approx(1.0, abs=1e-12)
@@ -111,11 +110,15 @@ def test_dilation_table_scaling():
 def test_weight_spec_clamp_default(square6):
     # the distance is clamped below at half a cell, so a singular weight
     # stays finite on the complement
-    field = WeightSpec(exponent=-1.0).field(square6)
+    field = distance_weight(square6, -1.0, None)
     assert np.isfinite(field).all()
     assert np.array_equal(
         field, 1.0 / np.maximum(square6.distance, 0.5 * square6.h))
-    assert (WeightSpec(exponent=0.0).field(square6) == 1.0).all()
+    assert (distance_weight(square6, 0.0, None) == 1.0).all()
+    # read at anchors, it is the cell field taken at their weight index
+    widx = [np.clip(np.arange(66) - 1, 0, 63)] * 2
+    assert np.array_equal(distance_weight(square6, -1.0, widx),
+                          field[np.ix_(*widx)])
 
 
 def test_zero_extension_enforced(square6):
@@ -130,7 +133,7 @@ def test_zero_extension_enforced(square6):
 def test_gradient_rejects_bad_p(square6):
     u = sampled(square6, lambda x, y: x)
     with pytest.raises(ValueError):
-        gradient_seminorm(u, 1, 0.5, WeightSpec(exponent=0.0))
+        gradient_seminorm(u, 1, 0.5, 0.0)
 
 
 @pytest.mark.parametrize("kind,dim,level", [("interval", 1, 5), ("lshape", 2, 4),
@@ -144,7 +147,7 @@ def test_difference_fields_match_sparse_operators(kind, dim, level, order):
     dom = rasterize(DomainSpec(kind=kind, dim=dim, level=level))
     rng = np.random.default_rng(order)
     u = DiscreteFunction(dom, rng.standard_normal(dom.shape))
-    fields, _ = difference_fields(u, order)
+    fields, _ = _differences(u.values, order, dom.h, (0,) * dim, dom.shape[0])
     n, np_ = dom.shape[0], dom.shape[0] + 2 * order
     padded = np.pad(u.values, order).reshape(-1)
     ops = gradient_form_ops(np_, dim, order, dom.h)

@@ -197,3 +197,38 @@ def test_degenerate_raster_fails():
 def test_svg_export(halfspace7):
     text = to_svg(halfspace7, show_enlarged=True)
     assert text.startswith("<svg") and "rect" in text
+
+
+def _random_mask_domain(dim, level, seed):
+    from hardylab.grids import GridDomain
+    rng = np.random.default_rng(seed)
+    inside = rng.random((2**level,) * dim) < 0.7
+    return GridDomain(dim=dim, level=level, inside=inside)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: rasterize(DomainSpec(kind="interval", dim=1, level=8)),
+    lambda: rasterize(DomainSpec(kind="cantor-complement", dim=1, level=12,
+                                 iterations=6)),
+    lambda: rasterize(DomainSpec(kind="square", dim=2, level=6)),
+    lambda: rasterize(DomainSpec(kind="lshape", dim=2, level=7)),
+    lambda: rasterize(DomainSpec(kind="halfspace", dim=2, level=6)),
+    lambda: rasterize(DomainSpec(kind="koch-polygon", dim=2, level=9,
+                                 iterations=4)),
+    lambda: rasterize(DomainSpec(kind="cube-minus-compact", dim=2, level=6)),
+    lambda: rasterize(DomainSpec(kind="cube-minus-compact", dim=3, level=5)),
+    lambda: _random_mask_domain(1, 8, 0),
+    lambda: _random_mask_domain(2, 6, 1),
+    lambda: _random_mask_domain(3, 4, 2),
+], ids=["interval8", "cantor12", "square6", "lshape7", "halfspace6", "koch9",
+        "cube2d6", "cube3d5", "random1d", "random2d", "random3d"])
+def test_inside_distances_at_least_half_a_cell(make):
+    # the norms, the bound and g_s read delta on inside cells and on cubes
+    # with no floor of their own: it is 0 outside and at least h/2 inside
+    dom = make()
+    dec = decompose(dom)
+    half = 0.5 * dom.h
+    assert dom.distance[dom.inside].min() == half
+    assert (dom.distance[~dom.inside] == 0.0).all()
+    assert dec.dist_min.min() >= half
+    assert (dec.dist_max >= dec.dist_min).all()
