@@ -88,6 +88,12 @@ def _params_from_args(args) -> HardyParams:
     return HardyParams(**{k: v for k, v in kw.items() if v is not None})
 
 
+def _reject_a0(args) -> None:
+    """direct and corollary solve no theta capacity: an --A0 goes unread."""
+    if args.A0 is not None:
+        raise HardyError(f"A0 is read by no {args.command} solve")
+
+
 def _per_cube_csv(report) -> str:
     cols = ["cube", "level", "lambda", "lambda1", "chain_constant",
             "alpha", "beta", "holder_defect", "f", "skipped"]
@@ -152,6 +158,8 @@ def cmd_capacity(args) -> int:
     cs = ConstraintSet(K, args.cone)
     p1 = args.p if args.p1 is None else args.p1
     if args.flavor == "gamma":
+        if args.A0 is not None:
+            raise CapacityError("A0 is read by the theta flavor only")
         res = gamma_capacity(cs, args.m, args.k, args.p, p1,
                              args.grid_level, args.dim, args.seed)
     else:
@@ -216,6 +224,7 @@ def _lambda_svg(dec, lam: np.ndarray) -> str:
 
 
 def cmd_direct(args) -> int:
+    _reject_a0(args)
     dom = _load_domain(args)
     params = _params_from_args(args)
     est = direct_best_constant(dom, params, seed=args.seed)
@@ -230,6 +239,7 @@ def cmd_direct(args) -> int:
 
 
 def cmd_corollary(args) -> int:
+    _reject_a0(args)
     dom = _load_domain(args)
     dec = decompose(dom)
     params = _params_from_args(args)

@@ -20,7 +20,7 @@ import numpy as np
 from scipy import ndimage
 
 from .grids import GridDomain
-from .whitney import WhitneyDecomposition
+from .whitney import WhitneyDecomposition, summed_area_table
 from ._util import fit_slope
 
 DIVERGENCE_SLOPE_THRESHOLD = 0.25
@@ -214,32 +214,51 @@ def _box_counts(decomp: WhitneyDecomposition, bcells: np.ndarray):
     Returns {j: sup over cubes of N_eps}, eps = 2^-j relative to R_Q's side.
     Boxes narrower than MIN_BOX_CELLS cells are not counted: occupancy of
     smaller boxes flips to the straight-segment regime of the raster.
+
+    A cell of R_Q falls in box floor(u * 2^j) per axis, u its center's
+    coordinate rescaled onto R_Q = [0, 1] (clipped below 1).  That index
+    is monotone along each axis, so a box is a product of per-axis runs of
+    cells and is occupied when the summed-area table of the boundary cells
+    gives it a positive sum.  The loops run over scales and axes only.
     """
     dom = decomp.domain
     h = dom.h
+    dim = dom.dim
     start, stop = _padded_rq_ranges(decomp)
+    side = decomp.rq_side
+    jmax = np.minimum(np.floor(np.log2(np.maximum(
+        side / h / MIN_BOX_CELLS, 1.0))).astype(np.int64), MAX_BOX_SCALES)
+    counted = (jmax >= 1) & (stop > start).all(axis=1)
+    table = summed_area_table(bcells)
     sups: dict[int, float] = {}
-    for i in range(decomp.n_cubes):
-        side = float(decomp.rq_side[i])
-        cells_across = side / h
-        jmax = int(math.floor(math.log2(max(cells_across / MIN_BOX_CELLS, 1.0))))
-        jmax = min(jmax, MAX_BOX_SCALES)
-        if jmax < 1 or (stop[i] <= start[i]).any():
-            continue
-        idx = np.argwhere(bcells[tuple(map(slice, start[i], stop[i]))])
-        if len(idx) == 0:
-            continue
-        # physical center coordinates of boundary cells, rescaled to [0,1]
-        coords = ((idx + start[i]) - 1 + 0.5) * h
-        unit = (coords - decomp.rq_origin[i]) / side
-        unit = np.clip(unit, 0.0, 1.0 - 1e-12)
-        for j in range(1, jmax + 1):
-            boxes = np.floor(unit * 2**j).astype(np.int64)
-            keys = boxes[:, 0].copy()
-            for a in range(1, dom.dim):
-                keys = keys * 2**j + boxes[:, a]
-            count = len(np.unique(keys))
-            sups[j] = max(sups.get(j, 0.0), float(count))
+    for j in range(1, int(jmax[counted].max(initial=0)) + 1):
+        ids = np.nonzero(counted & (jmax >= j))[0]
+        # per axis, the prefix-sum lattice index of every box edge
+        edges = []
+        for a in range(dim):
+            lo = start[ids, a]
+            run = stop[ids, a] - lo
+            # the cells of every R_Q along axis a, one cube after another
+            cube = np.repeat(np.arange(len(ids)), run)
+            cell = np.arange(run.sum()) + np.repeat(lo - np.cumsum(run) + run,
+                                                    run)
+            unit = (((cell - 1 + 0.5) * h - decomp.rq_origin[ids[cube], a])
+                    / side[ids[cube]])
+            unit = np.clip(unit, 0.0, 1.0 - 1e-12)
+            box = np.floor(unit * 2**j).astype(np.int64)
+            width = np.bincount(cube * 2**j + box, minlength=len(ids) * 2**j)
+            edge = np.zeros((len(ids), 2**j + 1), dtype=np.int64)
+            edge[:, 1:] = np.cumsum(width.reshape(len(ids), 2**j), axis=1)
+            edges.append((lo[:, None] + edge).reshape(
+                (len(ids),) + (1,) * a + (-1,) + (1,) * (dim - 1 - a)))
+        # box sums: the N-fold difference of the table at the edge lattice
+        sums = table[tuple(edges)]
+        for a in range(dim):
+            sums = np.diff(sums, axis=a + 1)
+        most = int(np.count_nonzero(sums > 0,
+                                    axis=tuple(range(1, dim + 1))).max())
+        if most > 0:
+            sups[j] = float(most)
     return sups
 
 

@@ -66,7 +66,9 @@ class HardyParams:
     of the zero-extension (compact-support proxy).  p1, q default to p; k
     defaults to m-1 (one-term right-hand side).  p0 is required for cases B
     and D; A0 (theta cases) defaults to twice the unconstrained Poincaré
-    constant of the capacity grid and is echoed in reports.
+    constant of the capacity grid and is echoed in reports.  An A0 given
+    to another case would be echoed but read by no solve, so it is
+    rejected.
     """
 
     m: int
@@ -97,6 +99,8 @@ class HardyParams:
             raise HardyError(f"unknown form {self.form!r}")
         if self.m < 1 or not (0 <= self.k <= self.m - 1):
             raise HardyError("need m >= 1 and 0 <= k <= m-1")
+        if self.A0 is not None and not self.theta_case():
+            raise HardyError("A0 is read by the theta cases C and D only")
         if self.p < 1:
             raise HardyError("p must be >= 1")
         for name in ("p1", "q"):

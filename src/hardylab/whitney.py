@@ -43,6 +43,38 @@ def _box_corners(start: np.ndarray, stop: np.ndarray):
         yield idx, -1 if (dim - sum(corner)) % 2 else 1
 
 
+def _prefix_sums(table: np.ndarray) -> np.ndarray:
+    """Cumulate a zero-padded (n+1)^N table in place along every axis, so
+    table[i] becomes the sum of the field over the cells below i (a
+    summed-area table, Crow 1984)."""
+    for ax in range(table.ndim):
+        np.cumsum(table, axis=ax, out=table)
+    return table
+
+
+def summed_area_table(field: np.ndarray) -> np.ndarray:
+    """The summed-area table of a cell field on the (n+1)^N prefix-sum
+    lattice.  Boolean and integer fields are summed in int64, so box sums
+    are exact counts.  Float fields are summed in np.longdouble (80-bit on
+    x86-64, plain float64 on some platforms): a box sum is a difference of
+    prefix sums much larger than itself, and the extra bits keep it within
+    a few ulps of a direct slice sum."""
+    kind = np.int64 if field.dtype.kind in "biu" else np.longdouble
+    table = np.zeros(tuple(s + 1 for s in field.shape), dtype=kind)
+    table[(slice(1, None),) * field.ndim] = field
+    return _prefix_sums(table)
+
+
+def _box_sums(table: np.ndarray, start: np.ndarray,
+              stop: np.ndarray) -> np.ndarray:
+    """Per box, the field's sum over [start, stop), read from its
+    summed-area table at the 2^N corners of the box."""
+    total = np.zeros(len(start), dtype=table.dtype)
+    for idx, sign in _box_corners(start, stop):
+        total += sign * table[idx]
+    return total
+
+
 def box_scatter(shape: tuple, start: np.ndarray, stop: np.ndarray,
                 values: np.ndarray) -> np.ndarray:
     """The grid field summing values[i] over the boxes [start[i], stop[i])
@@ -57,9 +89,7 @@ def box_scatter(shape: tuple, start: np.ndarray, stop: np.ndarray,
     flip = -1 if dim % 2 else 1
     for idx, sign in _box_corners(start, stop):
         np.add.at(table, idx, sign * flip * values)
-    for ax in range(dim):
-        np.cumsum(table, axis=ax, out=table)
-    field = table[(slice(0, -1),) * dim]
+    field = _prefix_sums(table)[(slice(0, -1),) * dim]
     return field if kind is np.int64 else field.astype(np.float64)
 
 
@@ -157,24 +187,14 @@ class WhitneyDecomposition:
     def rq_sums(self, weight: np.ndarray) -> np.ndarray:
         """Per-cube sums of a cell field over the cells of closed R_Q.
 
-        One zero-padded N-D cumulative sum (a summed-area table, Crow 1984)
-        and 2^N corner lookups per cube.  Boolean and integer fields are
-        summed in int64, so counts are exact.  Float fields are summed in
-        np.longdouble (80-bit on x86-64, plain float64 on some platforms):
-        a box sum is a difference of prefix sums much larger than itself,
-        and the extra bits keep it within a few ulps of a direct slice sum.
-        Callers integrating over R_Q ∩ Ω pass a field that is zero outside.
+        One summed-area table (summed_area_table: int64 for boolean and
+        integer fields, so counts are exact; np.longdouble for floats) and
+        2^N corner lookups per cube.  Callers integrating over R_Q ∩ Ω pass
+        a field that is zero outside.
         """
-        dim = self.domain.dim
-        kind = np.int64 if weight.dtype.kind in "biu" else np.longdouble
-        table = np.zeros(tuple(s + 1 for s in weight.shape), dtype=kind)
-        table[(slice(1, None),) * dim] = weight
-        for ax in range(dim):
-            np.cumsum(table, axis=ax, out=table)
-        total = np.zeros(self.n_cubes, dtype=kind)
-        for idx, sign in _box_corners(self.rq_start, self.rq_stop):
-            total += sign * table[idx]
-        return total if kind is np.int64 else total.astype(np.float64)
+        total = _box_sums(summed_area_table(weight), self.rq_start,
+                          self.rq_stop)
+        return total if total.dtype == np.int64 else total.astype(np.float64)
 
     def rq_scatter(self, values: np.ndarray) -> np.ndarray:
         """The cell field F(x) = sum of values[Q] over the cubes Q whose
@@ -186,12 +206,18 @@ class WhitneyDecomposition:
     def rq_distance_integrals(self, s: float) -> np.ndarray:
         """Per-cube integral over R_Q ∩ Ω of delta^-s dx (cell sums; inside
         cells sit at delta >= h/2); complement cells count at no s, so
-        s = 0 gives |R_Q ∩ Ω|."""
+        s = 0 gives |R_Q ∩ Ω|.
+
+        The powers of the inside distances are written straight into the
+        long-double summed-area table, with no weight field and no copy;
+        the cumulative sums and corner lookups are rq_sums', so the result
+        has the bits of rq_sums on the zero-extended weight field."""
         dom = self.domain
-        weight = np.zeros(dom.shape)
-        # the power runs on inside cells only: delta is 0 outside
-        weight[dom.inside] = dom.distance[dom.inside] ** (-s)
-        return self.rq_sums(weight) * dom.h**dom.dim
+        table = np.zeros(tuple(n + 1 for n in dom.shape), dtype=np.longdouble)
+        table[(slice(1, None),) * dom.dim][dom.inside] = \
+            dom.distance[dom.inside] ** (-s)
+        total = _box_sums(_prefix_sums(table), self.rq_start, self.rq_stop)
+        return total.astype(np.float64) * dom.h**dom.dim
 
     # -- per-cube arrays ---------------------------------------------------------
 
@@ -358,11 +384,34 @@ def summation_lemma_ratio(decomp: WhitneyDecomposition, f, s: float):
     return lhs, rhs
 
 
+def _coarsest_levels(decomp: WhitneyDecomposition) -> np.ndarray:
+    """Per cube Q, the coarsest level of the cubes owning a cell of R_Q.
+
+    Level-k cubes are aligned blocks of b = 2^(L-k) cells, so R_Q holds a
+    cell of one exactly when its cell range, rounded outward to whole
+    blocks, holds a level-k block: one (2^k)^N summed-area table of the
+    block grid per level, coarsest first, and no loop over cubes.  R_Q
+    covers Q, so no range is empty."""
+    dom = decomp.domain
+    owner_level = np.where(decomp.owner >= 0,
+                           decomp.levels[np.maximum(decomp.owner, 0)], -1)
+    coarsest = np.full(decomp.n_cubes, -1, dtype=np.int64)
+    for k in decomp.populated_levels():
+        b = 2 ** (dom.level - k)
+        blocks = owner_level[(slice(None, None, b),) * dom.dim] == k
+        held = _box_sums(summed_area_table(blocks), decomp.rq_start // b,
+                         -(-decomp.rq_stop // b))
+        coarsest[(coarsest < 0) & (held > 0)] = k
+    return coarsest
+
+
 def check_decomposition(decomp: WhitneyDecomposition) -> dict:
     """Exhaustive verification of the grid forms of the Whitney conditions.
 
     Returns per-condition booleans plus the measured extremes; used by the
-    acceptance suite and the property tests.
+    acceptance suite and the property tests.  Every condition is an array
+    test over cubes; the neighbour cutoff reads _coarsest_levels, one
+    summed-area table per level on that level's block grid.
     """
     dom = decomp.domain
     h = dom.h
@@ -387,15 +436,9 @@ def check_decomposition(decomp: WhitneyDecomposition) -> dict:
     ratio_ok = worst_ratio <= 4.0 + 1e-12
 
     # diam Q' / diam Q = 2^(level Q - level Q'), so its largest value over
-    # the cubes Q' with a cell in R_Q belongs to the coarsest level owning a
-    # cell there: count each level's cells in every R_Q, coarsest first.
+    # the cubes Q' with a cell in R_Q belongs to the coarsest such level
     cutoff = intersection_cutoff(dom.dim)
-    owner_level = np.where(decomp.owner >= 0,
-                           decomp.levels[np.maximum(decomp.owner, 0)], -1)
-    coarsest = np.full(decomp.n_cubes, -1, dtype=np.int64)
-    for k in decomp.populated_levels():
-        found = (coarsest < 0) & (decomp.rq_sums(owner_level == k) > 0)
-        coarsest[found] = k
+    coarsest = _coarsest_levels(decomp)
     worst_nbr = float((2.0 ** (decomp.levels - coarsest).astype(float)).max())
     nbr_ok = worst_nbr <= cutoff + 1e-12
 

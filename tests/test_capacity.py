@@ -233,11 +233,13 @@ def test_poincare_constant_reasonable():
 
 
 @pytest.mark.parametrize("dim,order,grid_level", [
-    (1, 1, 4), (1, 2, 4), (2, 1, 3), (2, 2, 3), (3, 2, 2)])
+    (1, 1, 4), (1, 2, 4), (2, 1, 3), (2, 2, 3), (3, 2, 2), (3, 1, 3),
+    (3, 2, 3)])
 def test_poincare_constant_matches_complement_pencil(dim, order, grid_level):
     # the p = 2 constant is the pencil (S, hN I) restricted to the
     # orthogonal complement of the polynomials below the order, where S is
-    # definite; order 2 used to fail to factor S + 1e-14 I
+    # definite; order 2 used to fail to factor S + 1e-14 I.  The 3-D grid-3
+    # pencils (512 cells) take the sparse shift-invert route
     from hardylab.capacity import _poly_basis
     m_cells = 2**grid_level
     hN = (1.0 / m_cells) ** dim

@@ -128,6 +128,35 @@ def test_bound_rejects_nonpositive_exponents(tmp_path, capsys, extra,
     assert not (tmp_path / "sub").exists()
 
 
+INTERVAL6 = '{"kind": "interval", "dim": 1, "level": 6}'
+
+
+@pytest.mark.parametrize("args,kind", [
+    (["capacity", "--flavor", "gamma", "--k", 0], "CapacityError"),
+    (["bound", "--domain", INTERVAL6, "--case", "A", "--s", -1],
+     "HardyError"),
+    (["bound", "--domain", INTERVAL6, "--case", "B", "--s", -1, "--p0", 1.5,
+      "--dim-loc", 0.5], "HardyError"),
+    (["bound", "--domain", INTERVAL6, "--case", "E", "--s", 0.5],
+     "HardyError"),
+    (["direct", "--domain", INTERVAL6, "--case", "C", "--s", -1],
+     "HardyError"),
+    (["corollary", "--domain", INTERVAL6, "--corollary-case", "i",
+      "--s", -1], "HardyError"),
+], ids=["capacity-gamma", "bound-A", "bound-B", "bound-E", "direct",
+        "corollary"])
+def test_unread_A0_is_rejected(tmp_path, capsys, args, kind):
+    # an explicit --A0 that no solve reads is an error, not an echoed
+    # input beside a report computed without it
+    argv = args + ["--m", 1, "--p", 2, "--grid-level", 2, "--A0", 0.1,
+                   "--out", tmp_path / "sub"]
+    assert run(argv) == 2
+    record = json.loads(capsys.readouterr().out)
+    assert record["kind"] == kind
+    assert "A0 is read by" in record["error"]
+    assert not (tmp_path / "sub").exists()
+
+
 SQUARE4 = '{"kind": "square", "dim": 2, "level": 4}'
 
 

@@ -1,7 +1,8 @@
-"""Whole-array geometry kernels, the self-similarity signature, the
-constraint-class map, the batched canonical keys, the window-local cone
-split, the array assembly of the constructive bound, the ratio-core Hölder
-and Poincaré solves and the ratio-term matvec handles, pinned to the
+"""Whole-array geometry kernels, the box counts, the self-similarity
+signature, the constraint-class map, the batched canonical keys, the
+window-local cone split, the array assembly of the constructive bound, the
+ratio-core Hölder and Poincaré solves and the ratio-term matvec handles,
+pinned to the
 per-edge, per-cube, per-image and full-grid loops, the hand-written
 objectives and the scipy products they replace (kept here as oracles)."""
 
@@ -34,7 +35,8 @@ from hardylab.hardy import (HardyParams, _case_sigma, _constraint_classes,
                             direct_best_constant, per_cube_capacity_field,
                             weight_exponents)
 from hardylab.whitney import (WhitneyError, WhitneyDecomposition,
-                              box_scatter, check_decomposition, decompose,
+                              _coarsest_levels, box_scatter,
+                              check_decomposition, decompose,
                               intersection_cutoff, packing_constant)
 from oracles import equidistributed
 
@@ -131,6 +133,15 @@ def loop_touching_pairs(dec, owner):
             if j >= 0 and j != i:
                 pairs.add((min(i, j), max(i, j)))
     return np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
+
+
+def loop_coarsest(dec, owner):
+    """Per cube, the coarsest level owning a cell of its R_Q slice."""
+    coarsest = []
+    for i in range(dec.n_cubes):
+        ids = np.unique(owner[loop_rq_slice(dec, i)])
+        coarsest.append(int(dec.levels[ids[ids >= 0]].min()))
+    return coarsest
 
 
 def loop_check(dec, owner, pairs):
@@ -341,14 +352,16 @@ def _frame():
     lambda: rasterize(DomainSpec(kind="lshape", dim=2, level=7)),
     lambda: rasterize(DomainSpec(kind="koch-polygon", dim=2, level=7,
                                  iterations=3)),
+    lambda: rasterize(DomainSpec(kind="koch-polygon", dim=2, level=10,
+                                 iterations=4)),
     lambda: rasterize(DomainSpec(kind="cantor-complement", dim=1, level=9,
                                  iterations=4)),
     lambda: rasterize(DomainSpec(kind="cube-minus-compact", dim=3, level=4)),
     lambda: rasterize(DomainSpec(kind="cube-minus-compact", dim=2, level=6,
                                  radius=0.0)),
     _frame,
-], ids=["halfspace", "lshape", "koch", "cantor", "cube-minus-compact-3d",
-        "point", "frame"])
+], ids=["halfspace", "lshape", "koch", "koch10", "cantor",
+        "cube-minus-compact-3d", "point", "frame"])
 def test_structures_match_loops(make):
     dec = decompose(make())
     owner = loop_owner(dec)
@@ -360,10 +373,78 @@ def test_structures_match_loops(make):
     assert np.array_equal(dec.touching_pairs(), pairs)
     assert dec.touching_pairs().dtype == np.int64
     assert check_decomposition(dec) == loop_check(dec, owner, pairs)
+    assert np.array_equal(_coarsest_levels(dec), loop_coarsest(dec, owner))
     blocks = [dec.domain.distance[cube_slice(dec, i)]
               for i in range(dec.n_cubes)]
     assert np.array_equal(dec.dist_min, [b.min() for b in blocks])
     assert np.array_equal(dec.dist_max, [b.max() for b in blocks])
+
+
+def loop_box_counts(dec, bcells):
+    """dimension._box_counts as a per-cube loop: the boundary cells of each
+    R_Q rescaled onto the unit cube, one np.unique of box keys per scale."""
+    from hardylab.dimension import (MAX_BOX_SCALES, MIN_BOX_CELLS,
+                                    _padded_rq_ranges)
+
+    h = dec.domain.h
+    start, stop = _padded_rq_ranges(dec)
+    sups = {}
+    for i in range(dec.n_cubes):
+        side = float(dec.rq_side[i])
+        jmax = int(math.floor(math.log2(max(side / h / MIN_BOX_CELLS, 1.0))))
+        jmax = min(jmax, MAX_BOX_SCALES)
+        if jmax < 1 or (stop[i] <= start[i]).any():
+            continue
+        idx = np.argwhere(bcells[tuple(map(slice, start[i], stop[i]))])
+        if len(idx) == 0:
+            continue
+        unit = (((idx + start[i]) - 1 + 0.5) * h - dec.rq_origin[i]) / side
+        unit = np.clip(unit, 0.0, 1.0 - 1e-12)
+        for j in range(1, jmax + 1):
+            boxes = np.floor(unit * 2**j).astype(np.int64)
+            count = len({tuple(b) for b in boxes.tolist()})
+            sups[j] = max(sups.get(j, 0.0), float(count))
+    return sups
+
+
+KERNEL_CORPUS = [
+    DomainSpec(kind="koch-polygon", dim=2, level=9, iterations=4),
+    DomainSpec(kind="koch-polygon", dim=2, level=10, iterations=4),
+    DomainSpec(kind="lshape", dim=2, level=9),
+    DomainSpec(kind="halfspace", dim=2, level=8),
+    DomainSpec(kind="halfspace", dim=3, level=5),
+    DomainSpec(kind="cantor-complement", dim=1, level=12, iterations=5),
+    DomainSpec(kind="interval", dim=1, level=10),
+    DomainSpec(kind="cube-minus-compact", dim=3, level=5),
+]
+KERNEL_IDS = ["koch9", "koch10", "lshape9", "halfspace8", "halfspace3d5",
+              "cantor12", "interval10", "cube-minus-compact-3d5"]
+
+
+@pytest.fixture(scope="module", params=KERNEL_CORPUS, ids=KERNEL_IDS)
+def corpus_decomp(request):
+    return decompose(rasterize(request.param))
+
+
+def test_box_counts_match_loop(corpus_decomp):
+    from hardylab.dimension import _box_counts, boundary_cells_padded
+
+    bcells = boundary_cells_padded(corpus_decomp.domain)
+    got = _box_counts(corpus_decomp, bcells)
+    assert got  # every corpus raster has a counted scale
+    assert got == loop_box_counts(corpus_decomp, bcells)
+
+
+def test_distance_integrals_match_weight_field(corpus_decomp):
+    # the powers written into the table against the zero-extended weight
+    # field summed by rq_sums, bit for bit
+    dom = corpus_decomp.domain
+    for s in (0.0, 0.25, 0.79, 2.0):
+        weight = np.zeros(dom.shape)
+        weight[dom.inside] = dom.distance[dom.inside] ** (-s)
+        want = corpus_decomp.rq_sums(weight) * dom.h**dom.dim
+        got = corpus_decomp.rq_distance_integrals(s)
+        assert got.tobytes() == want.tobytes()
 
 
 def loop_signature(dec):
