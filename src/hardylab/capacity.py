@@ -822,9 +822,12 @@ def poincare_constant(dim: int, order: int, p: float, p1: float,
     DENSE_EIGH_CUTOFF cells, above by shift-invert Lanczos at sigma = -1
     on the symmetric-mode factor of the SPD S + hN I (3-D grid level 4,
     4096 cells: 0.13-0.6 s and little memory against 15 s and 608 MiB
-    dense, 2-core x86 VM).  The Lanczos start is seeded: the constant
-    vector lies in the null space of S and would start it in an invariant
-    subspace.  Otherwise the ratio-core ascent (seed 0) maximises
+    dense, 2-core x86 VM).  The dense route is kept for the bits of the
+    1-D and 2-D values, not for speed: at 2-D grid 4 the two routes take
+    about 7 ms each and agree to 1.5e-11.  The Lanczos start is seeded:
+    the constant vector lies in the null space of S and would start it in
+    an invariant subspace; a null eigenvalue it misses raises
+    CapacityError.  Otherwise the ratio-core ascent (seed 0) maximises
     ||P u||_p / ||grad^order u||_p1 with P the projection (a vanishing
     denominator counts as 0)."""
     m_cells = 2**grid_level
@@ -847,7 +850,14 @@ def poincare_constant(dim: int, order: int, p: float, p1: float,
                     return_eigenvectors=False)
             except spla.ArpackNoConvergence as exc:
                 raise CapacityError(f"eigensolve failed: {exc}") from exc
-            lam = np.sort(lams)[d]
+            lams = np.sort(lams)
+            lam = lams[d]
+            # a copy of the null space that Lanczos missed would shift
+            # index d onto a larger eigenvalue
+            if abs(lams[d - 1]) > 1e-8 * lam:
+                raise CapacityError(
+                    f"eigensolve missed a null eigenvalue: value {d - 1} is "
+                    f"{lams[d - 1]:.3g} beside {lam:.3g}")
         return math.sqrt(1.0 / max(lam, 1e-300))
 
     Qb, _ = np.linalg.qr(B)

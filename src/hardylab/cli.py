@@ -82,16 +82,11 @@ def _spec_record(dom) -> dict:
 
 def _params_from_args(args) -> HardyParams:
     kw = dict(m=args.m, k=args.k, p=args.p, p1=args.p1, q=args.q, s=args.s,
-              case=args.case, p0=args.p0, cone=args.cone, A0=args.A0,
+              case=args.case, p0=args.p0, cone=args.cone,
+              A0=getattr(args, "A0", None),
               form=args.form, h_order=args.h_order, lam=args.lam,
               dim_loc_value=args.dim_loc)
     return HardyParams(**{k: v for k, v in kw.items() if v is not None})
-
-
-def _reject_a0(args) -> None:
-    """direct and corollary solve no theta capacity: an --A0 goes unread."""
-    if args.A0 is not None:
-        raise HardyError(f"A0 is read by no {args.command} solve")
 
 
 def _per_cube_csv(report) -> str:
@@ -224,7 +219,6 @@ def _lambda_svg(dec, lam: np.ndarray) -> str:
 
 
 def cmd_direct(args) -> int:
-    _reject_a0(args)
     dom = _load_domain(args)
     params = _params_from_args(args)
     est = direct_best_constant(dom, params, seed=args.seed)
@@ -239,7 +233,6 @@ def cmd_direct(args) -> int:
 
 
 def cmd_corollary(args) -> int:
-    _reject_a0(args)
     dom = _load_domain(args)
     dec = decompose(dom)
     params = _params_from_args(args)
@@ -330,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--q", type=float)
         sp.add_argument("--s", type=float, default=0.0)
         sp.add_argument("--p0", type=float)
-        sp.add_argument("--A0", type=float)
         sp.add_argument("--case", default="A", choices=list("ABCDE"))
         sp.add_argument("--form", default="integral-6.24",
                         choices=("integral-6.24", "holder-6.23"))
@@ -344,6 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bound", help="constructive Hardy constant")
     common(sp)
     hardy_args(sp)
+    sp.add_argument("--A0", type=float, help="theta cases C and D only")
     sp.add_argument("--f-weights", help="cube weight file for q < [p,p1]")
     sp.add_argument("--with-direct", action="store_true")
     sp.add_argument("--svg", action="store_true")

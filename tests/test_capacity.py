@@ -253,6 +253,21 @@ def test_poincare_constant_matches_complement_pencil(dim, order, grid_level):
     assert abs(got - want) <= 1e-10 * want, (got, want)
 
 
+def test_poincare_constant_rejects_a_missed_null_eigenvalue(monkeypatch):
+    # a Lanczos run that misses one of the d null copies would put a
+    # larger eigenvalue at index d and so too small a default A0
+    from hardylab import capacity
+    real = spla.eigsh
+
+    def missed(*args, **kw):
+        lams = np.sort(real(*args, **kw))
+        return np.append(lams[1:], 2 * lams[-1])
+
+    monkeypatch.setattr(capacity.spla, "eigsh", missed)
+    with pytest.raises(CapacityError, match="missed a null eigenvalue"):
+        poincare_constant(3, 2, 2.0, 2.0, 3)
+
+
 def test_ratio_best_constant_kernel_and_saturated():
     m_cells = 8
     best, _, solver = ratio_best_constant(

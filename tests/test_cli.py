@@ -139,12 +139,7 @@ INTERVAL6 = '{"kind": "interval", "dim": 1, "level": 6}'
       "--dim-loc", 0.5], "HardyError"),
     (["bound", "--domain", INTERVAL6, "--case", "E", "--s", 0.5],
      "HardyError"),
-    (["direct", "--domain", INTERVAL6, "--case", "C", "--s", -1],
-     "HardyError"),
-    (["corollary", "--domain", INTERVAL6, "--corollary-case", "i",
-      "--s", -1], "HardyError"),
-], ids=["capacity-gamma", "bound-A", "bound-B", "bound-E", "direct",
-        "corollary"])
+], ids=["capacity-gamma", "bound-A", "bound-B", "bound-E"])
 def test_unread_A0_is_rejected(tmp_path, capsys, args, kind):
     # an explicit --A0 that no solve reads is an error, not an echoed
     # input beside a report computed without it
@@ -154,6 +149,19 @@ def test_unread_A0_is_rejected(tmp_path, capsys, args, kind):
     record = json.loads(capsys.readouterr().out)
     assert record["kind"] == kind
     assert "A0 is read by" in record["error"]
+    assert not (tmp_path / "sub").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["direct", "--domain", INTERVAL6, "--case", "C", "--s", -1],
+    ["corollary", "--domain", INTERVAL6, "--corollary-case", "i", "--s", -1],
+], ids=["direct", "corollary"])
+def test_A0_is_not_an_option_without_theta_solve(tmp_path, args):
+    # direct and corollary solve no theta capacity, so they take no --A0
+    argv = args + ["--m", 1, "--p", 2, "--A0", 0.1, "--out", tmp_path / "sub"]
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
     assert not (tmp_path / "sub").exists()
 
 
