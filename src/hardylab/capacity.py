@@ -824,7 +824,12 @@ def poincare_constant(dim: int, order: int, p: float, p1: float,
     4096 cells: 0.13-0.6 s and little memory against 15 s and 608 MiB
     dense, 2-core x86 VM).  The dense route is kept for the bits of the
     1-D and 2-D values, not for speed: at 2-D grid 4 the two routes take
-    about 7 ms each and agree to 1.5e-11.  The Lanczos start is seeded:
+    about 7 ms each and agree to 1.5e-11.  The 3-D order-3 value at grid
+    level 4 is resolved only to about 3e-10 relative: the dense pencil,
+    the shift-invert route and the pencil restricted to the orthogonal
+    complement of the polynomials give 0.011104987943039851,
+    0.01110498794236078 and 0.011104987945348664; at grid level 3 they
+    agree within 5e-12.  The Lanczos start is seeded:
     the constant vector lies in the null space of S and would start it in
     an invariant subspace; a null eigenvalue it misses raises
     CapacityError.  Otherwise the ratio-core ascent (seed 0) maximises

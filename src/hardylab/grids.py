@@ -116,8 +116,9 @@ class GridDomain:
 
     inside : bool array, shape (2^level,)*dim; cell center in the domain
 
-    Construction runs the one feature transform (see __post_init__) and
-    sets two more arrays from the inside flags:
+    Construction runs the one feature transform (see __post_init__) on
+    the padded inside's bounding box grown by one cell (bounding_box,
+    _feature_transform) and sets two more arrays from the inside flags:
 
     distance : float array, same shape; Euclidean distance from each inside
         cell center to the nearest outside cell center (collar included),
@@ -146,7 +147,8 @@ class GridDomain:
         h/2.  The raster is padded with its one-cell boundary ring before
         the transform, which also returns its feature map, kept as
         ``nearest`` so the Whitney decomposition reads the nearest outside
-        cells without a second pass.
+        cells without a second pass.  The transform runs only on the
+        padded inside's bounding box grown by one cell (_feature_transform).
         """
         n = 2 ** self.level
         if self.inside.shape != (n,) * self.dim:
@@ -157,8 +159,7 @@ class GridDomain:
         # the collar supplies a complement; replication needs one in the box
         if self.pad_mode == "replicate" and not (~self.inside).any():
             raise DomainError("replicate padding needs outside cells in the box")
-        dist, self.nearest = ndimage.distance_transform_edt(
-            self.padded_inside(), sampling=self.h, return_indices=True)
+        dist, self.nearest = _feature_transform(self.padded_inside(), self.h)
         core = dist[tuple(slice(1, -1) for _ in range(self.dim))]
         adjusted = np.maximum(core - 0.5 * self.h, 0.5 * self.h)
         self.distance = np.ascontiguousarray(
@@ -186,6 +187,51 @@ class GridDomain:
     def center_grid(self) -> list[np.ndarray]:
         """Meshgrid (ij indexing) of cell-center coordinates."""
         return np.meshgrid(*[self.cell_centers()] * self.dim, indexing="ij")
+
+
+def bounding_box(mask: np.ndarray, grow: int):
+    """Half-open per-axis bounds (lo, hi) of the True cells of mask, grown
+    by grow cells on every side and clipped to the array; an empty mask
+    gives lo = hi = 0 on every axis."""
+    lo = np.zeros(mask.ndim, dtype=np.int64)
+    hi = np.zeros(mask.ndim, dtype=np.int64)
+    for a in range(mask.ndim):
+        hit = np.flatnonzero(
+            mask.any(axis=tuple(b for b in range(mask.ndim) if b != a)))
+        if hit.size == 0:
+            return np.zeros_like(lo), np.zeros_like(hi)
+        lo[a] = max(hit[0] - grow, 0)
+        hi[a] = min(hit[-1] + 1 + grow, mask.shape[a])
+    return lo, hi
+
+
+def _feature_transform(padded: np.ndarray, h: float):
+    """ndimage.distance_transform_edt(padded, sampling=h,
+    return_indices=True), run only on the bounding box of the True cells
+    grown by one cell.  Outside that box every cell is False, so its
+    distance is 0 and it is its own nearest cell.  Inside it the result is
+    the full grid's: every cell beyond the box is strictly farther from any
+    box cell than its projection onto the one-cell ring, and the ring holds
+    only False cells.  When the grown box is the whole grid the transform
+    runs on it as it is, with no extra array; the feature map keeps
+    scipy's int32 dtype either way."""
+    lo, hi = bounding_box(padded, 1)
+    if (lo == 0).all() and (hi == padded.shape).all():
+        return ndimage.distance_transform_edt(padded, sampling=h,
+                                              return_indices=True)
+    dim = padded.ndim
+    dist = np.zeros(padded.shape)
+    nearest = np.empty((dim,) + padded.shape, dtype=np.int32)
+    for a in range(dim):
+        nearest[a] = np.arange(padded.shape[a], dtype=np.int32).reshape(
+            (-1,) + (1,) * (dim - 1 - a))
+    if (hi > lo).all():
+        box = tuple(slice(a, b) for a, b in zip(lo, hi))
+        dist[box], feat = ndimage.distance_transform_edt(
+            padded[box], sampling=h, return_indices=True)
+        feat += lo.astype(np.int32).reshape((dim,) + (1,) * dim)
+        nearest[(slice(None),) + box] = feat
+    return dist, nearest
 
 
 def rasterize(spec: DomainSpec) -> GridDomain:

@@ -636,7 +636,11 @@ def direct_best_constant(domain: GridDomain, params: HardyParams,
 
     over grid functions vanishing outside the domain (intersected with the
     nonnegative cone when the admissible class demands).  The value is a
-    lower bound for the true best constant.
+    lower bound for the best constant of this lattice problem only, not
+    for the continuum constant: for s < 0 the lattice value converges, as
+    the level grows, to a limit above the continuum one (at m = 1, p = 2,
+    s = -1 about 1.50 on the convex rasters, whose continuum constant
+    2/(1-s) is 1).
 
     For p = 2 without the cone it is a generalized eigensolve with the
     weighted cell masses on the diagonal.  In 1-D and 2-D that is

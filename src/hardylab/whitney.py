@@ -23,7 +23,7 @@ from itertools import product
 
 import numpy as np
 
-from .grids import GridDomain
+from .grids import GridDomain, bounding_box
 from ._util import fixed_order_sum
 
 
@@ -211,12 +211,21 @@ class WhitneyDecomposition:
         The powers of the inside distances are written straight into the
         long-double summed-area table, with no weight field and no copy;
         the cumulative sums and corner lookups are rq_sums', so the result
-        has the bits of rq_sums on the zero-extended weight field."""
+        has the bits of rq_sums on the zero-extended weight field.  The
+        table covers only the inside's bounding box (grids.bounding_box,
+        no ring) and the R_Q bounds are clamped into it: beyond the box
+        the full table's cumulative sums add only exact zeros, so each
+        clamped corner holds the full table's value."""
         dom = self.domain
-        table = np.zeros(tuple(n + 1 for n in dom.shape), dtype=np.longdouble)
-        table[(slice(1, None),) * dom.dim][dom.inside] = \
-            dom.distance[dom.inside] ** (-s)
-        total = _box_sums(_prefix_sums(table), self.rq_start, self.rq_stop)
+        lo, hi = bounding_box(dom.inside, 0)
+        box = tuple(slice(a, b) for a, b in zip(lo, hi))
+        inside = dom.inside[box]
+        table = np.zeros(tuple(hi - lo + 1), dtype=np.longdouble)
+        table[(slice(1, None),) * dom.dim][inside] = \
+            dom.distance[box][inside] ** (-s)
+        total = _box_sums(_prefix_sums(table),
+                          np.clip(self.rq_start - lo, 0, hi - lo),
+                          np.clip(self.rq_stop - lo, 0, hi - lo))
         return total.astype(np.float64) * dom.h**dom.dim
 
     # -- per-cube arrays ---------------------------------------------------------

@@ -1,8 +1,8 @@
-"""Whole-array geometry kernels, the box counts, the self-similarity
-signature, the constraint-class map, the batched canonical keys, the
-window-local cone split, the array assembly of the constructive bound, the
-ratio-core Hölder and Poincaré solves and the ratio-term matvec handles,
-pinned to the
+"""Whole-array geometry kernels, the bounding-box distance transform and
+G_s tables, the box counts, the self-similarity signature, the
+constraint-class map, the batched canonical keys, the window-local cone
+split, the array assembly of the constructive bound, the ratio-core Hölder
+and Poincaré solves and the ratio-term matvec handles, pinned to the
 per-edge, per-cube, per-image and full-grid loops, the hand-written
 objectives and the scipy products they replace (kept here as oracles)."""
 
@@ -27,16 +27,16 @@ from hardylab.cone import (ALPHA_ENLARGE, BETA_ENLARGE, ConeSplit,
                            cone_split, make_probe, overlap_count)
 from hardylab.norms import (DiscreteFunction, distance_weight,
                             gradient_magnitude, gradient_seminorm)
-from hardylab.grids import (DomainSpec, GridDomain, rasterize, _koch_polygon,
-                            _points_in_polygon)
+from hardylab.grids import (DomainSpec, GridDomain, bounding_box, rasterize,
+                            _koch_polygon, _points_in_polygon)
 from hardylab.hardy import (HardyParams, _case_sigma, _constraint_classes,
                             _inside_ops, _largest_cube_side,
                             _projection_condition, constructive_bound,
                             direct_best_constant, per_cube_capacity_field,
                             weight_exponents)
 from hardylab.whitney import (WhitneyError, WhitneyDecomposition,
-                              _coarsest_levels, box_scatter,
-                              check_decomposition, decompose,
+                              _box_sums, _coarsest_levels, _prefix_sums,
+                              box_scatter, check_decomposition, decompose,
                               intersection_cutoff, packing_constant)
 from oracles import equidistributed
 
@@ -447,6 +447,54 @@ def test_distance_integrals_match_weight_field(corpus_decomp):
         assert got.tobytes() == want.tobytes()
 
 
+def full_raster_distance_integrals(dec, s):
+    """rq_distance_integrals with its long-double table on the whole
+    (n+1)^N lattice and the unclamped R_Q bounds."""
+    dom = dec.domain
+    table = np.zeros(tuple(n + 1 for n in dom.shape), dtype=np.longdouble)
+    table[(slice(1, None),) * dom.dim][dom.inside] = \
+        dom.distance[dom.inside] ** (-s)
+    total = _box_sums(_prefix_sums(table), dec.rq_start, dec.rq_stop)
+    return total.astype(np.float64) * dom.h**dom.dim
+
+
+@pytest.mark.parametrize("spec", [
+    DomainSpec(kind="koch-polygon", dim=2, level=9, iterations=4),
+    DomainSpec(kind="lshape", dim=2, level=9),
+    DomainSpec(kind="halfspace", dim=2, level=8),
+    DomainSpec(kind="cube-minus-compact", dim=3, level=4),
+], ids=["koch9", "lshape9", "halfspace8", "cube-minus-compact-3d4"])
+def test_distance_integrals_match_full_raster_table(spec):
+    dec = decompose(rasterize(spec))
+    for s in (0.0, 0.5, 1.0, 1.26, 1.9):
+        got = dec.rq_distance_integrals(s)
+        assert got.tobytes() == full_raster_distance_integrals(dec, s).tobytes()
+
+
+def test_gs_tables_cover_the_inside_box_only(monkeypatch):
+    # every long-double table dim_loc cumulates is the inside's bounding
+    # box plus one, not the (n+1)^2 lattice
+    import hardylab.whitney as whitney
+    from hardylab.dimension import dim_loc
+
+    dec = decompose(rasterize(
+        DomainSpec(kind="koch-polygon", dim=2, level=9, iterations=4)))
+    lo, hi = bounding_box(dec.domain.inside, 0)
+    assert np.prod(hi - lo) < 0.5 * dec.domain.inside.size
+    shapes = []
+    prefix_sums = whitney._prefix_sums
+
+    def recorded(table):
+        if table.dtype == np.longdouble:
+            shapes.append(table.shape)
+        return prefix_sums(table)
+
+    monkeypatch.setattr(whitney, "_prefix_sums", recorded)
+    dim_loc(dec)
+    assert len(shapes) == len(dec.gs_tables) > 2
+    assert all(shape == tuple(hi - lo + 1) for shape in shapes)
+
+
 def loop_signature(dec):
     """selfsimilarity_signature as a per-cube loop: a center meshgrid per
     eligible cube and one occupancy sum per annulus."""
@@ -552,6 +600,78 @@ def test_one_distance_transform_per_raster(monkeypatch, spec):
             for row, s in zip(centers, sides)]
     assert np.array_equal(dec.rq_first, first)
     assert np.array_equal(dec.rq_last, last)
+
+
+def full_grid_transform(dom):
+    """distance and nearest from one transform of the whole padded grid."""
+    from scipy import ndimage
+
+    dist, nearest = ndimage.distance_transform_edt(
+        dom.padded_inside(), sampling=dom.h, return_indices=True)
+    core = dist[(slice(1, -1),) * dom.dim]
+    adjusted = np.maximum(core - 0.5 * dom.h, 0.5 * dom.h)
+    return np.where(dom.inside, adjusted, 0.0), nearest
+
+
+def assert_transform_matches_full_grid(dom):
+    distance, nearest = full_grid_transform(dom)
+    assert dom.distance.dtype == distance.dtype
+    assert dom.distance.tobytes() == distance.tobytes()
+    assert dom.nearest.dtype == nearest.dtype == np.int32
+    assert dom.nearest.shape == nearest.shape
+    assert dom.nearest.tobytes() == nearest.tobytes()
+
+
+@pytest.mark.parametrize("spec", [
+    DomainSpec(kind="koch-polygon", dim=2, level=9, iterations=4),
+    DomainSpec(kind="koch-polygon", dim=2, level=10, iterations=4),
+    DomainSpec(kind="lshape", dim=2, level=9),
+    DomainSpec(kind="square", dim=2, level=6),
+    DomainSpec(kind="cantor-complement", dim=1, level=12, iterations=5),
+    DomainSpec(kind="halfspace", dim=2, level=6),
+], ids=["koch9", "koch10", "lshape9", "square6", "cantor12", "halfspace6"])
+def test_boxed_transform_matches_full_grid(spec):
+    dom = rasterize(spec)
+    assert dom.pad_mode == ("replicate" if spec.kind == "halfspace"
+                            else "collar")
+    assert_transform_matches_full_grid(dom)
+
+
+def _raw_masks():
+    n = 16
+    empty = np.zeros((n, n), dtype=bool)
+    corner = empty.copy()
+    corner[0, 0] = True
+    one_edge = empty.copy()
+    one_edge[0:5, 3:11] = True  # touches the low edge of axis 0 only
+    return {"empty": empty, "corner": corner,
+            "full": np.ones((n, n), dtype=bool), "one-edge": one_edge}
+
+
+@pytest.mark.parametrize("name", sorted(_raw_masks()))
+def test_boxed_transform_matches_full_grid_raw_masks(name):
+    mask = _raw_masks()[name]
+    modes = ["collar"] + (["replicate"] if not mask.all() else [])
+    for pad_mode in modes:
+        dom = GridDomain(dim=2, level=4, inside=mask.copy(), pad_mode=pad_mode)
+        assert_transform_matches_full_grid(dom)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_boxed_transform_matches_full_grid_random_masks(dim):
+    # random cells inside a random sub-box, so most grown boxes are proper
+    rng = np.random.default_rng(24 + dim)
+    n = 16
+    for _ in range(20):
+        lo = rng.integers(0, n, size=dim)
+        hi = np.minimum(lo + rng.integers(1, n, size=dim), n)
+        mask = np.zeros((n,) * dim, dtype=bool)
+        box = tuple(slice(a, b) for a, b in zip(lo, hi))
+        mask[box] = rng.random(tuple(hi - lo)) < rng.uniform(0.2, 0.9)
+        for pad_mode in ("collar", "replicate"):
+            dom = GridDomain(dim=dim, level=4, inside=mask.copy(),
+                             pad_mode=pad_mode)
+            assert_transform_matches_full_grid(dom)
 
 
 def test_overlapping_cubes_rejected():
