@@ -20,20 +20,34 @@ between the eigensolve and the ascent.
 
 For p = p1 = 2 without cone constraints the best constant is the smallest
 generalized eigenvalue of the constrained quadratic forms, solved on a
-ladder (timings on a 2-core x86 VM, one BLAS thread):
+ladder (`_pencil_best_constants`; timings on a 2-core x86 VM, one BLAS
+thread, best of 5):
 
 - up to 400 free entries, dense `eigh`: exact, and faster than any
   factorisation at that size;
-- above, shift-invert Lanczos (ARPACK) on one SuperLU factor in symmetric
-  mode (minimum-degree ordering of S + S^T, diagonal pivots), which the SPD
-  forms allow: it fills a 32 488-entry 3-D form far less than the default
-  column ordering (direct estimate 4.1 s instead of 13 s);
-- the 3-D direct estimate alone uses Jacobi-preconditioned LOBPCG
-  (`_lobpcg_best_constant`), because 3-D factors fill badly: 0.41 s
-  against 4.1 s on those 32 488 entries.  In 2-D, and for the 1-4k-entry
-  per-cube capacity solves, the factor is cheap and LOBPCG is slower
-  (2-D 4096 entries: 0.23 s against 0.05 s; the 3-D L5 capacity field
-  at grid level 4: 3.4 s against 2.2 s).
+- above, for every capacity lattice and for the 3-D direct estimate, one
+  block LOBPCG (`_block_eigen`, after Knyazev 2001): one column per
+  problem, preconditioned by a V-cycle over dyadic 2^N aggregation of the
+  lattice (`_VCycle`; aggregation multigrid after Vanek, Mandel and
+  Brezina 1996, with an unsmoothed piecewise-constant prolongation).
+  `gamma_capacities` solves all such classes of a capacity field in one
+  block: the 29 classes of the 3-D cube-minus-compact L5 field (1005-4055
+  free cells each) take 0.42 s against 1.16 s for one SuperLU factor and
+  one ARPACK run per class, and the 32 488-entry L5 direct estimate
+  0.15 s against 0.46 s for Jacobi-preconditioned LOBPCG.  Each column's
+  bits are those of its own one-column solve, and none depends on the
+  BLAS thread count: the sums over long vectors are numpy's pairwise
+  sums, the products scipy's sparse kernels;
+- symmetric-mode shift-invert Lanczos (ARPACK on one SuperLU factor,
+  minimum-degree ordering of S + S^T, diagonal pivots) for the 1-D and
+  2-D direct estimates, for `poincare_constant`, and for a problem the
+  block leaves unconverged after EIG_MAX_ITERS iterations (then dense up
+  to DENSE_EIGH_LIMIT entries, CapacityError above).  In 2-D the factor
+  is cheap and the V-cycle loses (square L6 direct estimate at s = -1:
+  0.100 s against 0.056 s).  A 3-D order-2 form at grid level 4 does not
+  converge within the cap, so it takes this route after the block's
+  EIG_MAX_ITERS iterations (0.55-0.65 s per class against 0.18-0.38 s
+  by shift-invert alone).
 
 Every other case maximises one objective, the ratio core `_ratio`:
 (num - a0 low) / sum of den over terms (ops, q, w), each a weighted
@@ -56,7 +70,6 @@ product, 2-core x86 VM).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, permutations, product
@@ -402,8 +415,8 @@ def _unbounded_witness(constraints: ConstraintSet, m_cells: int, dim: int,
 # -- solvers -------------------------------------------------------------------
 
 
-# Largest free subspace solved densely from the start; above it the
-# symmetric-mode factor is cheaper.
+# Largest free subspace solved densely from the start; above it the block
+# eigensolver is cheaper.
 DENSE_EIGH_CUTOFF = 400
 # Largest free subspace the failed sparse eigensolve may redo densely: two
 # dense n x n matrices, 64 MiB at n = 2048.
@@ -466,37 +479,284 @@ def _eigen_best_constant(S: sp.csr_matrix, free: np.ndarray,
     return math.sqrt(1.0 / max(lam[0], 1e-300)), 0.0, vec[:, 0]
 
 
-def _lobpcg_best_constant(S: sp.spmatrix, w: float | np.ndarray):
-    """max sqrt(u^T W u / u^T S u) over all entries, W = diag(w), by
-    Jacobi-preconditioned LOBPCG on the scaled pencil W^-1/2 S W^-1/2.
+# Block eigensolver: a problem is frozen once its scaled residual
+# |A x - lam W x|_{W^-1} / (lam |x|_W) is at most EIG_TOL; one still open
+# after EIG_MAX_ITERS iterations is redone by shift-invert.
+EIG_TOL = 1e-12
+EIG_MAX_ITERS = 150
+# its V-cycle: damped Jacobi sweeps before and after each coarse
+# correction, the over-correction of the piecewise-constant prolongation,
+# and the lattice side at which coarsening stops
+AGG_SWEEPS = 2
+AGG_DAMPING = 0.9
+AGG_SCALE = 1.5
+AGG_COARSEST_SIDE = 4
 
-    It starts from the constant function and stops at residual 1e-9 or
-    after 2000 iterations.  The value is the Rayleigh quotient of the
-    returned vector, so it is a lower bound for the best constant even
-    short of convergence.  An unconverged run (LOBPCG warns) is redone by
-    _eigen_best_constant, and so is a pencil small enough to solve densely.
 
-    Returns (best, residual, maximiser) as _eigen_best_constant does."""
-    n = S.shape[0]
-    w = np.broadcast_to(w, (n,))
-    if n <= DENSE_EIGH_CUTOFF:
-        return _eigen_best_constant(S, np.ones(n, dtype=bool), w)
-    sw = np.sqrt(w)
-    scale = sp.diags(1.0 / sw)
-    A = (scale @ S @ scale).tocsr()
-    x0 = (sw / np.linalg.norm(sw))[:, None]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        _, X = spla.lobpcg(A, x0, M=sp.diags(1.0 / A.diagonal()), tol=1e-9,
-                           maxiter=2000, largest=False)
-    if caught:
-        return _eigen_best_constant(S, np.ones(n, dtype=bool), w)
-    v = X[:, 0] / sw
-    Sv, Wv = S @ v, w * v
-    vWv, vSv = float(v @ Wv), float(v @ Sv)
-    res = float(np.linalg.norm(Sv - (vSv / vWv) * Wv) /
-                max(np.linalg.norm(Wv), 1e-300))
-    return math.sqrt(vWv / max(vSv, 1e-300)), res, v
+def _galerkin(op: sp.csr_matrix, held: np.ndarray, parent: np.ndarray,
+              size: int):
+    """(C, aggregates holding a held entry): C = P^T op P for the
+    piecewise-constant prolongation P of the held entries onto their
+    aggregates `parent` (size in all), with an identity row on each
+    aggregate that holds none."""
+    rows = np.flatnonzero(held)
+    P = sp.csr_matrix((np.ones(len(rows)), (rows, parent[rows])),
+                      shape=(len(held), size))
+    covered = np.zeros(size, dtype=bool)
+    covered[parent[rows]] = True
+    C = (P.T @ (op @ P) + sp.diags((~covered).astype(float))).tocsr()
+    return C, covered
+
+
+def _spmm(A: sp.csr_matrix, X: np.ndarray) -> np.ndarray:
+    """A @ x for each row x of a (problems, entries) block, one `_product`
+    per row."""
+    Y = np.empty(X.shape)
+    for x, y in zip(X, Y):
+        _product(A, x, y)
+    return Y
+
+
+def _product(A: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> None:
+    """out = A @ x for a CSR A, by scipy's own kernels: `csr_matvec` for a
+    vector, `csr_matvecs` for an (entries, problems) block, which sums
+    each column in the order of its own one-column product."""
+    out.fill(0.0)
+    if x.ndim == 1:
+        _sparsetools.csr_matvec(A.shape[0], A.shape[1], A.indptr, A.indices,
+                                A.data, x, out)
+    else:
+        _sparsetools.csr_matvecs(A.shape[0], A.shape[1], x.shape[1],
+                                 A.indptr, A.indices, A.data, x.ravel(),
+                                 out.ravel())
+
+
+class _VCycle:
+    """Symmetric V-cycle for the masked SPD problems A_ff, one per row of
+    `free` (problems, entries), over dyadic 2^N aggregation of the lattice
+    cells at `coords`.
+
+    The aggregates are shared: the cells are halved per axis until the
+    lattice spans at most AGG_COARSEST_SIDE cells, and each problem reads
+    a level on all of its aggregates.  The fine level applies the one A
+    to the masked block.  The coarse operators are per problem, its
+    Galerkin P^T A_ff P over the aggregates that hold a free entry (an
+    identity row on the rest), built one problem at a time and stacked
+    block-diagonally, so a product reads only its own problem's entries;
+    the coarsest is inverted densely per problem.  Each level smooths
+    with AGG_SWEEPS damped Jacobi sweeps (AGG_DAMPING) before and after
+    its coarse correction, which is scaled by AGG_SCALE."""
+
+    def __init__(self, A: sp.csr_matrix, free: np.ndarray, coords: np.ndarray):
+        k = len(free)
+        parents = []
+        sub = coords
+        while np.ptp(sub, axis=0).max() + 1 > AGG_COARSEST_SIDE:
+            half = sub // 2
+            half -= half.min(axis=0)
+            shape = tuple(half.max(axis=0) + 1)
+            keys, parent = np.unique(np.ravel_multi_index(half.T, shape),
+                                     return_inverse=True)
+            parents.append(parent.reshape(-1))
+            sub = np.stack(np.unravel_index(keys, shape), axis=1)
+        sizes = [len(free[0])] + [int(p.max()) + 1 for p in parents]
+        ops = [[] for _ in parents]
+        helds = [free] + [np.zeros((k, s), dtype=bool) for s in sizes[1:]]
+        for c in range(k):
+            op = A
+            for lev, parent in enumerate(parents):
+                op, helds[lev + 1][c] = _galerkin(op, helds[lev][c], parent,
+                                                  sizes[lev + 1])
+                ops[lev].append(op)
+        # per level: operator apply, damped inverse diagonal and each
+        # entry's aggregate in the next level (masked entries past its end)
+        self.stages = []
+        for lev, parent in enumerate(parents):
+            flat = parent + sizes[lev + 1] * np.arange(k)[:, None]
+            flat = np.where(helds[lev], flat, k * sizes[lev + 1])
+            if lev == 0:
+                flat = flat.T.ravel()
+                odinv = np.ascontiguousarray(
+                    (AGG_DAMPING / A.diagonal()[:, None]) * free.T)
+                self.stages.append((A, odinv, flat, k * sizes[1]))
+            else:
+                S = sp.block_diag(ops[lev - 1], format="csr")
+                odinv = AGG_DAMPING / S.diagonal() * helds[lev].ravel()
+                self.stages.append((S, odinv, flat.ravel(),
+                                    k * sizes[lev + 1]))
+        self.inverses = np.linalg.inv(np.array([op.toarray()
+                                                for op in ops[-1]]))
+
+    def _cycle(self, r: np.ndarray, lev: int) -> np.ndarray:
+        if lev == len(self.stages):
+            k = len(self.inverses)
+            return np.add.reduce(self.inverses * r.reshape(k, 1, -1),
+                                 axis=2).ravel()
+        A, odinv, flat, total = self.stages[lev]
+        # in place on one scratch array: a fresh block-sized temporary per
+        # operation costs more in page faults than the operation
+        x, t = odinv * r, np.empty_like(r)
+
+        def sweep():
+            _product(A, x, t)
+            np.subtract(r, t, out=t)
+            np.multiply(t, odinv, out=t)
+            np.add(x, t, out=x)
+
+        for _ in range(AGG_SWEEPS - 1):
+            sweep()
+        _product(A, x, t)
+        np.subtract(r, t, out=t)
+        rc = np.bincount(flat, weights=t.ravel(), minlength=total + 1)[:total]
+        np.take(np.append(self._cycle(rc, lev + 1), 0.0), flat,
+                out=t.reshape(-1))
+        t *= AGG_SCALE
+        x += t
+        for _ in range(AGG_SWEEPS):
+            sweep()
+        return x
+
+    def __call__(self, R: np.ndarray) -> np.ndarray:
+        """The V-cycle on a masked (problems, entries) block."""
+        return np.ascontiguousarray(
+            self._cycle(np.ascontiguousarray(R.T), 0).T)
+
+
+def _block_eigen(A: sp.csr_matrix, w, free: np.ndarray, coords: np.ndarray):
+    """Smallest eigenpair of each masked pencil (A_ff, W_ff), W = diag(w),
+    one problem per row of `free` (problems, entries), by one-vector
+    LOBPCG per problem preconditioned by the _VCycle, all problems in one
+    block.
+
+    Every problem starts from its constant function.  Its Rayleigh-Ritz
+    step is its own pencil on x, the preconditioned residual t and the
+    previous direction p, each W-orthogonalised twice against the ones
+    before and W-normalised; a direction that does not survive that is
+    left out.  A converged problem is frozen with its values, so
+    no problem's bits depend on the others.
+
+    Returns [(best, residual, maximiser on the free entries) or None] per
+    problem, None for one not converged within EIG_MAX_ITERS; best is
+    sqrt(x^T W x / x^T A x), a lower bound for the best constant."""
+    w = np.broadcast_to(np.asarray(w, dtype=float), free.shape[1:])
+    vcycle = _VCycle(A, free, coords)
+    out = [None] * len(free)
+    active = np.arange(len(free))
+    mask = free.astype(float)
+    # scratch for the per-row sums and updates: the block-sized
+    # temporaries are few and reused (see _VCycle._cycle)
+    scratch = np.empty(free.shape)
+
+    def dot(X, Y):
+        # per-row sums of X * Y: numpy's pairwise sum along each contiguous
+        # row, so every row's bits are those of its own one-row block
+        return np.add.reduce(np.multiply(X, Y, out=scratch[:len(X)]), axis=1)
+
+    def wnorm(X):
+        s = np.multiply(X, w, out=scratch[:len(X)])
+        return np.sqrt(np.add.reduce(np.multiply(s, X, out=s), axis=1))
+
+    def orthonormal(V, basis):
+        # V W-orthogonalised twice against the W-orthonormal basis and
+        # W-normalised, and the rows where nothing survives (left zero)
+        before = wnorm(V)
+        for _ in range(2):
+            for B, WB in basis:
+                V -= np.multiply(B, dot(WB, V)[:, None],
+                                 out=scratch[:len(V)])
+        after = wnorm(V)
+        kept = after > 1e-10 * before
+        V *= np.where(kept, 1.0 / np.where(kept, after, 1.0), 0.0)[:, None]
+        return V, ~kept
+
+    X = mask / wnorm(mask)[:, None]
+    AX = _spmm(A, X)
+    mask_active = mask
+    P = None
+    for _ in range(EIG_MAX_ITERS):
+        WX = w * X
+        xAx, xWx = dot(X, AX), dot(X, WX)
+        lam = xAx / xWx
+        R = WX * lam[:, None]
+        np.subtract(AX, R, out=R)
+        R *= mask_active
+        s = np.divide(R, w, out=scratch[:len(R)])
+        done = (np.sqrt(np.add.reduce(np.multiply(R, s, out=s), axis=1))
+                <= EIG_TOL * lam * np.sqrt(xWx))
+        for j in np.nonzero(done)[0]:
+            res = math.sqrt(dot(R[j:j + 1], R[j:j + 1])[0]
+                            / dot(WX[j:j + 1], WX[j:j + 1])[0])
+            out[active[j]] = (math.sqrt(xWx[j] / xAx[j]), res,
+                              X[j, free[active[j]]])
+        if done.all():
+            break
+        if done.any():
+            keep = ~done
+            active, mask_active = active[keep], mask_active[keep]
+            xAx = xAx[keep]
+            X, AX, WX, R = X[keep], AX[keep], WX[keep], R[keep]
+            if P is not None:
+                P = P[keep]
+        if len(active) < len(free):
+            # the V-cycle runs on every row, zero for the frozen ones
+            full = np.zeros(free.shape)
+            full[active] = R
+            T = vcycle(full)[active]
+        else:
+            T = vcycle(R)
+        del R
+        basis = [(X, WX)]
+        lost = [np.zeros(len(active), dtype=bool)]
+        for V in (T, P):
+            if V is not None:
+                V, gone = orthonormal(V, basis)
+                basis.append((V, w * V))
+                lost.append(gone)
+        AB = [AX] + [_spmm(A, B) for B, _ in basis[1:]]
+        lost = np.stack(lost, axis=1)
+        # Rayleigh-Ritz on the W-orthonormal basis; a lost direction gets
+        # an eigenvalue far above the rest
+        m = len(basis)
+        G = np.empty((len(active), m, m))
+        G[:, 0, 0] = xAx
+        for i in range(m):
+            for j in range(max(i, 1), m):
+                G[:, i, j] = G[:, j, i] = dot(basis[i][0], AB[j])
+        del AB
+        G[:, range(m), range(m)] += lost * 1e300
+        y = np.linalg.eigh(G)[1][:, :, 0]
+        y *= np.where(y[:, :1] < 0, -1.0, 1.0)
+        P = basis[1][0] * y[:, 1:2]
+        for i in range(2, m):
+            P += np.multiply(basis[i][0], y[:, i:i + 1], out=scratch[:len(P)])
+        X = basis[0][0] * y[:, :1]
+        X += P
+        del basis
+        scale = (1.0 / wnorm(X))[:, None]
+        X *= scale
+        P *= scale
+        AX = _spmm(A, X)
+    return out
+
+
+def _pencil_best_constants(A: sp.csr_matrix, w, free: np.ndarray,
+                           coords: np.ndarray):
+    """max sqrt(u^T W u / u^T A u) over each free subspace, one per row of
+    `free` (problems, entries), W = diag(w), on the solver ladder: dense
+    `eigh` up to DENSE_EIGH_CUTOFF free entries (_eigen_best_constant),
+    one _block_eigen block for all problems above, and _eigen_best_constant
+    (shift-invert, then dense up to DENSE_EIGH_LIMIT) for a problem the
+    block leaves unconverged.
+
+    Returns [(best, residual, maximiser on the free entries)] per row."""
+    big = np.flatnonzero(free.sum(axis=1) > DENSE_EIGH_CUTOFF)
+    out = [None] * len(free)
+    if len(big):
+        for i, solved in zip(big, _block_eigen(A, w, free[big], coords)):
+            out[i] = solved
+    return [solved if solved is not None
+            else _eigen_best_constant(A, row, w)
+            for row, solved in zip(free, out)]
 
 
 def dense_best_constant(S: np.ndarray, free: np.ndarray, hN: float) -> float:
@@ -657,28 +917,18 @@ def _solve(constraints: ConstraintSet, grid_level: int, dim: int, num,
     zero = constraints.zero_mask((m_cells,) * dim).reshape(-1)
     if zero.all():
         return 0.0, 0.0, "saturated", "saturated"
+    note = _unbounded_note(constraints, m_cells, dim, num, den_terms, a0)
+    if note is not None:
+        return math.inf, 0.0, "kernel-element", note
+
     fixed = a0 > 0.0
     below = den_terms[1:] if fixed else den_terms
     low = _unit_term(m_cells, dim, *den_terms[0]) if fixed else None
-    degrees = {min(o for o, _ in below) - 1}
-    if fixed:
-        degrees.add(den_terms[0][0] - 1)
-    witness = _unbounded_witness(constraints, m_cells, dim,
-                                 sorted(d for d in degrees if d >= 0),
-                                 num, low, a0)
-    if witness is not None:
-        killed = low is None or _term_value_grad(witness, low)[0] < 1e-8
-        return (math.inf, 0.0, "kernel-element",
-                "kernel-element" if killed else "A0-too-small")
-
     starts = []
-    if num[0] is None and not constraints.cone and all(
-            abs(q - 2) < 1e-12 for q in [num[1]] + [q for _, q in den_terms]):
-        S = None
-        for order, _ in den_terms:
-            term = quadratic_form(m_cells, dim, order)
-            S = term if S is None else S + term
-        best, res, vec = _eigen_best_constant(S, ~zero, hN)
+    if _quadratic(num, den_terms, constraints.cone):
+        best, res, vec = _pencil_best_constants(
+            _summed_form(m_cells, dim, den_terms), hN, ~zero[None],
+            _lattice_coords(m_cells, dim))[0]
         if not fixed:
             return best, res, "eigen-exact", ""
         u0 = np.zeros(len(zero))
@@ -694,6 +944,51 @@ def _solve(constraints: ConstraintSet, grid_level: int, dim: int, num,
     return best, res, "descent", ""
 
 
+def _unbounded_note(constraints: ConstraintSet, m_cells: int, dim: int, num,
+                    den_terms, a0: float) -> str | None:
+    """_solve's unboundedness rule: None when _unbounded_witness finds no
+    admissible polynomial below the lowest order of the terms below (and,
+    with a0 > 0, below the moved order first) with a positive numerator;
+    otherwise the note, "kernel-element" when the witness also kills the
+    moved term and "A0-too-small" when not."""
+    fixed = a0 > 0.0
+    below = den_terms[1:] if fixed else den_terms
+    low = _unit_term(m_cells, dim, *den_terms[0]) if fixed else None
+    degrees = {min(o for o, _ in below) - 1}
+    if fixed:
+        degrees.add(den_terms[0][0] - 1)
+    witness = _unbounded_witness(constraints, m_cells, dim,
+                                 sorted(d for d in degrees if d >= 0),
+                                 num, low, a0)
+    if witness is None:
+        return None
+    killed = low is None or _term_value_grad(witness, low)[0] < 1e-8
+    return "kernel-element" if killed else "A0-too-small"
+
+
+def _quadratic(num, den_terms, cone: bool) -> bool:
+    """Whether the ratio is all-quadratic and cone-free: a plain L2
+    numerator over gradient L2 terms, solved as one eigenproblem."""
+    return num[0] is None and not cone and all(
+        abs(q - 2) < 1e-12 for q in [num[1]] + [q for _, q in den_terms])
+
+
+def _summed_form(m_cells: int, dim: int, den_terms) -> sp.csr_matrix:
+    """Sum of the unit-lattice quadratic forms of the orders of den_terms
+    (the one cached form for a single term)."""
+    S = None
+    for order, _ in den_terms:
+        term = quadratic_form(m_cells, dim, order)
+        S = term if S is None else S + term
+    return S.tocsr()
+
+
+def _lattice_coords(m_cells: int, dim: int) -> np.ndarray:
+    """Integer coordinates of the m_cells^dim lattice cells, one row per
+    cell in C order."""
+    return np.indices((m_cells,) * dim).reshape(dim, -1).T
+
+
 def _capacity_result(flavor, m, k, p, p1, A0, grid_level, dim, seed, best,
                      res, solver, note, clamp_note) -> CapacityResult:
     """CapacityResult of a solve: capacity best^-p, +inf when no value is
@@ -706,13 +1001,20 @@ def _capacity_result(flavor, m, k, p, p1, A0, grid_level, dim, seed, best,
         residual=res, grid_level=grid_level, dim=dim, seed=seed, note=note)
 
 
+def _gamma_den(m: int, k: int, p: float, p1: float):
+    """Denominator terms of the gamma flavour: one ||grad^m u||_p when
+    k + 1 = m and p1 = p, else ||grad^(k+1) u||_p1 and ||grad^m u||_p."""
+    if k + 1 == m and abs(p1 - p) < 1e-12:
+        return [(m, p)]
+    return [(k + 1, p1), (m, p)]
+
+
 def gamma_capacity(constraints: ConstraintSet, m: int, k: int, p: float,
                    p1: float, grid_level: int, dim: int,
                    seed: int = 0) -> CapacityResult:
     """Best-constant capacity for the two-seminorm-sum Poincaré inequality."""
     validate_exponents(dim, m, k, p, p1)
-    single = k + 1 == m and abs(p1 - p) < 1e-12
-    den = [(m, p)] if single else [(k + 1, p1), (m, p)]
+    den = _gamma_den(m, k, p, p1)
     best, res, solver, note = _solve(
         constraints, grid_level, dim, _unit_term(2**grid_level, dim, 0, p),
         den, seed, 0.0, min(k + 1, 3), 300)
@@ -720,6 +1022,36 @@ def gamma_capacity(constraints: ConstraintSet, m: int, k: int, p: float,
     solver = "descent" if solver == "descent" else "eigen-exact"
     return _capacity_result("gamma", m, k, p, p1, 0.0, grid_level, dim, seed,
                             best, res, solver, note, "saturated")
+
+
+def gamma_capacities(constraint_sets, m: int, k: int, p: float, p1: float,
+                     grid_level: int, dim: int,
+                     seed: int) -> list[CapacityResult]:
+    """gamma_capacity of each constraint set, with every class that is an
+    eigensolve above DENSE_EIGH_CUTOFF free cells (all-quadratic, cone
+    free, bounded) solved in one _pencil_best_constants call; each of the
+    others is one gamma_capacity call.  A class's result does not depend
+    on the other classes: it has the bits of its own gamma_capacity."""
+    validate_exponents(dim, m, k, p, p1)
+    check_grid_level(grid_level, m)
+    m_cells = 2**grid_level
+    num = _unit_term(m_cells, dim, 0, p)
+    den = _gamma_den(m, k, p, p1)
+    block = [i for i, cs in enumerate(constraint_sets)
+             if _quadratic(num, den, cs.cone)
+             and (~cs.zero_mask((m_cells,) * dim)).sum() > DENSE_EIGH_CUTOFF
+             and _unbounded_note(cs, m_cells, dim, num, den, 0.0) is None]
+    solved = {}
+    if block:
+        free = np.array([~constraint_sets[i].K.reshape(-1) for i in block])
+        solved = dict(zip(block, _pencil_best_constants(
+            _summed_form(m_cells, dim, den), (1.0 / m_cells) ** dim, free,
+            _lattice_coords(m_cells, dim))))
+    return [_capacity_result("gamma", m, k, p, p1, 0.0, grid_level, dim,
+                             seed, solved[i][0], solved[i][1], "eigen-exact",
+                             "", "saturated") if i in solved
+            else gamma_capacity(cs, m, k, p, p1, grid_level, dim, seed)
+            for i, cs in enumerate(constraint_sets)]
 
 
 def theta_capacity(constraints: ConstraintSet, m: int, k: int, p: float,

@@ -32,9 +32,10 @@ from .capacity import (
     check_grid_level,
     default_theta_a0,
     _eigen_best_constant,
-    _lobpcg_best_constant,
+    _pencil_best_constants,
     _ratio_descent,
     _with_transposes,
+    gamma_capacities,
     gamma_capacity,
     gradient_form_ops,
     holder_ratio_best_constant,
@@ -282,7 +283,9 @@ def per_cube_capacity_field(decomp: WhitneyDecomposition, params: HardyParams,
     the common case).  Theta best constants are clamped below at a small
     fraction of A0, which keeps the capacity weights finite and only
     weakens the per-cube inequality.  Classes are solved in order of their
-    first cube; records is per cube, and congruent cubes share their
+    first cube, the gamma classes that are eigensolves above the dense
+    cutoff together in one block (capacity.gamma_capacities), then the
+    chain constants; records is per cube, and congruent cubes share their
     class's record.
     """
     check_grid_level(grid_level, params.m)
@@ -309,38 +312,34 @@ def per_cube_capacity_field(decomp: WhitneyDecomposition, params: HardyParams,
     den_terms = [(params.m, pcap)] if single and not theta else [
         (params.k + 1, p1_eff), (params.m, pcap)]
 
-    def solve(cs: ConstraintSet):
-        if theta:
-            rep = theta_capacity(cs, params.m, params.k, pcap, p1_eff, A0,
-                                 grid_level, dom.dim, seed)
-        else:
-            rep = gamma_capacity(cs, params.m, params.k, pcap, p1_eff,
-                                 grid_level, dom.dim, seed)
+    def chain(cs: ConstraintSet, rep):
         if holder:
-            chain, _, _ = holder_ratio_best_constant(
+            return holder_ratio_best_constant(
                 cs, grid_level, dom.dim, params.h_order, params.lam,
-                den_terms, seed)
-        elif abs(params.q - pcap) < 1e-12:
-            chain = rep.best_constant
-        else:
-            chain, _, _ = ratio_best_constant(
-                cs, grid_level, dom.dim, (0, params.q), den_terms, seed, a0)
-        return rep, chain
+                den_terms, seed)[0]
+        if abs(params.q - pcap) < 1e-12:
+            return rep.best_constant
+        return ratio_best_constant(cs, grid_level, dom.dim, (0, params.q),
+                                   den_terms, seed, a0)[0]
 
-    # one solve per congruence class, in class order
     reps, cls = _constraint_classes(decomp, grid_level, params.cone)
-    solved = [solve(cs) for cs in reps]
-    results = [rep for rep, _ in solved]
+    if theta:
+        results = [theta_capacity(cs, params.m, params.k, pcap, p1_eff, A0,
+                                  grid_level, dom.dim, seed) for cs in reps]
+    else:
+        results = gamma_capacities(reps, params.m, params.k, pcap, p1_eff,
+                                   grid_level, dom.dim, seed)
+    chains = [chain(cs, rep) for cs, rep in zip(reps, results)]
     if theta:
         rep_best = [max(r.best_constant if math.isfinite(r.best_constant)
                         else 0.0, c2_floor) for r in results]
         chain_best = [max(c if math.isfinite(c) else 0.0, c2_floor)
-                      for _, c in solved]
+                      for c in chains]
         lam = np.asarray([rb ** (-pcap) for rb in rep_best])[cls]
         degenerate = np.zeros(len(cls), dtype=bool)
     else:
         rep_best = [r.best_constant for r in results]
-        chain_best = [c for _, c in solved]
+        chain_best = chains
         lam = np.asarray([r.capacity for r in results], dtype=float)[cls]
         degenerate = lam == 0.0
     records = [r.to_record() for r in results]
@@ -646,12 +645,14 @@ def direct_best_constant(domain: GridDomain, params: HardyParams,
     weighted cell masses on the diagonal.  In 1-D and 2-D that is
     capacity._eigen_best_constant (dense up to 400 DOFs, symmetric-mode
     shift-invert above).  In 3-D the shift-invert factor fills badly, so
-    capacity._lobpcg_best_constant runs Jacobi-preconditioned LOBPCG and
-    returns the Rayleigh quotient of its vector (cube-minus-compact L5,
-    32 488 DOFs: 0.41 s against 4.1 s for symmetric-mode shift-invert and
-    13 s for the default SuperLU ordering, 2-core x86 VM).  In 2-D LOBPCG
-    is the slower one (4096 DOFs: 0.23 s against 0.05 s).  Other p, and the
-    cone, use projected multi-start ascent.
+    capacity._pencil_best_constants runs the block eigensolver with one
+    column, LOBPCG preconditioned by a V-cycle over dyadic aggregation of
+    the inside cells, and returns the Rayleigh quotient of its vector
+    (cube-minus-compact L5, 32 488 DOFs: 0.15 s against 0.46 s for
+    Jacobi-preconditioned LOBPCG and 4.1 s for symmetric-mode shift-invert,
+    2-core x86 VM); an unconverged run is redone by shift-invert.  In 2-D
+    the V-cycle is the slower one (square L6 at s = -1: 0.100 s against
+    0.056 s).  Other p, and the cone, use projected multi-start ascent.
     """
     if params.form != "integral-6.24":
         raise HardyError("direct estimates use the integral form")
@@ -674,7 +675,9 @@ def direct_best_constant(domain: GridDomain, params: HardyParams,
             term = op.T @ sp.diags(w_top * mult) @ op
             A_mat = term if A_mat is None else A_mat + term
         if domain.dim >= 3:
-            return _lobpcg_best_constant(A_mat, w_low)[0]
+            return _pencil_best_constants(
+                A_mat.tocsr(), w_low, np.ones((1, len(w_low)), dtype=bool),
+                np.argwhere(domain.inside))[0][0]
         return _eigen_best_constant(A_mat, np.ones(len(w_low), dtype=bool),
                                     w_low)[0]
 

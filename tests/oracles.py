@@ -1,11 +1,13 @@
 """Reference computations the tests compare the package against: the
 all-pairs boundary distance and the pointwise grid Hölder quotient, each
 written as a plain scan, the difference fields at the anchors whose
-stencil stays inside the box, and the equidistributed cube weights."""
+stencil stays inside the box, the equidistributed cube weights and the
+Collatz-Wielandt bracket of an M-matrix pencil."""
 
 import math
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from hardylab.hardy import LsWeightFunction
 from hardylab.norms import (_differences, _holder_pairs, _weight_on_anchors,
@@ -83,3 +85,18 @@ def equidistributed(n_cubes, params):
     norm (s the sequence exponent of params)."""
     s_seq = LsWeightFunction.sequence_exponent(params)
     return LsWeightFunction(np.full(n_cubes, n_cubes ** (-1.0 / s_seq)), s_seq)
+
+
+def collatz_wielandt_bracket(A, w, v):
+    """[lo, hi] around max sqrt(u^T W u / u^T A u), W = diag(w), for an
+    irreducible M-matrix A (a connected weighted graph Laplacian plus a
+    nonnegative diagonal, as every m = 1 lattice form is) and any v > 0:
+    the Rayleigh quotient of v bounds the smallest eigenvalue from above,
+    and min_i (A v)_i / (w_i v_i) bounds it from below.  Returns None when
+    A's graph is disconnected, where one positive v cannot certify it."""
+    if connected_components(A, directed=False)[0] > 1:
+        return None
+    w = np.broadcast_to(w, v.shape)
+    Av = A @ v
+    return (math.sqrt(float(v @ (w * v)) / float(v @ Av)),
+            float(np.min(Av / (w * v))) ** -0.5)

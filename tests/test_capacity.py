@@ -578,3 +578,165 @@ def test_a0_violation_verdict_with_reduced_svd(monkeypatch, name):
     assert reduced == {"tall-pinned": [None, None],
                        "empty": ["kernel-element"] * 2}.get(
                            name, ["A0-too-small", None])
+
+
+# -- the block eigensolver --------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def cube4_classes():
+    """The constraint classes of the 3-D cube-minus-compact L4 field at
+    capacity grid level 4 (every one above the dense cutoff)."""
+    from hardylab.hardy import _constraint_classes
+    from hardylab.whitney import decompose
+
+    dom = rasterize(DomainSpec(kind="cube-minus-compact", dim=3, level=4))
+    reps, _ = _constraint_classes(decompose(dom), 4, False)
+    return reps
+
+
+def _block_solves(sets, grid_level, dim):
+    """(form, weight, free masks, solutions) of one block solve of the
+    m = 1, p = 2 gamma pencils of the sets."""
+    from hardylab import capacity
+
+    m_cells = 2**grid_level
+    S = quadratic_form(m_cells, dim, 1)
+    hN = (1.0 / m_cells) ** dim
+    free = np.array([~cs.K.reshape(-1) for cs in sets])
+    return S, hN, free, capacity._pencil_best_constants(
+        S, hN, free, capacity._lattice_coords(m_cells, dim))
+
+
+def test_block_classes_are_batch_independent(cube4_classes):
+    # every class solved in the field's one block has the bits of its own
+    # one-column gamma_capacity
+    from hardylab.capacity import DENSE_EIGH_CUTOFF, gamma_capacities
+
+    assert min((~cs.K).sum() for cs in cube4_classes) > DENSE_EIGH_CUTOFF
+    batched = gamma_capacities(cube4_classes, 1, 0, 2.0, 2.0, 4, 3, 1)
+    for cs, rep in zip(cube4_classes, batched):
+        one = gamma_capacity(cs, 1, 0, 2.0, 2.0, 4, 3, 1)
+        assert rep.to_record() == one.to_record()
+        assert rep.solver == "eigen-exact" and rep.residual < 1e-6
+
+
+def test_block_eigen_matches_shift_invert(cube4_classes):
+    from hardylab import capacity
+
+    S, hN, free, solved = _block_solves(cube4_classes, 4, 3)
+    for row, (best, res, vec) in zip(free, solved):
+        ref, _, _ = capacity._eigen_best_constant(S, row, hN)
+        assert best == pytest.approx(ref, rel=1e-12)
+        assert best <= ref * (1 + 1e-13) and vec.shape == (row.sum(),)
+
+
+def _brackets(S, w, free, solved):
+    """Collatz-Wielandt brackets of the solved pencils, None for the
+    classes whose free set is disconnected."""
+    from oracles import collatz_wielandt_bracket
+
+    out = []
+    for row, (best, _, vec) in zip(free, solved):
+        idx = np.nonzero(row)[0]
+        out.append((best, collatz_wielandt_bracket(S[idx][:, idx], w,
+                                                   np.abs(vec))))
+    return out
+
+
+def test_block_eigen_values_lie_in_collatz_wielandt_brackets(cube4_classes,
+                                                              monkeypatch):
+    # m = 1, p = 2: v = |solver vector| brackets the best constant within
+    # 1e-9 relative, for the 3-D L4 classes, the 3-D L4 direct estimate and
+    # criterion 4's 2-D level-5 sets
+    from hardylab import capacity, hardy
+    from hardylab.acceptance import _oracle_constraint_sets
+    from hardylab.hardy import HardyParams, direct_best_constant
+
+    cases = _brackets(*_block_solves(cube4_classes, 4, 3))
+    sets = [cs for _, cs in _oracle_constraint_sets(32)]
+    cases += _brackets(*_block_solves(sets, 5, 2))
+
+    captured = []
+
+    def spy(A, w, free, coords):
+        solved = capacity._pencil_best_constants(A, w, free, coords)
+        captured.append((A, w, free, solved))
+        return solved
+
+    monkeypatch.setattr(hardy, "_pencil_best_constants", spy)
+    dom = rasterize(DomainSpec(kind="cube-minus-compact", dim=3, level=4))
+    direct = direct_best_constant(dom, HardyParams(m=1, k=0, p=2.0, q=2.0,
+                                                   s=-1.0))
+    assert len(captured) == 1 and captured[0][3][0][0] == direct
+    cases += _brackets(*captured[0])
+
+    # one positive vector certifies a connected free set only: criterion
+    # 4's "stripes" set falls into 8 strips and is skipped, the only one
+    skipped = [best for best, bracket in cases if bracket is None]
+    assert len(cases) == len(cube4_classes) + 10 + 1 and len(skipped) == 1
+    for best, (lo, hi) in (case for case in cases if case[1] is not None):
+        assert lo * (1 - 1e-14) <= best <= hi * (1 + 1e-14)
+        assert (hi - lo) / best <= 1e-9
+
+
+def test_block_eigen_falls_back_to_shift_invert(monkeypatch):
+    # a problem the block leaves open is redone by shift-invert (dense up
+    # to DENSE_EIGH_LIMIT when that fails too), and raises CapacityError
+    # above the limit
+    from hardylab import capacity
+
+    K = np.zeros((16,) * 3, dtype=bool)
+    K[:5] = True                    # 2816 free cells, above the limit
+    small = np.zeros((16,) * 3, dtype=bool)
+    small[:9] = True                # 1792 free cells, below it
+    expected = [capacity._eigen_best_constant(
+        quadratic_form(16, 3, 1), ~k.reshape(-1), 16.0 ** -3)[0]
+        for k in (K, small)]
+    monkeypatch.setattr(capacity, "EIG_MAX_ITERS", 0)
+    runs = []
+    eigsh = spla.eigsh
+
+    def spy(*args, **kwargs):
+        runs.append(kwargs["sigma"])
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(capacity.spla, "eigsh", spy)
+    got = [gamma_capacity(ConstraintSet(k, False), 1, 0, 2.0, 2.0, 4, 3,
+                          0).best_constant for k in (K, small)]
+    assert got == expected and runs == [0.0, 0.0]
+
+    def no_convergence(*args, **kwargs):
+        raise spla.ArpackNoConvergence("forced", np.zeros(0), np.zeros((0, 0)))
+
+    monkeypatch.setattr(capacity.spla, "eigsh", no_convergence)
+    dense = gamma_capacity(ConstraintSet(small, False), 1, 0, 2.0, 2.0, 4, 3,
+                           0)
+    assert dense.best_constant == pytest.approx(expected[1], rel=1e-10)
+    with pytest.raises(CapacityError, match="eigensolve failed"):
+        gamma_capacity(ConstraintSet(K, False), 1, 0, 2.0, 2.0, 4, 3, 0)
+
+
+def test_block_solve_memory_below_class_map():
+    # the field's one block solve of the cube-minus-compact L4 classes
+    # allocates less at its peak than the class map it starts from
+    import tracemalloc
+
+    from hardylab.capacity import gamma_capacities
+    from hardylab.hardy import _constraint_classes
+    from hardylab.whitney import decompose
+
+    dom = rasterize(DomainSpec(kind="cube-minus-compact", dim=3, level=4))
+    dec = decompose(dom)
+    quadratic_form(16, 3, 1)
+    tracemalloc.start()
+    try:
+        reps, _ = _constraint_classes(dec, 4, False)
+        class_map = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        gamma_capacities(reps, 1, 0, 2.0, 2.0, 4, 3, 1)
+        solve = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert solve < class_map, (solve, class_map)

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -372,3 +376,34 @@ def test_argument_sweep_ends_in_report_or_error_record(tmp_path, capsys,
         if not ok:
             bad.append((argv, code, printed))
     assert bad == []
+
+
+def test_bound_3d_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # the 3-D direct estimate and every capacity solve read the same bytes
+    # at one and two BLAS threads (two at most: the test machine may have
+    # no more cores)
+    import hardylab
+
+    src = str(Path(hardylab.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src] + [p for p in [os.environ.get("PYTHONPATH")]
+                                if p]))
+        subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from hardylab.cli import main; "
+             "sys.exit(main(sys.argv[1:]))",
+             "bound", "--domain",
+             '{"kind": "cube-minus-compact", "dim": 3, "level": 5}',
+             "--case", "A", "--m", "1", "--p", "2", "--s", "-1",
+             "--with-direct", "--seed", "1", "--out", str(out)],
+            env=env, check=True, capture_output=True)
+        outs.append(out)
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    assert "bound-report.json" in names
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()

@@ -415,28 +415,28 @@ def _shift_invert_direct(monkeypatch, dom):
     from hardylab import capacity, hardy
 
     with monkeypatch.context() as patch:
-        patch.setattr(hardy, "_lobpcg_best_constant",
-                      lambda S, w: capacity._eigen_best_constant(
-                          S, np.ones(S.shape[0], dtype=bool), w))
+        patch.setattr(hardy, "_pencil_best_constants",
+                      lambda A, w, free, coords: [capacity._eigen_best_constant(
+                          A, free[0], w)])
         return direct_best_constant(dom, DIRECT_P2)
 
 
-def test_direct_lobpcg_3d_matches_shift_invert(monkeypatch):
+def test_direct_block_3d_matches_shift_invert(monkeypatch):
     from hardylab import capacity
 
     dom = rasterize(CUBE4)
     assert int(dom.inside.sum()) > capacity.DENSE_EIGH_CUTOFF
     shift_invert = _shift_invert_direct(monkeypatch, dom)
     runs = []
-    lobpcg = spla.lobpcg
+    block = capacity._block_eigen
 
-    def spy(*args, **kwargs):
-        runs.append(kwargs)
-        return lobpcg(*args, **kwargs)
+    def spy(A, w, free, coords):
+        runs.append(free.shape)
+        return block(A, w, free, coords)
 
-    monkeypatch.setattr(capacity.spla, "lobpcg", spy)
+    monkeypatch.setattr(capacity, "_block_eigen", spy)
     est = direct_best_constant(dom, DIRECT_P2)
-    assert len(runs) == 1 and runs[0]["largest"] is False
+    assert runs == [(1, int(dom.inside.sum()))]
     assert est == pytest.approx(shift_invert, rel=1e-10)
     # a Rayleigh quotient stays below the supremum
     assert est <= shift_invert * (1 + 1e-13)
@@ -448,24 +448,18 @@ def test_direct_lobpcg_3d_repeats_bit_for_bit():
     assert direct_best_constant(dom, DIRECT_P2) == first
 
 
-def test_direct_lobpcg_unconverged_falls_back_silently(monkeypatch):
+def test_direct_block_unconverged_falls_back_to_shift_invert(monkeypatch):
+    # a direct estimate the block solver leaves open is the shift-invert
+    # value, with no warning
     import warnings
 
     from hardylab import capacity
 
     dom = rasterize(CUBE4)
     shift_invert = _shift_invert_direct(monkeypatch, dom)
-
-    runs = []
-
-    def unconverged(A, X, **kwargs):
-        runs.append(kwargs)
-        warnings.warn("not reaching the requested tolerance", UserWarning)
-        return np.ones(1), X
-
-    monkeypatch.setattr(capacity.spla, "lobpcg", unconverged)
+    monkeypatch.setattr(capacity, "EIG_MAX_ITERS", 0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         est = direct_best_constant(dom, DIRECT_P2)
-    assert caught == [] and len(runs) == 1
+    assert caught == []
     assert est == shift_invert
