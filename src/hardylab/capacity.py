@@ -25,7 +25,7 @@ thread, best of 5):
 
 - up to 400 free entries, dense `eigh`: exact, and faster than any
   factorisation at that size;
-- above, for every capacity lattice and for the 3-D direct estimate, one
+- above, for every first-order capacity lattice and 3-D direct estimate, one
   block LOBPCG (`_block_eigen`, after Knyazev 2001): one column per
   problem, preconditioned by a V-cycle over dyadic 2^N aggregation of the
   lattice (`_VCycle`; aggregation multigrid after Vanek, Mandel and
@@ -44,10 +44,10 @@ thread, best of 5):
   block leaves unconverged after EIG_MAX_ITERS iterations (then dense up
   to DENSE_EIGH_LIMIT entries, CapacityError above).  In 2-D the factor
   is cheap and the V-cycle loses (square L6 direct estimate at s = -1:
-  0.100 s against 0.056 s).  A 3-D order-2 form at grid level 4 does not
-  converge within the cap, so it takes this route after the block's
-  EIG_MAX_ITERS iterations (0.55-0.65 s per class against 0.18-0.38 s
-  by shift-invert alone).
+  0.100 s against 0.056 s).  Forms of order 2 and above take this route
+  directly: the V-cycle does not precondition them, and a 3-D order-2
+  class at grid level 4 ran all EIG_MAX_ITERS block iterations before it
+  (0.55-0.65 s per class against 0.18-0.38 s by shift-invert alone).
 
 Every other case maximises one objective, the ratio core `_ratio`:
 (num - a0 low) / sum of den over terms (ops, q, w), each a weighted
@@ -72,7 +72,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, permutations, product
+from itertools import chain, product
 
 import numpy as np
 import scipy.linalg
@@ -103,32 +103,6 @@ class ConstraintSet:
         if self.K.shape != shape:
             raise CapacityError("constraint mask shape does not match grid")
         return self.K
-
-
-def canonical_keys(masks: np.ndarray) -> list[bytes]:
-    """Cache key, invariant under the cube symmetry group, of every mask K
-    of a stack (axis 0): the lexicographically least byte image of K under
-    the transposes and flips of the cube, kept as a running row-wise
-    minimum over the images of the whole stack, one image at a time."""
-    n, dim = len(masks), masks.ndim - 1
-    best = None
-    for perm in permutations(range(dim)):
-        base = np.transpose(masks, (0,) + tuple(a + 1 for a in perm))
-        for flips in product((False, True), repeat=dim):
-            img = base
-            for ax, f in enumerate(flips):
-                if f:
-                    img = np.flip(img, axis=ax + 1)
-            rows = img.reshape(n, -1)
-            if best is None:
-                best = rows.copy()
-                continue
-            # rows that differ first at a cell where this image has the 0
-            first = (rows != best).argmax(axis=1)
-            less = best[np.arange(n), first] > rows[np.arange(n), first]
-            best[less] = rows[less]
-    tail = str(masks.shape[1:]).encode()
-    return [row.tobytes() + tail for row in best]
 
 
 @dataclass
@@ -740,18 +714,22 @@ def _block_eigen(A: sp.csr_matrix, w, free: np.ndarray, coords: np.ndarray):
 
 
 def _pencil_best_constants(A: sp.csr_matrix, w, free: np.ndarray,
-                           coords: np.ndarray):
+                           coords: np.ndarray, order: int):
     """max sqrt(u^T W u / u^T A u) over each free subspace, one per row of
     `free` (problems, entries), W = diag(w), on the solver ladder: dense
     `eigh` up to DENSE_EIGH_CUTOFF free entries (_eigen_best_constant),
     one _block_eigen block for all problems above, and _eigen_best_constant
     (shift-invert, then dense up to DENSE_EIGH_LIMIT) for a problem the
-    block leaves unconverged.
+    block leaves unconverged.  order is the highest difference order of
+    the form A.  Only first-order forms go to the block: the aggregation
+    V-cycle does not precondition an order-2 form, which runs all
+    EIG_MAX_ITERS iterations unconverged, so every problem above the
+    cutoff goes straight to shift-invert.
 
     Returns [(best, residual, maximiser on the free entries)] per row."""
     big = np.flatnonzero(free.sum(axis=1) > DENSE_EIGH_CUTOFF)
     out = [None] * len(free)
-    if len(big):
+    if len(big) and order == 1:
         for i, solved in zip(big, _block_eigen(A, w, free[big], coords)):
             out[i] = solved
     return [solved if solved is not None
@@ -911,7 +889,8 @@ def _solve(constraints: ConstraintSet, grid_level: int, dim: int, num,
       witness search a vanishing denominator counts as 0 when a0 > 0.
 
     Returns (best, residual, solver, note)."""
-    check_grid_level(grid_level, max(o for o, _ in den_terms))
+    order = max(o for o, _ in den_terms)
+    check_grid_level(grid_level, order)
     m_cells = 2**grid_level
     hN = (1.0 / m_cells) ** dim
     zero = constraints.zero_mask((m_cells,) * dim).reshape(-1)
@@ -928,7 +907,7 @@ def _solve(constraints: ConstraintSet, grid_level: int, dim: int, num,
     if _quadratic(num, den_terms, constraints.cone):
         best, res, vec = _pencil_best_constants(
             _summed_form(m_cells, dim, den_terms), hN, ~zero[None],
-            _lattice_coords(m_cells, dim))[0]
+            _lattice_coords(m_cells, dim), order)[0]
         if not fixed:
             return best, res, "eigen-exact", ""
         u0 = np.zeros(len(zero))
@@ -1046,7 +1025,7 @@ def gamma_capacities(constraint_sets, m: int, k: int, p: float, p1: float,
         free = np.array([~constraint_sets[i].K.reshape(-1) for i in block])
         solved = dict(zip(block, _pencil_best_constants(
             _summed_form(m_cells, dim, den), (1.0 / m_cells) ** dim, free,
-            _lattice_coords(m_cells, dim))))
+            _lattice_coords(m_cells, dim), m)))
     return [_capacity_result("gamma", m, k, p, p1, 0.0, grid_level, dim,
                              seed, solved[i][0], solved[i][1], "eigen-exact",
                              "", "saturated") if i in solved

@@ -14,14 +14,19 @@ are (lo, hi) cell-bound arrays computed once.  The piece eta_Q*u and its
 cutoff live on the 4/3 window; local_majorant takes the piece on the 16/9
 window and returns the majorant there, where the outer cutoff, defect
 repair, accumulation and seminorms run (padded by the stencil order for the
-differences).  The profiles are exactly 0 off those windows, so the split
-is the same to the bit; only the seminorm sums add their terms in another
+differences).  The profiles are exactly 0 off those windows, so those steps
+are the same to the bit; only the seminorm sums add their terms in another
 order.  Overlap and window multiplicities are one whitney.box_scatter each.
-The Tikhonov deconvolution alone stays on the whole grid, zero-padded to a
-power-of-two FFT shape: its filter makes the source global, so a window
-would move the majorant.  One split computes each kernel spectrum once per
-kernel and FFT shape and each weight field once, and keeps nothing after
-it returns.
+Everything but the deconvolution runs on windows.  The Tikhonov
+deconvolution stays on the whole grid, zero-padded to a power-of-two FFT
+shape: its filter makes the source global, so a window would move the
+majorant.  The convolution back is read on the 16/9 window only, so it
+runs on that window's reach (the window grown by the kernel's taps), one
+1-D pass per axis: the same circular convolution, so its values move only
+by rounding (the split's parts by at most 1.3e-15 max|u| on the lshape L7
+benchmark probe).  One split computes each kernel spectrum once
+per kernel and FFT shape and each weight field once, and keeps nothing
+after it returns.
 """
 
 from __future__ import annotations
@@ -116,6 +121,28 @@ def _kernel_spectrum(ker1d: np.ndarray, dim: int, fshape, tau: float):
     return Kf, denom, cond
 
 
+def _convolve_back(f_src: np.ndarray, ker1d: np.ndarray,
+                   window: tuple) -> np.ndarray:
+    """G*f_+ on the box slice window of the FFT grid of f_src, G the tensor
+    kernel of ker1d centred at the origin as in _kernel_spectrum (circular
+    convolution).  The window reads f_+ only on its reach, the window grown
+    by len(ker1d) - 1 - len(ker1d) // 2 cells below and len(ker1d) // 2
+    above, taken modulo the grid (the reach wraps at its edges): f_+ is
+    gathered there and convolved by one 1-D pass per axis, each keeping the
+    entries where the kernel lies wholly on the reach."""
+    taps = len(ker1d)
+    below = taps - 1 - taps // 2
+    v = np.maximum(f_src[np.ix_(*[
+        np.arange(sl.start - below, sl.stop + taps // 2) % n
+        for sl, n in zip(window, f_src.shape)])], 0.0)
+    for ax in range(v.ndim):
+        # entry y of the pass: the sum over t of ker1d[t] v[y + taps-1-t]
+        n_out = v.shape[ax] - taps + 1
+        v = sum(c * v[(slice(None),) * ax + (slice(lo, lo + n_out),)]
+                for c, lo in zip(ker1d, range(taps - 1, -1, -1)))
+    return v
+
+
 @dataclass
 class MajorantResult:
     values: np.ndarray
@@ -138,13 +165,15 @@ def local_majorant(domain: GridDomain, block: np.ndarray, window: tuple,
     measured norm factor, repair size, and deconvolution condition
     estimate.  Rejects p <= 1.
 
-    The deconvolution and the convolution back run on the whole grid,
-    zero-padded to a power-of-two FFT shape: the Tikhonov filter makes the
-    source global, and a window would change the majorant.  Everything
-    after it runs on the window: the outer cutoff, the defect repair and
-    both seminorms, whose terms vanish off it.  spectra is a cache of
-    kernel spectra shared by calls with the same kernel and FFT shape;
-    cone_split passes one per split.
+    Everything but the deconvolution runs on windows.  The deconvolution
+    runs on the whole grid, zero-padded to a power-of-two FFT shape: the
+    Tikhonov filter makes the source global, and a window would change the
+    majorant.  G*f_+ is read on the window only, so it is convolved back
+    on the window's reach (_convolve_back), which wraps at the low edge of
+    the FFT grid.  The outer cutoff, the defect repair and both seminorms
+    run on the window too, their terms vanishing off it.  spectra is a
+    cache of kernel spectra shared by calls with the same kernel and FFT
+    shape; cone_split passes one per split.
     """
     if p <= 1.0:
         raise ConeError("the positive-kernel representation needs p > 1")
@@ -171,9 +200,7 @@ def local_majorant(domain: GridDomain, block: np.ndarray, window: tuple,
     Ff = np.conj(Kf) * Uf / denom
     axes = tuple(range(domain.dim))
     f_src = np.fft.irfftn(Ff, s=fshape, axes=axes)
-    f_plus = np.maximum(f_src, 0.0)
-    v_raw = np.fft.irfftn(np.fft.rfftn(f_plus) * Kf, s=fshape, axes=axes)
-    v = np.maximum(v_raw[window], 0.0)
+    v = _convolve_back(f_src, ker1d, window)
     # short-range support: cut off at the 16/9 enlargement (the deconvolved
     # source is global through the Tikhonov filter)
     v = cutoff(domain, cube_center, cube_side * ALPHA_ENLARGE, window) * v

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,7 +28,6 @@ from .dimension import (DimensionError, boundary_cells_padded, dim_loc,
 from .capacity import (
     CapacityError,
     ConstraintSet,
-    canonical_keys,
     check_grid_level,
     default_theta_a0,
     _eigen_best_constant,
@@ -232,8 +231,11 @@ def _constraint_classes(decomp: WhitneyDecomposition, grid_level: int,
 
     Cube i's zero set holds the unit-lattice cells whose centers map into
     complement cells (or beyond the box, under collar padding).  The rescale
-    maps are axis-aligned, so one gather builds every zero set; the distinct
-    masks are then keyed together by canonical_keys.  Returns
+    maps are axis-aligned, so one gather builds every zero set.  The
+    distinct masks are then taken in order of first cube: a mask whose
+    bytes are not yet mapped opens a class, and the bytes of all its images
+    under the cube's symmetries (_cube_images) map to it, so every later
+    mask of the class is one dict lookup.  Returns
     (reps, cls): reps[c] is the ConstraintSet of the first cube of class c
     (classes numbered in order of first cube) and cls[i] the class of cube i.
     """
@@ -259,13 +261,27 @@ def _constraint_classes(decomp: WhitneyDecomposition, grid_level: int,
     class_of: dict[bytes, int] = {}
     mask_class = np.zeros(len(first), dtype=np.int64)
     reps = []
-    order = np.argsort(first)
-    for u, key in zip(order, canonical_keys(K[first[order]])):
-        if key not in class_of:
-            class_of[key] = len(reps)
-            reps.append(ConstraintSet(K[first[u]].copy(), cone))
-        mask_class[u] = class_of[key]
+    for u in np.argsort(first):
+        mask = K[first[u]]
+        c = class_of.get(mask.tobytes())
+        if c is None:
+            c = len(reps)
+            reps.append(ConstraintSet(mask.copy(), cone))
+            for img in _cube_images(mask):
+                class_of[img.tobytes()] = c
+        mask_class[u] = c
     return reps, mask_class[inverse]
+
+
+def _cube_images(K: np.ndarray):
+    """The images of K under the symmetries of the cube, the N! transposes
+    of its axes each with the 2^N sets of flips (repeats included)."""
+    flips = [tuple(slice(None, None, step) for step in steps)
+             for steps in product((1, -1), repeat=K.ndim)]
+    for perm in permutations(range(K.ndim)):
+        base = K.transpose(perm)
+        for flip in flips:
+            yield base[flip]
 
 
 THETA_C2_FLOOR_FRACTION = 1e-6
@@ -645,14 +661,15 @@ def direct_best_constant(domain: GridDomain, params: HardyParams,
     weighted cell masses on the diagonal.  In 1-D and 2-D that is
     capacity._eigen_best_constant (dense up to 400 DOFs, symmetric-mode
     shift-invert above).  In 3-D the shift-invert factor fills badly, so
-    capacity._pencil_best_constants runs the block eigensolver with one
-    column, LOBPCG preconditioned by a V-cycle over dyadic aggregation of
-    the inside cells, and returns the Rayleigh quotient of its vector
-    (cube-minus-compact L5, 32 488 DOFs: 0.15 s against 0.46 s for
-    Jacobi-preconditioned LOBPCG and 4.1 s for symmetric-mode shift-invert,
-    2-core x86 VM); an unconverged run is redone by shift-invert.  In 2-D
-    the V-cycle is the slower one (square L6 at s = -1: 0.100 s against
-    0.056 s).  Other p, and the cone, use projected multi-start ascent.
+    for m = 1 capacity._pencil_best_constants runs the block eigensolver
+    with one column, LOBPCG preconditioned by a V-cycle over dyadic
+    aggregation of the inside cells, and returns the Rayleigh quotient of
+    its vector (cube-minus-compact L5, 32 488 DOFs: 0.15 s against 0.46 s
+    for Jacobi-preconditioned LOBPCG and 4.1 s for symmetric-mode
+    shift-invert, 2-core x86 VM); an unconverged run, and every m >= 2
+    estimate, is solved by shift-invert.  In 2-D the V-cycle is the slower
+    one (square L6 at s = -1: 0.100 s against 0.056 s).  Other p, and the
+    cone, use projected multi-start ascent.
     """
     if params.form != "integral-6.24":
         raise HardyError("direct estimates use the integral form")
@@ -677,7 +694,7 @@ def direct_best_constant(domain: GridDomain, params: HardyParams,
         if domain.dim >= 3:
             return _pencil_best_constants(
                 A_mat.tocsr(), w_low, np.ones((1, len(w_low)), dtype=bool),
-                np.argwhere(domain.inside))[0][0]
+                np.argwhere(domain.inside), m)[0][0]
         return _eigen_best_constant(A_mat, np.ones(len(w_low), dtype=bool),
                                     w_low)[0]
 

@@ -605,7 +605,7 @@ def _block_solves(sets, grid_level, dim):
     hN = (1.0 / m_cells) ** dim
     free = np.array([~cs.K.reshape(-1) for cs in sets])
     return S, hN, free, capacity._pencil_best_constants(
-        S, hN, free, capacity._lattice_coords(m_cells, dim))
+        S, hN, free, capacity._lattice_coords(m_cells, dim), 1)
 
 
 def test_block_classes_are_batch_independent(cube4_classes):
@@ -659,8 +659,8 @@ def test_block_eigen_values_lie_in_collatz_wielandt_brackets(cube4_classes,
 
     captured = []
 
-    def spy(A, w, free, coords):
-        solved = capacity._pencil_best_constants(A, w, free, coords)
+    def spy(A, w, free, coords, order):
+        solved = capacity._pencil_best_constants(A, w, free, coords, order)
         captured.append((A, w, free, solved))
         return solved
 
@@ -715,6 +715,26 @@ def test_block_eigen_falls_back_to_shift_invert(monkeypatch):
     assert dense.best_constant == pytest.approx(expected[1], rel=1e-10)
     with pytest.raises(CapacityError, match="eigensolve failed"):
         gamma_capacity(ConstraintSet(K, False), 1, 0, 2.0, 2.0, 4, 3, 0)
+
+
+def test_order_two_forms_skip_the_block(monkeypatch):
+    # the V-cycle does not precondition an order-2 form: a 3-D m = 2 class
+    # above the dense cutoff goes straight to shift-invert, alone or in a
+    # field's batch, with the value the block's fallback gave
+    from hardylab import capacity
+    from hardylab.capacity import DENSE_EIGH_CUTOFF, gamma_capacities
+
+    def no_block(*args):
+        raise AssertionError("order-2 form sent to the block")
+
+    monkeypatch.setattr(capacity, "_block_eigen", no_block)
+    slab = slab_set(16, 4, dim=3)
+    assert (~slab.K).sum() > DENSE_EIGH_CUTOFF
+    one = gamma_capacity(slab, 2, 1, 2.0, 2.0, 4, 3, 0)
+    assert one.best_constant == 0.18716875786053788
+    assert one.solver == "eigen-exact"
+    batch = gamma_capacities([slab, slab], 2, 1, 2.0, 2.0, 4, 3, 0)
+    assert [r.to_record() for r in batch] == [one.to_record()] * 2
 
 
 def test_block_solve_memory_below_class_map():

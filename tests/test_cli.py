@@ -378,10 +378,11 @@ def test_argument_sweep_ends_in_report_or_error_record(tmp_path, capsys,
     assert bad == []
 
 
-def test_bound_3d_bytes_do_not_depend_on_blas_threads(tmp_path):
-    # the 3-D direct estimate and every capacity solve read the same bytes
-    # at one and two BLAS threads (two at most: the test machine may have
-    # no more cores)
+def _same_bytes_at_blas_threads(tmp_path, argv):
+    """Runs the CLI once per OpenBLAS thread count, 1 and 2 (two at most:
+    the test machine may have no more cores), each in a fresh process, and
+    asserts that the runs write the same files, byte for byte.  Returns
+    the first run's output directory."""
     import hardylab
 
     src = str(Path(hardylab.__file__).resolve().parents[1])
@@ -396,14 +397,38 @@ def test_bound_3d_bytes_do_not_depend_on_blas_threads(tmp_path):
             [sys.executable, "-c",
              "import sys; from hardylab.cli import main; "
              "sys.exit(main(sys.argv[1:]))",
-             "bound", "--domain",
-             '{"kind": "cube-minus-compact", "dim": 3, "level": 5}',
-             "--case", "A", "--m", "1", "--p", "2", "--s", "-1",
-             "--with-direct", "--seed", "1", "--out", str(out)],
+             *map(str, argv), "--out", str(out)],
             env=env, check=True, capture_output=True)
         outs.append(out)
     names = sorted(p.name for p in outs[0].iterdir())
     assert names == sorted(p.name for p in outs[1].iterdir())
-    assert "bound-report.json" in names
     for name in names:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    return outs[0]
+
+
+def test_bound_3d_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # the 3-D direct estimate and every capacity solve read the same bytes
+    # at one and two BLAS threads
+    out = _same_bytes_at_blas_threads(tmp_path, [
+        "bound", "--domain",
+        '{"kind": "cube-minus-compact", "dim": 3, "level": 5}',
+        "--case", "A", "--m", "1", "--p", "2", "--s", "-1",
+        "--with-direct", "--seed", "1"])
+    assert (out / "bound-report.json").exists()
+
+
+def test_cone_split_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # the split's FFTs, windowed convolutions and seminorms read the same
+    # bytes at one and two BLAS threads
+    from hardylab.cone import make_probe
+
+    spec = '{"kind": "lshape", "dim": 2, "level": 6}'
+    probe = tmp_path / "probe.fn"
+    write_ndfn(probe, make_probe(rasterize(DomainSpec.from_json(spec)),
+                                 1).values)
+    out = _same_bytes_at_blas_threads(tmp_path, [
+        "cone-split", "--domain", spec, "--m", "2", "--p", "2", "--s", "0",
+        "--u", probe, "--seed", "1"])
+    assert (out / "u1.fn").exists() and (out / "u2.fn").exists()
+    assert json.loads((out / "cone-report.json").read_text())["per_cube_log"]

@@ -416,8 +416,8 @@ def _shift_invert_direct(monkeypatch, dom):
 
     with monkeypatch.context() as patch:
         patch.setattr(hardy, "_pencil_best_constants",
-                      lambda A, w, free, coords: [capacity._eigen_best_constant(
-                          A, free[0], w)])
+                      lambda A, w, free, coords, order: [
+                          capacity._eigen_best_constant(A, free[0], w)])
         return direct_best_constant(dom, DIRECT_P2)
 
 
