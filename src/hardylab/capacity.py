@@ -590,10 +590,10 @@ class _VCycle:
             sweep()
         return x
 
-    def __call__(self, R: np.ndarray) -> np.ndarray:
-        """The V-cycle on a masked (problems, entries) block."""
-        return np.ascontiguousarray(
-            self._cycle(np.ascontiguousarray(R.T), 0).T)
+    def __call__(self, Rt: np.ndarray) -> np.ndarray:
+        """The V-cycle on a masked block laid out (entries, problems),
+        C-contiguous, returned laid out (problems, entries)."""
+        return np.ascontiguousarray(self._cycle(Rt, 0).T)
 
 
 def _block_eigen(A: sp.csr_matrix, w, free: np.ndarray, coords: np.ndarray):
@@ -616,7 +616,6 @@ def _block_eigen(A: sp.csr_matrix, w, free: np.ndarray, coords: np.ndarray):
     vcycle = _VCycle(A, free, coords)
     out = [None] * len(free)
     active = np.arange(len(free))
-    mask = free.astype(float)
     # scratch for the per-row sums and updates: the block-sized
     # temporaries are few and reused (see _VCycle._cycle)
     scratch = np.empty(free.shape)
@@ -643,9 +642,9 @@ def _block_eigen(A: sp.csr_matrix, w, free: np.ndarray, coords: np.ndarray):
         V *= np.where(kept, 1.0 / np.where(kept, after, 1.0), 0.0)[:, None]
         return V, ~kept
 
-    X = mask / wnorm(mask)[:, None]
+    X = free / wnorm(free)[:, None]
     AX = _spmm(A, X)
-    mask_active = mask
+    free_active = free
     P = None
     for _ in range(EIG_MAX_ITERS):
         WX = w * X
@@ -653,7 +652,8 @@ def _block_eigen(A: sp.csr_matrix, w, free: np.ndarray, coords: np.ndarray):
         lam = xAx / xWx
         R = WX * lam[:, None]
         np.subtract(AX, R, out=R)
-        R *= mask_active
+        del AX
+        R *= free_active
         s = np.divide(R, w, out=scratch[:len(R)])
         done = (np.sqrt(np.add.reduce(np.multiply(R, s, out=s), axis=1))
                 <= EIG_TOL * lam * np.sqrt(xWx))
@@ -666,19 +666,21 @@ def _block_eigen(A: sp.csr_matrix, w, free: np.ndarray, coords: np.ndarray):
             break
         if done.any():
             keep = ~done
-            active, mask_active = active[keep], mask_active[keep]
+            active, free_active = active[keep], free_active[keep]
             xAx = xAx[keep]
-            X, AX, WX, R = X[keep], AX[keep], WX[keep], R[keep]
+            X, WX, R = X[keep], WX[keep], R[keep]
             if P is not None:
                 P = P[keep]
-        if len(active) < len(free):
-            # the V-cycle runs on every row, zero for the frozen ones
-            full = np.zeros(free.shape)
-            full[active] = R
-            T = vcycle(full)[active]
-        else:
-            T = vcycle(R)
+        # the V-cycle runs on every problem, zero for the frozen ones, laid
+        # out (entries, problems); R goes first, as the cycle's temporaries
+        # set the block's peak memory
+        Rt = np.zeros(free.shape[::-1])
+        Rt[:, active] = R.T
         del R
+        T = vcycle(Rt)
+        del Rt
+        if len(active) < len(free):
+            T = T[active]
         basis = [(X, WX)]
         lost = [np.zeros(len(active), dtype=bool)]
         for V in (T, P):
@@ -686,26 +688,29 @@ def _block_eigen(A: sp.csr_matrix, w, free: np.ndarray, coords: np.ndarray):
                 V, gone = orthonormal(V, basis)
                 basis.append((V, w * V))
                 lost.append(gone)
-        AB = [AX] + [_spmm(A, B) for B, _ in basis[1:]]
+        del T, V
         lost = np.stack(lost, axis=1)
         # Rayleigh-Ritz on the W-orthonormal basis; a lost direction gets
-        # an eigenvalue far above the rest
+        # an eigenvalue far above the rest.  One product A B_j is held at a
+        # time.
         m = len(basis)
         G = np.empty((len(active), m, m))
         G[:, 0, 0] = xAx
-        for i in range(m):
-            for j in range(max(i, 1), m):
-                G[:, i, j] = G[:, j, i] = dot(basis[i][0], AB[j])
-        del AB
+        for j in range(1, m):
+            ABj = _spmm(A, basis[j][0])
+            for i in range(j + 1):
+                G[:, i, j] = G[:, j, i] = dot(basis[i][0], ABj)
+            del ABj
+        basis = [B for B, _ in basis]
         G[:, range(m), range(m)] += lost * 1e300
         y = np.linalg.eigh(G)[1][:, :, 0]
         y *= np.where(y[:, :1] < 0, -1.0, 1.0)
-        P = basis[1][0] * y[:, 1:2]
+        P = basis[1] * y[:, 1:2]
         for i in range(2, m):
-            P += np.multiply(basis[i][0], y[:, i:i + 1], out=scratch[:len(P)])
-        X = basis[0][0] * y[:, :1]
-        X += P
+            P += np.multiply(basis[i], y[:, i:i + 1], out=scratch[:len(P)])
         del basis
+        X *= y[:, :1]
+        X += P
         scale = (1.0 / wnorm(X))[:, None]
         X *= scale
         P *= scale

@@ -17,16 +17,18 @@ repair, accumulation and seminorms run (padded by the stencil order for the
 differences).  The profiles are exactly 0 off those windows, so those steps
 are the same to the bit; only the seminorm sums add their terms in another
 order.  Overlap and window multiplicities are one whitney.box_scatter each.
-Everything but the deconvolution runs on windows.  The Tikhonov
-deconvolution stays on the whole grid, zero-padded to a power-of-two FFT
-shape: its filter makes the source global, so a window would move the
-majorant.  The convolution back is read on the 16/9 window only, so it
-runs on that window's reach (the window grown by the kernel's taps), one
-1-D pass per axis: the same circular convolution, so its values move only
-by rounding (the split's parts by at most 1.3e-15 max|u| on the lshape L7
-benchmark probe).  One split computes each kernel spectrum once
-per kernel and FFT shape and each weight field once, and keeps nothing
-after it returns.
+The Tikhonov deconvolution is the whole grid's, zero-padded to a
+power-of-two FFT shape: its filter makes the source global, so a cropped
+filter would move the majorant.  Its FFTs are pruned instead: numpy's 1-D
+passes run only on the lines through the window and, back, on the lines
+the window's reach (the window grown by the kernel's taps) reads, so the
+source comes out on the reach with the whole-grid values to the bit.  The
+convolution back runs on that reach, one 1-D pass per axis: the same
+circular convolution as an FFT, so its values differ only by rounding.
+One difference pass per order gives a majorant's unweighted seminorms (its
+norm factor) and weighted ones (the chain's ratio).  One split computes
+each kernel spectrum once per kernel and FFT shape and each weight field
+once, and keeps nothing after it returns.
 """
 
 from __future__ import annotations
@@ -107,8 +109,8 @@ def _iterated_kernel(m: int, radius_cells: int) -> np.ndarray:
 
 
 def _kernel_spectrum(ker1d: np.ndarray, dim: int, fshape, tau: float):
-    """(Kf, |Kf|^2 + tau, condition) of the dim-fold tensor kernel centred
-    at the origin of the fshape FFT grid."""
+    """(conj(Kf), |Kf|^2 + tau, condition), Kf the spectrum of the dim-fold
+    tensor kernel centred at the origin of the fshape FFT grid."""
     K = np.zeros(fshape)
     kernel_nd = ker1d
     for _ in range(dim - 1):
@@ -118,23 +120,53 @@ def _kernel_spectrum(ker1d: np.ndarray, dim: int, fshape, tau: float):
     Kf = np.fft.rfftn(K)
     denom = np.abs(Kf) ** 2 + tau
     cond = float((np.abs(Kf).max() ** 2 + tau) / (np.abs(Kf).min() ** 2 + tau))
-    return Kf, denom, cond
+    return np.conj(Kf), denom, cond
 
 
-def _convolve_back(f_src: np.ndarray, ker1d: np.ndarray,
-                   window: tuple) -> np.ndarray:
-    """G*f_+ on the box slice window of the FFT grid of f_src, G the tensor
-    kernel of ker1d centred at the origin as in _kernel_spectrum (circular
-    convolution).  The window reads f_+ only on its reach, the window grown
-    by len(ker1d) - 1 - len(ker1d) // 2 cells below and len(ker1d) // 2
-    above, taken modulo the grid (the reach wraps at its edges): f_+ is
-    gathered there and convolved by one 1-D pass per axis, each keeping the
-    entries where the kernel lies wholly on the reach."""
-    taps = len(ker1d)
+def _deconvolve(block: np.ndarray, window: tuple, fshape, Kf_conj: np.ndarray,
+                denom: np.ndarray, taps: int) -> np.ndarray:
+    """irfftn(Kf_conj * rfftn(U) / denom) on the window's reach, U the
+    fshape grid equal to block on the box slice window and 0 elsewhere.
+
+    The reach is what G*f_+ reads on the window, G the tensor kernel of a
+    taps-long ker1d centred at the origin as in _kernel_spectrum: the
+    window grown by taps - 1 - taps // 2 cells below and taps // 2 above,
+    taken modulo the grid (it wraps at the grid's edges).  numpy's 1-D
+    passes of rfftn and irfftn run only on the lines that matter (FFT
+    pruning): forward, the rfft along the last axis on the window's lines,
+    then the fft along axes N-2..0 on the lines whose untransformed axes
+    lie in the window (every other line is 0); inverse, the ifft along axes
+    0..N-2 and then the irfft, each on the lines the reach reads.  Each
+    line is transformed as numpy transforms it, so the values are the
+    whole-grid irfftn's to the bit."""
+    dim = block.ndim
+    a = block
+    for ax in range(dim - 1, -1, -1):
+        lines = np.zeros(a.shape[:ax] + (fshape[ax],) + a.shape[ax + 1:],
+                         dtype=a.dtype)
+        lines[(slice(None),) * ax + (window[ax],)] = a
+        a = (np.fft.rfft if ax == dim - 1 else np.fft.fft)(lines, axis=ax)
+    # numpy's complex product is not bitwise commutative, and a temporary
+    # right factor is reused with the operands swapped: the spectrum of U
+    # stays a named right factor
+    a = Kf_conj * a / denom
     below = taps - 1 - taps // 2
-    v = np.maximum(f_src[np.ix_(*[
-        np.arange(sl.start - below, sl.stop + taps // 2) % n
-        for sl, n in zip(window, f_src.shape)])], 0.0)
+    reach = [np.arange(sl.start - below, sl.stop + taps // 2) % n
+             for sl, n in zip(window, fshape)]
+    for ax in range(dim - 1):
+        a = np.fft.ifft(a, axis=ax).take(reach[ax], axis=ax)
+    return np.fft.irfft(a, n=fshape[-1], axis=dim - 1).take(reach[-1],
+                                                          axis=dim - 1)
+
+
+def _convolve_back(f_reach: np.ndarray, ker1d: np.ndarray) -> np.ndarray:
+    """G*f_+ on a box slice window of an FFT grid, from f on the window's
+    reach for len(ker1d) taps (_deconvolve), G the tensor kernel of ker1d
+    centred at the origin as in _kernel_spectrum (circular convolution):
+    one 1-D pass per axis, each keeping the entries where the kernel lies
+    wholly on the reach."""
+    taps = len(ker1d)
+    v = np.maximum(f_reach, 0.0)
     for ax in range(v.ndim):
         # entry y of the pass: the sum over t of ker1d[t] v[y + taps-1-t]
         n_out = v.shape[ax] - taps + 1
@@ -149,11 +181,13 @@ class MajorantResult:
     norm_factor: float
     defect_norm: float
     condition: float
+    seminorms: list     # of orders 0..m of values, under the caller's weight
 
 
 def local_majorant(domain: GridDomain, block: np.ndarray, window: tuple,
                    cube_center: np.ndarray, cube_side: float, m: int,
-                   p: float, spectra: dict) -> MajorantResult:
+                   p: float, weight: np.ndarray | None,
+                   spectra: dict) -> MajorantResult:
     """Nonnegative majorant of a cube-local piece via a positive kernel.
 
     block is the piece u_q on window, the cube's 16/9 box slice, and the
@@ -162,18 +196,22 @@ def local_majorant(domain: GridDomain, block: np.ndarray, window: tuple,
     parameter h^2), forms G*f_+ and cuts it off; any residual violation of
     v >= u_q is repaired by adding the defect's positive part, which
     preserves nonnegativity and support.  Returns the majorant with its
-    measured norm factor, repair size, and deconvolution condition
-    estimate.  Rejects p <= 1.
+    measured norm factor, repair size, deconvolution condition estimate,
+    and its seminorms of orders 0..m under weight (a whole-grid field, or
+    None for the unit weight).  Rejects p <= 1.
 
-    Everything but the deconvolution runs on windows.  The deconvolution
-    runs on the whole grid, zero-padded to a power-of-two FFT shape: the
-    Tikhonov filter makes the source global, and a window would change the
-    majorant.  G*f_+ is read on the window only, so it is convolved back
-    on the window's reach (_convolve_back), which wraps at the low edge of
-    the FFT grid.  The outer cutoff, the defect repair and both seminorms
-    run on the window too, their terms vanishing off it.  spectra is a
-    cache of kernel spectra shared by calls with the same kernel and FFT
-    shape; cone_split passes one per split.
+    Everything runs on windows or on the lines through them.  The
+    deconvolution is the whole-grid one, zero-padded to a power-of-two FFT
+    shape (the Tikhonov filter makes the source global, and a cropped
+    filter would move the majorant), but its FFTs are pruned
+    (_deconvolve): they transform only the lines through the window and,
+    back, only the lines its reach reads, so f comes out on the reach with
+    the whole-grid values to the bit.  G*f_+ is convolved back on the
+    reach (_convolve_back).  The outer cutoff, the defect repair and the
+    seminorms run on the window too, their terms vanishing off it; one
+    difference pass per order gives the majorant's unweighted and weighted
+    seminorms.  spectra is a cache of kernel spectra shared by calls with
+    the same kernel and FFT shape; cone_split passes one per split.
     """
     if p <= 1.0:
         raise ConeError("the positive-kernel representation needs p > 1")
@@ -190,17 +228,10 @@ def local_majorant(domain: GridDomain, block: np.ndarray, window: tuple,
     key = (m, radius, fshape, tau)
     if key not in spectra:
         spectra[key] = _kernel_spectrum(ker1d, domain.dim, fshape, tau)
-    Kf, denom, cond = spectra[key]
+    Kf_conj, denom, cond = spectra[key]
 
-    U = np.zeros(fshape)
-    U[window] = block
-    # numpy's complex product is not bitwise commutative, and a temporary
-    # right factor is reused with the operands swapped: keep Uf named
-    Uf = np.fft.rfftn(U)
-    Ff = np.conj(Kf) * Uf / denom
-    axes = tuple(range(domain.dim))
-    f_src = np.fft.irfftn(Ff, s=fshape, axes=axes)
-    v = _convolve_back(f_src, ker1d, window)
+    f_reach = _deconvolve(block, window, fshape, Kf_conj, denom, len(ker1d))
+    v = _convolve_back(f_reach, ker1d)
     # short-range support: cut off at the 16/9 enlargement (the deconvolved
     # source is global through the Tikhonov filter)
     v = cutoff(domain, cube_center, cube_side * ALPHA_ENLARGE, window) * v
@@ -210,10 +241,11 @@ def local_majorant(domain: GridDomain, block: np.ndarray, window: tuple,
     defect_norm = float((defect**p).sum() * hN) ** (1.0 / p)
     v = v + defect
 
-    norm_u = sum(block_seminorms(domain, block, window, m, p, None))
-    norm_v = sum(block_seminorms(domain, v, window, m, p, None))
-    factor = norm_v / norm_u if norm_u > 0 else 1.0
-    return MajorantResult(v, factor, defect_norm, cond)
+    norm_u = sum(block_seminorms(domain, block, window, m, p, [None])[0])
+    plain, weighted = block_seminorms(domain, v, window, m, p,
+                                      [None, weight])
+    factor = sum(plain) / norm_u if norm_u > 0 else 1.0
+    return MajorantResult(v, factor, defect_norm, cond, weighted)
 
 
 @dataclass
@@ -311,10 +343,10 @@ def cone_split(u: DiscreteFunction, decomp: WhitneyDecomposition, m: int,
         block = np.zeros(np.subtract(b_hi, b_lo))
         block[tuple(map(slice, np.subtract(a_lo, b_lo),
                         np.subtract(a_hi, b_lo)))] = piece
-        res = local_majorant(dom, block, sl169, center, side, m, p, spectra)
+        res = local_majorant(dom, block, sl169, center, side, m, p, w_field,
+                             spectra)
         v[sl169] += res.values
-        num = sum(x ** p for x in block_seminorms(dom, res.values, sl169, m,
-                                                  p, w_field))
+        num = sum(x ** p for x in res.seminorms)
         local_low = float(low_field[sl43].sum())
         local_top = float(g_top[tuple(map(slice, a_lo, t_hi))].sum())
         denom = local_low + local_top

@@ -225,19 +225,23 @@ class CubeCapacities:
     records: list
 
 
+# cubes whose zero sets one gather of the class map builds
+CLASS_CHUNK_CUBES = 256
+
+
 def _constraint_classes(decomp: WhitneyDecomposition, grid_level: int,
                         cone: bool) -> tuple[list, np.ndarray]:
     """Congruence classes of the rescaled zero sets of all cubes.
 
     Cube i's zero set holds the unit-lattice cells whose centers map into
     complement cells (or beyond the box, under collar padding).  The rescale
-    maps are axis-aligned, so one gather builds every zero set.  The
-    distinct masks are then taken in order of first cube: a mask whose
-    bytes are not yet mapped opens a class, and the bytes of all its images
-    under the cube's symmetries (_cube_images) map to it, so every later
-    mask of the class is one dict lookup.  Returns
-    (reps, cls): reps[c] is the ConstraintSet of the first cube of class c
-    (classes numbered in order of first cube) and cls[i] the class of cube i.
+    maps are axis-aligned, so one gather builds the zero sets of a chunk of
+    CLASS_CHUNK_CUBES cubes.  The masks are then looked up in cube order: a
+    mask whose bytes are not yet mapped opens a class, and the bytes of all
+    its images under the cube's symmetries (_cube_images) map to it, so
+    every later mask of the class is one dict lookup.  Returns (reps, cls):
+    reps[c] is the ConstraintSet of the first cube of class c (classes
+    numbered in order of first cube) and cls[i] the class of cube i.
     """
     dom = decomp.domain
     n_cubes, n = decomp.n_cubes, 2**dom.level
@@ -245,32 +249,30 @@ def _constraint_classes(decomp: WhitneyDecomposition, grid_level: int,
     unit = (np.arange(m_cells) + 0.5) / m_cells
     idx = np.floor((unit * decomp.rq_side[:, None, None]
                     + decomp.rq_origin[:, :, None]) / dom.h).astype(np.int64)
-    axes = [idx[:, a].reshape((n_cubes,) + (1,) * a + (m_cells,)
-                              + (1,) * (dom.dim - 1 - a))
-            for a in range(dom.dim)]
-    # replicate padding continues the domain beyond the box, which the
-    # clipped index reads; under collar padding beyond the box is complement
-    K = ~dom.inside[tuple(np.clip(ix, 0, n - 1) for ix in axes)]
-    if dom.pad_mode == "collar":
-        for ix in axes:
-            K |= (ix < 0) | (ix >= n)
-    rows = K.reshape(n_cubes, -1)
-    _, first, inverse = np.unique(
-        rows.view(np.dtype((np.void, rows.shape[1]))).ravel(),
-        return_index=True, return_inverse=True)
     class_of: dict[bytes, int] = {}
-    mask_class = np.zeros(len(first), dtype=np.int64)
+    cls = np.empty(n_cubes, dtype=np.int64)
     reps = []
-    for u in np.argsort(first):
-        mask = K[first[u]]
-        c = class_of.get(mask.tobytes())
-        if c is None:
-            c = len(reps)
-            reps.append(ConstraintSet(mask.copy(), cone))
-            for img in _cube_images(mask):
-                class_of[img.tobytes()] = c
-        mask_class[u] = c
-    return reps, mask_class[inverse]
+    for c0 in range(0, n_cubes, CLASS_CHUNK_CUBES):
+        chunk = idx[c0:c0 + CLASS_CHUNK_CUBES]
+        axes = [chunk[:, a].reshape((len(chunk),) + (1,) * a + (m_cells,)
+                                    + (1,) * (dom.dim - 1 - a))
+                for a in range(dom.dim)]
+        # replicate padding continues the domain beyond the box, which the
+        # clipped index reads; under collar padding beyond the box is
+        # complement
+        K = ~dom.inside[tuple(np.clip(ix, 0, n - 1) for ix in axes)]
+        if dom.pad_mode == "collar":
+            for ix in axes:
+                K |= (ix < 0) | (ix >= n)
+        for i, mask in enumerate(K, c0):
+            c = class_of.get(mask.tobytes())
+            if c is None:
+                c = len(reps)
+                reps.append(ConstraintSet(mask.copy(), cone))
+                for img in _cube_images(mask):
+                    class_of[img.tobytes()] = c
+            cls[i] = c
+    return reps, cls
 
 
 def _cube_images(K: np.ndarray):

@@ -124,16 +124,18 @@ def gradient_magnitude(u: DiscreteFunction, order: int):
     return _magnitude(fields), widx
 
 
-def _order_seminorm(values: np.ndarray, order: int, p: float, h: float,
-                    start, n: int, weight: np.ndarray | None) -> float:
-    """(sum |grad^order v|^p * weight * dx)^(1/p) over the anchors of the
-    block `values` (placed as in _differences); weight is a whole-grid
-    field read at the anchors, None the unit weight."""
+def _order_seminorms(values: np.ndarray, order: int, p: float, h: float,
+                     start, n: int, weights) -> list[float]:
+    """Per weight, (sum |grad^order v|^p * weight * dx)^(1/p) over the
+    anchors of the block `values` (placed as in _differences), from one
+    difference pass; each weight is a whole-grid field read at the anchors,
+    None the unit weight."""
     fields, widx = _differences(values, order, h, start, n)
     terms = _magnitude(fields) ** p
-    if weight is not None:
-        terms = terms * _weight_on_anchors(weight, widx)
-    return float(terms.sum() * h**values.ndim) ** (1.0 / p)
+    hN = h**values.ndim
+    return [float((terms if w is None
+                   else terms * _weight_on_anchors(w, widx)).sum() * hN)
+            ** (1.0 / p) for w in weights]
 
 
 def gradient_seminorm(u: DiscreteFunction, order: int, p: float,
@@ -145,19 +147,21 @@ def gradient_seminorm(u: DiscreteFunction, order: int, p: float,
     if order < 0:
         raise ValueError("order must be >= 0")
     dom = u.domain
-    return _order_seminorm(u.values, order, p, dom.h, (0,) * dom.dim,
-                           dom.shape[0], distance_weight(dom, exponent, None))
+    return _order_seminorms(u.values, order, p, dom.h, (0,) * dom.dim,
+                            dom.shape[0],
+                            [distance_weight(dom, exponent, None)])[0]
 
 
 def block_seminorms(domain: GridDomain, block: np.ndarray, sl, m: int,
-                    p: float, weight: np.ndarray | None) -> list[float]:
-    """gradient_seminorm for orders 0..m of the function equal to block on
-    the box slice sl and zero elsewhere (masked to the domain like a
-    DiscreteFunction), evaluated on sl grown by m cells.
+                    p: float, weights) -> list[list[float]]:
+    """Per weight, gradient_seminorm for orders 0..m of the function equal
+    to block on the box slice sl and zero elsewhere (masked to the domain
+    like a DiscreteFunction), evaluated on sl grown by m cells.
 
-    weight is the whole-grid weight field (distance_weight on the cells);
-    None is the unit weight.  Every nonzero anchor term equals
-    gradient_seminorm's, so only the summation order differs.
+    Each weight is a whole-grid weight field (distance_weight on the cells)
+    or None, the unit weight; one difference pass per order serves them
+    all.  Every nonzero anchor term equals gradient_seminorm's, so only the
+    summation order differs.
     """
     n = domain.shape[0]
     grown = tuple(slice(max(s.start - m, 0), min(s.stop + m, n)) for s in sl)
@@ -166,8 +170,9 @@ def block_seminorms(domain: GridDomain, block: np.ndarray, sl, m: int,
                for s, g in zip(sl, grown))] = block
     vals = np.where(domain.inside[grown], vals, 0.0)
     start = tuple(g.start for g in grown)
-    return [_order_seminorm(vals, k, p, domain.h, start, n, weight)
-            for k in range(m + 1)]
+    per_order = [_order_seminorms(vals, k, p, domain.h, start, n, weights)
+                 for k in range(m + 1)]
+    return [list(norms) for norms in zip(*per_order)]
 
 
 def _pair_views(arr: np.ndarray, off):

@@ -48,7 +48,8 @@ def _majorant(dom, vals, side, p=2.0):
     outside[window] = False
     assert not vals[outside].any()
     block = vals[window]
-    return block, local_majorant(dom, block, window, center, side, 1, p, {})
+    return block, local_majorant(dom, block, window, center, side, 1, p,
+                                 None, {})
 
 
 def test_local_majorant_nonnegative_input(square6):
@@ -206,3 +207,27 @@ def test_cone_split_independent_of_call_order(monkeypatch):
         return out
 
     assert run(["square", "lshape"]) == run(["lshape", "square"])
+
+
+def test_split_transforms_whole_grid_once_per_spectrum(square6, monkeypatch):
+    """np.fft.rfftn runs once per kernel spectrum during a split, never once
+    per cube, and np.fft.irfftn never: each cube's deconvolution transforms
+    only the lines through its window and its reach."""
+    from hardylab import cone
+    calls = {"rfftn": 0, "irfftn": 0, "spectra": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.fft, "rfftn", counted("rfftn", np.fft.rfftn))
+    monkeypatch.setattr(np.fft, "irfftn", counted("irfftn", np.fft.irfftn))
+    monkeypatch.setattr(cone, "_kernel_spectrum",
+                        counted("spectra", cone._kernel_spectrum))
+    dom, dec = square6
+    split = cone_split(make_probe(dom, 0), dec, m=2, p=2.0, s=0.0)
+    assert 0 < calls["spectra"] < len(split.per_cube_log)
+    assert calls["rfftn"] == calls["spectra"]
+    assert calls["irfftn"] == 0

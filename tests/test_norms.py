@@ -5,7 +5,8 @@ import pytest
 
 from hardylab.grids import DomainSpec, rasterize
 from hardylab.norms import (DiscreteFunction, _differences, _magnitude,
-                            distance_weight, gradient_seminorm, multinomial)
+                            block_seminorms, distance_weight,
+                            gradient_seminorm, multinomial)
 from oracles import holder_quotient, interior_fields
 
 
@@ -161,3 +162,31 @@ def test_difference_fields_match_sparse_operators(kind, dim, level, order):
             g = g.reshape((np_,) * dim)[window]
             np.testing.assert_allclose(g, f, rtol=0,
                                        atol=1e-12 * np.abs(f).max())
+
+
+@pytest.mark.parametrize("kind,dim,level", [("lshape", 2, 5),
+                                            ("cube-minus-compact", 3, 4)])
+@pytest.mark.parametrize("p", [1.5, 2.0])
+def test_block_seminorms_weights_share_one_pass(kind, dim, level, p):
+    # the unit and a distance weight from one difference pass per order
+    # are, bit for bit, the seminorms of one call per weight, for a block
+    # inside the box and one touching its edges; both are gradient_seminorm
+    # of the zero extension up to summation order
+    dom = rasterize(DomainSpec(kind=kind, dim=dim, level=level))
+    n = dom.shape[0]
+    rng = np.random.default_rng(10 * dim + int(2 * p))
+    exponent = -0.5
+    weight = distance_weight(dom, exponent, None)
+    for sl in ((slice(3, n - 5),) * dim,
+               (slice(0, 6),) + (slice(n - 7, n),) * (dim - 1)):
+        block = rng.standard_normal(tuple(s.stop - s.start for s in sl))
+        vals = np.zeros(dom.shape)
+        vals[sl] = block
+        u = DiscreteFunction(dom, vals)
+        for m in (0, 1, 2):
+            both = block_seminorms(dom, block, sl, m, p, [None, weight])
+            assert both == [block_seminorms(dom, block, sl, m, p, [w])[0]
+                            for w in (None, weight)]
+            for got, e in zip(both, (0.0, exponent)):
+                want = [gradient_seminorm(u, k, p, e) for k in range(m + 1)]
+                assert got == pytest.approx(want, rel=1e-13)
