@@ -50,7 +50,8 @@ WHITNEY_LEVELS = (6, 7, 8, 9)
 SUMMATION_PROBES = 100
 CASE_E_PROBES = 50
 # unit-cube lattice levels of criterion 4: the oracle sets have 64-240 free
-# cells at level 4 (dense eigh) and 576-1008 at level 5 (shift-invert)
+# cells at level 4 and 576-1008 at level 5, all solved by the block
+# eigensolver
 CAPACITY_GRID_LEVELS = (4, 5)
 # raster level of criterion 5
 ANCHOR_LEVEL = 12

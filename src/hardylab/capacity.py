@@ -19,35 +19,41 @@ the denominator's lowest order with a positive numerator), and chooses
 between the eigensolve and the ascent.
 
 For p = p1 = 2 without cone constraints the best constant is the smallest
-generalized eigenvalue of the constrained quadratic forms, solved on a
-ladder (`_pencil_best_constants`; timings on a 2-core x86 VM, one BLAS
+generalized eigenvalue of the constrained quadratic forms, solved by two
+rules (`_pencil_best_constants`; timings on a 2-core x86 VM, one BLAS
 thread, best of 5):
 
-- up to 400 free entries, dense `eigh`: exact, and faster than any
-  factorisation at that size;
-- above, for every first-order capacity lattice and 3-D direct estimate, one
-  block LOBPCG (`_block_eigen`, after Knyazev 2001): one column per
-  problem, preconditioned by a V-cycle over dyadic 2^N aggregation of the
-  lattice (`_VCycle`; aggregation multigrid after Vanek, Mandel and
-  Brezina 1996, with an unsmoothed piecewise-constant prolongation).
-  `gamma_capacities` solves all such classes of a capacity field in one
-  block: the 29 classes of the 3-D cube-minus-compact L5 field (1005-4055
-  free cells each) take 0.42 s against 1.16 s for one SuperLU factor and
-  one ARPACK run per class, and the 32 488-entry L5 direct estimate
-  0.15 s against 0.46 s for Jacobi-preconditioned LOBPCG.  Each column's
-  bits are those of its own one-column solve, and none depends on the
-  BLAS thread count: the sums over long vectors are numpy's pairwise
-  sums, the products scipy's sparse kernels;
-- symmetric-mode shift-invert Lanczos (ARPACK on one SuperLU factor,
-  minimum-degree ordering of S + S^T, diagonal pivots) for the 1-D and
-  2-D direct estimates, for `poincare_constant`, and for a problem the
-  block leaves unconverged after EIG_MAX_ITERS iterations (then dense up
-  to DENSE_EIGH_LIMIT entries, CapacityError above).  In 2-D the factor
-  is cheap and the V-cycle loses (square L6 direct estimate at s = -1:
-  0.100 s against 0.056 s).  Forms of order 2 and above take this route
-  directly: the V-cycle does not precondition them, and a 3-D order-2
-  class at grid level 4 ran all EIG_MAX_ITERS block iterations before it
-  (0.55-0.65 s per class against 0.18-0.38 s by shift-invert alone).
+- every first-order capacity lattice, whatever its size, and every 3-D
+  direct estimate run one block LOBPCG (`_block_eigen`, after Knyazev
+  2001): one column per problem, preconditioned by a V-cycle over dyadic
+  2^N aggregation of the lattice (`_VCycle`; aggregation multigrid after
+  Vanek, Mandel and Brezina 1996, with an unsmoothed piecewise-constant
+  prolongation).  `gamma_capacities` solves all such classes of a
+  capacity field in one block: the 29 classes of the 3-D
+  cube-minus-compact L5 field (1005-4055 free cells each) take 0.42 s
+  against 1.16 s for one SuperLU factor and one ARPACK run per class, and
+  the 32 488-entry L5 direct estimate 0.15 s against 0.46 s for
+  Jacobi-preconditioned LOBPCG.  On 2-D grid-4 lattices the block is
+  no faster than dense `eigh` was: the 26 lshape L6 classes take 38 ms
+  either way, the 12 square L6 classes 19 ms against 11 ms, and one class
+  alone (a theta start) about 4.6 ms against 1.1 ms.  Each column's bits
+  are those of its own one-column solve, and none depends on the BLAS
+  thread count: the sums over long vectors are numpy's pairwise sums,
+  the products scipy's sparse kernels;
+- everything else runs symmetric-mode shift-invert Lanczos (ARPACK on
+  one SuperLU factor, minimum-degree ordering of S + S^T, diagonal
+  pivots): the 1-D and 2-D direct estimates, `poincare_constant`, every
+  form of order 2 and above, and a problem the block leaves unconverged
+  after EIG_MAX_ITERS iterations.  In 2-D the factor is cheap and the
+  V-cycle loses (square L6 direct estimate at s = -1: 0.100 s against
+  0.056 s).  The V-cycle does not precondition forms of order 2: a 3-D
+  order-2 class at grid level 4 ran all EIG_MAX_ITERS block iterations
+  before it (0.55-0.65 s per class against 0.18-0.38 s by shift-invert
+  alone).
+
+Dense `eigh` runs only where ARPACK cannot (a lattice with no more
+entries than the eigenpairs sought) and after a failed ARPACK run, up to
+DENSE_EIGH_LIMIT entries (CapacityError above).
 
 Every other case maximises one objective, the ratio core `_ratio`:
 (num - a0 low) / sum of den over terms (ops, q, w), each a weighted
@@ -389,9 +395,6 @@ def _unbounded_witness(constraints: ConstraintSet, m_cells: int, dim: int,
 # -- solvers -------------------------------------------------------------------
 
 
-# Largest free subspace solved densely from the start; above it the block
-# eigensolver is cheaper.
-DENSE_EIGH_CUTOFF = 400
 # Largest free subspace the failed sparse eigensolve may redo densely: two
 # dense n x n matrices, 64 MiB at n = 2048.
 DENSE_EIGH_LIMIT = 2048
@@ -414,31 +417,28 @@ def _eigen_best_constant(S: sp.csr_matrix, free: np.ndarray,
     w the cell volume or a per-entry array (as in the ratio core), via the
     smallest generalized eigenvalue of (S, W).
 
-    Up to DENSE_EIGH_CUTOFF free entries the pencil is solved densely.
-    Above, ARPACK runs shift-invert Lanczos at sigma = 0 on one SuperLU
-    factor of the free block: S is SPD there, so the factor uses symmetric
-    mode (minimum-degree ordering of S + S^T, diagonal pivots), which fills
-    far less than the default column ordering on 3-D lattices.  A singular
-    factor or an unconverged Lanczos run is redone densely up to
-    DENSE_EIGH_LIMIT entries and raises CapacityError above.
+    ARPACK runs shift-invert Lanczos at sigma = 0 on one SuperLU factor of
+    the free block: S is SPD there, so the factor uses symmetric mode
+    (minimum-degree ordering of S + S^T, diagonal pivots), which fills far
+    less than the default column ordering on 3-D lattices.  A single free
+    entry, where ARPACK cannot run, is solved densely; so are a singular
+    factor and an unconverged Lanczos run up to DENSE_EIGH_LIMIT entries,
+    which raise CapacityError above.
 
-    Returns (best, residual, maximiser on the free entries)."""
+    Returns (best, residual |S v - lam W v| / |W v|, maximiser v on the
+    free entries)."""
     idx = np.nonzero(free)[0]
     n = len(idx)
     # an all-free solve (the direct estimate) factors S without a copy
     Sf = (S if n == len(free) else S[idx][:, idx]).tocsc()
     Mf = sp.diags(np.broadcast_to(w, free.shape)[idx]).tocsc()
-    if n > DENSE_EIGH_CUTOFF:
+    vec = None
+    if n > 1:
         try:
             OPinv = _symmetric_inverse(Sf)
             v0 = np.ones(n) / math.sqrt(n)  # deterministic Lanczos start
             lam, vec = spla.eigsh(Sf, k=1, M=Mf, sigma=0.0, which="LM",
                                   v0=v0, OPinv=OPinv)
-            lam = float(lam[0])
-            v = vec[:, 0]
-            res = float(np.linalg.norm(Sf @ v - lam * (Mf @ v)) /
-                        max(np.linalg.norm(Mf @ v), 1e-300))
-            return math.sqrt(1.0 / max(lam, 1e-300)), res, v
         except RuntimeError as exc:
             # ARPACK did not converge, or SuperLU found the matrix singular;
             # anything else is a fault and propagates.
@@ -447,10 +447,14 @@ def _eigen_best_constant(S: sp.csr_matrix, free: np.ndarray,
                 raise
             if n > DENSE_EIGH_LIMIT:
                 raise CapacityError(f"eigensolve failed: {exc}") from exc
-    lam, vec = scipy.linalg.eigh(Sf.toarray(), Mf.toarray(),
-                                 subset_by_index=[0, 0])
-    # dense re-solve residual is below fp noise; report 0
-    return math.sqrt(1.0 / max(lam[0], 1e-300)), 0.0, vec[:, 0]
+    if vec is None:
+        lam, vec = scipy.linalg.eigh(Sf.toarray(), Mf.toarray(),
+                                     subset_by_index=[0, 0])
+    lam = float(lam[0])
+    v = vec[:, 0]
+    res = float(np.linalg.norm(Sf @ v - lam * (Mf @ v)) /
+                max(np.linalg.norm(Mf @ v), 1e-300))
+    return math.sqrt(1.0 / max(lam, 1e-300)), res, v
 
 
 # Block eigensolver: a problem is frozen once its scaled residual
@@ -510,22 +514,22 @@ class _VCycle:
     `free` (problems, entries), over dyadic 2^N aggregation of the lattice
     cells at `coords`.
 
-    The aggregates are shared: the cells are halved per axis until the
-    lattice spans at most AGG_COARSEST_SIDE cells, and each problem reads
-    a level on all of its aggregates.  The fine level applies the one A
-    to the masked block.  The coarse operators are per problem, its
-    Galerkin P^T A_ff P over the aggregates that hold a free entry (an
-    identity row on the rest), built one problem at a time and stacked
-    block-diagonally, so a product reads only its own problem's entries;
-    the coarsest is inverted densely per problem.  Each level smooths
-    with AGG_SWEEPS damped Jacobi sweeps (AGG_DAMPING) before and after
-    its coarse correction, which is scaled by AGG_SCALE."""
+    The aggregates are shared: the cells are halved per axis at least once
+    and until the lattice spans at most AGG_COARSEST_SIDE cells, and each
+    problem reads a level on all of its aggregates.  The fine level
+    applies the one A to the masked block.  The coarse operators are per
+    problem, its Galerkin P^T A_ff P over the aggregates that hold a free
+    entry (an identity row on the rest), built one problem at a time and
+    stacked block-diagonally, so a product reads only its own problem's
+    entries; the coarsest is inverted densely per problem.  Each level
+    smooths with AGG_SWEEPS damped Jacobi sweeps (AGG_DAMPING) before and
+    after its coarse correction, which is scaled by AGG_SCALE."""
 
     def __init__(self, A: sp.csr_matrix, free: np.ndarray, coords: np.ndarray):
         k = len(free)
         parents = []
         sub = coords
-        while np.ptp(sub, axis=0).max() + 1 > AGG_COARSEST_SIDE:
+        while not parents or np.ptp(sub, axis=0).max() + 1 > AGG_COARSEST_SIDE:
             half = sub // 2
             half -= half.min(axis=0)
             shape = tuple(half.max(axis=0) + 1)
@@ -721,22 +725,18 @@ def _block_eigen(A: sp.csr_matrix, w, free: np.ndarray, coords: np.ndarray):
 def _pencil_best_constants(A: sp.csr_matrix, w, free: np.ndarray,
                            coords: np.ndarray, order: int):
     """max sqrt(u^T W u / u^T A u) over each free subspace, one per row of
-    `free` (problems, entries), W = diag(w), on the solver ladder: dense
-    `eigh` up to DENSE_EIGH_CUTOFF free entries (_eigen_best_constant),
-    one _block_eigen block for all problems above, and _eigen_best_constant
-    (shift-invert, then dense up to DENSE_EIGH_LIMIT) for a problem the
-    block leaves unconverged.  order is the highest difference order of
-    the form A.  Only first-order forms go to the block: the aggregation
-    V-cycle does not precondition an order-2 form, which runs all
-    EIG_MAX_ITERS iterations unconverged, so every problem above the
-    cutoff goes straight to shift-invert.
+    `free` (problems, entries), W = diag(w), by two rules.  order is the
+    highest difference order of the form A.  A first-order form sends
+    every problem, whatever its size, to one _block_eigen block, and a
+    problem the block leaves unconverged to _eigen_best_constant.  Every
+    problem of a form of order 2 and above goes straight to
+    _eigen_best_constant (shift-invert, then dense up to DENSE_EIGH_LIMIT):
+    the aggregation V-cycle does not precondition such a form, which runs
+    all EIG_MAX_ITERS iterations unconverged.
 
     Returns [(best, residual, maximiser on the free entries)] per row."""
-    big = np.flatnonzero(free.sum(axis=1) > DENSE_EIGH_CUTOFF)
-    out = [None] * len(free)
-    if len(big) and order == 1:
-        for i, solved in zip(big, _block_eigen(A, w, free[big], coords)):
-            out[i] = solved
+    out = (_block_eigen(A, w, free, coords) if order == 1
+           else [None] * len(free))
     return [solved if solved is not None
             else _eigen_best_constant(A, row, w)
             for row, solved in zip(free, out)]
@@ -1012,10 +1012,10 @@ def gamma_capacities(constraint_sets, m: int, k: int, p: float, p1: float,
                      grid_level: int, dim: int,
                      seed: int) -> list[CapacityResult]:
     """gamma_capacity of each constraint set, with every class that is an
-    eigensolve above DENSE_EIGH_CUTOFF free cells (all-quadratic, cone
-    free, bounded) solved in one _pencil_best_constants call; each of the
-    others is one gamma_capacity call.  A class's result does not depend
-    on the other classes: it has the bits of its own gamma_capacity."""
+    eigensolve (all-quadratic, cone free, bounded, not saturated) solved in
+    one _pencil_best_constants call; each of the others is one
+    gamma_capacity call.  A class's result does not depend on the other
+    classes: it has the bits of its own gamma_capacity."""
     validate_exponents(dim, m, k, p, p1)
     check_grid_level(grid_level, m)
     m_cells = 2**grid_level
@@ -1023,7 +1023,7 @@ def gamma_capacities(constraint_sets, m: int, k: int, p: float, p1: float,
     den = _gamma_den(m, k, p, p1)
     block = [i for i, cs in enumerate(constraint_sets)
              if _quadratic(num, den, cs.cone)
-             and (~cs.zero_mask((m_cells,) * dim)).sum() > DENSE_EIGH_CUTOFF
+             and not cs.zero_mask((m_cells,) * dim).all()
              and _unbounded_note(cs, m_cells, dim, num, den, 0.0) is None]
     solved = {}
     if block:
@@ -1134,18 +1134,17 @@ def poincare_constant(dim: int, order: int, p: float, p1: float,
     onto polynomials of degree < order.  Used for the default theta A0.
 
     At p = p1 = 2 it is eigenvalue d (from 0) of the pencil (S, hN I), S
-    vanishing on the d polynomials below the order: dense up to
-    DENSE_EIGH_CUTOFF cells, above by shift-invert Lanczos at sigma = -1
-    on the symmetric-mode factor of the SPD S + hN I (3-D grid level 4,
-    4096 cells: 0.13-0.6 s and little memory against 15 s and 608 MiB
-    dense, 2-core x86 VM).  The dense route is kept for the bits of the
-    1-D and 2-D values, not for speed: at 2-D grid 4 the two routes take
-    about 7 ms each and agree to 1.5e-11.  The 3-D order-3 value at grid
-    level 4 is resolved only to about 3e-10 relative: the dense pencil,
-    the shift-invert route and the pencil restricted to the orthogonal
-    complement of the polynomials give 0.011104987943039851,
-    0.01110498794236078 and 0.011104987945348664; at grid level 3 they
-    agree within 5e-12.  The Lanczos start is seeded:
+    vanishing on the d polynomials below the order, by shift-invert
+    Lanczos at sigma = -1 on the symmetric-mode factor of the SPD S + hN I
+    (3-D grid level 4, 4096 cells: 0.13-0.6 s and little memory against
+    15 s and 608 MiB dense, 2-core x86 VM; at 2-D grid 4 both take about
+    7 ms and agree to 1.5e-11).  A lattice of at most d + 1 cells, where
+    ARPACK cannot find d + 1 eigenpairs, is solved densely.  The 3-D
+    order-3 value at grid level 4 is resolved only to about 3e-10
+    relative: the dense pencil, the shift-invert route and the pencil
+    restricted to the orthogonal complement of the polynomials give
+    0.011104987943039851, 0.01110498794236078 and 0.011104987945348664; at
+    grid level 3 they agree within 5e-12.  The Lanczos start is seeded:
     the constant vector lies in the null space of S and would start it in
     an invariant subspace; a null eigenvalue it misses raises
     CapacityError.  Otherwise the ratio-core ascent (seed 0) maximises
@@ -1157,7 +1156,7 @@ def poincare_constant(dim: int, order: int, p: float, p1: float,
     n, d = B.shape
     if abs(p - 2) < 1e-12 and abs(p1 - 2) < 1e-12:
         S = quadratic_form(m_cells, dim, order)
-        if n <= DENSE_EIGH_CUTOFF:
+        if n <= d + 1:
             lam = scipy.linalg.eigh(S.toarray(), hN * np.eye(n),
                                     subset_by_index=[d, d],
                                     eigvals_only=True)[0]

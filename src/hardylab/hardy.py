@@ -35,7 +35,6 @@ from .capacity import (
     _ratio_descent,
     _with_transposes,
     gamma_capacities,
-    gamma_capacity,
     gradient_form_ops,
     holder_ratio_best_constant,
     norm_equivalence_constant,
@@ -301,10 +300,9 @@ def per_cube_capacity_field(decomp: WhitneyDecomposition, params: HardyParams,
     the common case).  Theta best constants are clamped below at a small
     fraction of A0, which keeps the capacity weights finite and only
     weakens the per-cube inequality.  Classes are solved in order of their
-    first cube, the gamma classes that are eigensolves above the dense
-    cutoff together in one block (capacity.gamma_capacities), then the
-    chain constants; records is per cube, and congruent cubes share their
-    class's record.
+    first cube, the gamma classes that are eigensolves together in one
+    block (capacity.gamma_capacities), then the chain constants; records
+    is per cube, and congruent cubes share their class's record.
     """
     check_grid_level(grid_level, params.m)
     dom = decomp.domain
@@ -661,8 +659,8 @@ def direct_best_constant(domain: GridDomain, params: HardyParams,
 
     For p = 2 without the cone it is a generalized eigensolve with the
     weighted cell masses on the diagonal.  In 1-D and 2-D that is
-    capacity._eigen_best_constant (dense up to 400 DOFs, symmetric-mode
-    shift-invert above).  In 3-D the shift-invert factor fills badly, so
+    capacity._eigen_best_constant, symmetric-mode shift-invert at every
+    size.  In 3-D the shift-invert factor fills badly, so
     for m = 1 capacity._pencil_best_constants runs the block eigensolver
     with one column, LOBPCG preconditioned by a V-cycle over dyadic
     aggregation of the inside cells, and returns the Rayleigh quotient of
@@ -790,12 +788,13 @@ def _capacity_floor(decomp: WhitneyDecomposition, m: int, p: float,
                     cone: bool, grid_level: int, seed: int) -> float:
     """Uniform capacity floor b: the smallest gamma capacity at (m, m-1, p)
     over the cubes whose rescaled complement class is not saturated, 0 when
-    every class is saturated.  One solve per congruence class, as in
-    per_cube_capacity_field, and no chain constants."""
+    every class is saturated.  One gamma_capacities call over the
+    congruence classes, as in per_cube_capacity_field, and no chain
+    constants."""
     check_grid_level(grid_level, m)
     reps, cls = _constraint_classes(decomp, grid_level, cone)
-    results = [gamma_capacity(cs, m, m - 1, p, p, grid_level,
-                              decomp.domain.dim, seed) for cs in reps]
+    results = gamma_capacities(reps, m, m - 1, p, p, grid_level,
+                               decomp.domain.dim, seed)
     lam = np.asarray([r.capacity for r in results], dtype=float)[cls]
     usable = ~np.array([r.note == "saturated" for r in results])[cls]
     return float(lam[usable].min()) if usable.any() else 0.0

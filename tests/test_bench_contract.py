@@ -54,6 +54,9 @@ def _commands(tmp_path):
                  "--h-order", "0", "--lam", "0.25"],
         ["bound", "--domain", interval, "--m", "2", "--k", "0", "--p", "2",
          "--s", "-1", "--grid-level", "3"],
+        # a field's eigen classes are solved inside gamma_capacities, which
+        # the tracer does not wrap: one eigen solve through gamma_capacity
+        ["capacity", "--m", "1", "--k", "0", "--p", "2", "--grid-level", "3"],
         ["cone-split", "--domain", lshape, "--m", "1", "--p", "2",
          "--u", str(probe)],
     ]

@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -470,7 +471,7 @@ def test_eigensolve_fallback_is_narrow(monkeypatch):
 def test_eigensolve_singular_factor_falls_back_to_dense(monkeypatch):
     from hardylab import capacity
 
-    n = 500  # above the direct dense size, below the fallback limit
+    n = 500  # below the fallback limit
     S = sp.identity(n, format="csr") * 4.0
 
     def singular(*args, **kwargs):
@@ -480,6 +481,36 @@ def test_eigensolve_singular_factor_falls_back_to_dense(monkeypatch):
     best, res, vec = capacity._eigen_best_constant(
         S, np.ones(n, dtype=bool), 1.0)
     assert best == pytest.approx(0.5) and res == 0.0 and vec.shape == (n,)
+
+
+def test_dense_fallback_reports_its_residual(monkeypatch):
+    # the dense re-solve of a failed Lanczos run reports its vector's
+    # residual |S v - lam W v| / |W v|, not a flat 0: on the interval L8,
+    # m = 2, s = -1 direct pencil dense eigh leaves one near 4e-8
+    from hardylab import capacity, hardy
+    from hardylab.hardy import HardyParams, direct_best_constant
+
+    pencils = []
+
+    def spy(A, free, w):
+        pencils.append((A, free, w))
+        return capacity._eigen_best_constant(A, free, w)
+
+    monkeypatch.setattr(hardy, "_eigen_best_constant", spy)
+    direct_best_constant(rasterize(DomainSpec(kind="interval", dim=1,
+                                              level=8)),
+                         HardyParams(m=2, k=1, p=2.0, q=2.0, s=-1.0))
+    (S, free, w), = pencils
+
+    def no_convergence(*args, **kwargs):
+        raise spla.ArpackNoConvergence("forced", np.zeros(0), np.zeros((0, 0)))
+
+    monkeypatch.setattr(capacity.spla, "eigsh", no_convergence)
+    best, res, v = capacity._eigen_best_constant(S, free, w)
+    lam = best ** -2
+    assert res == pytest.approx(np.linalg.norm(S @ v - lam * (w * v))
+                                / np.linalg.norm(w * v), rel=1e-6)
+    assert res > 1e-10
 
 
 def test_singular_factor_raises_before_eigsh_and_falls_back(monkeypatch):
@@ -501,8 +532,9 @@ def test_singular_factor_raises_before_eigsh_and_falls_back(monkeypatch):
 
 
 def test_symmetric_mode_shift_invert_matches_dense_3d(monkeypatch):
-    # a 3-D grid-level-4 mask with 400 < free cells <= 2048 takes the
-    # symmetric-mode shift-invert path and agrees with dense eigh
+    # a 3-D grid-level-4 mask with at most DENSE_EIGH_LIMIT free cells (so
+    # the dense oracle stays small) takes the symmetric-mode shift-invert
+    # path and agrees with dense eigh
     from hardylab import capacity
 
     calls = []
@@ -518,7 +550,7 @@ def test_symmetric_mode_shift_invert_matches_dense_3d(monkeypatch):
     free[6:9, 6:9, 6:9] = False
     free = free.reshape(-1)
     n = int(free.sum())
-    assert capacity.DENSE_EIGH_CUTOFF < n <= capacity.DENSE_EIGH_LIMIT
+    assert n <= capacity.DENSE_EIGH_LIMIT
     hN = 16.0 ** -3
     S = quadratic_form(16, 3, 1)
     best, res, vec = capacity._eigen_best_constant(S, free, hN)
@@ -586,7 +618,7 @@ def test_a0_violation_verdict_with_reduced_svd(monkeypatch, name):
 @pytest.fixture(scope="module")
 def cube4_classes():
     """The constraint classes of the 3-D cube-minus-compact L4 field at
-    capacity grid level 4 (every one above the dense cutoff)."""
+    capacity grid level 4."""
     from hardylab.hardy import _constraint_classes
     from hardylab.whitney import decompose
 
@@ -611,14 +643,48 @@ def _block_solves(sets, grid_level, dim):
 def test_block_classes_are_batch_independent(cube4_classes):
     # every class solved in the field's one block has the bits of its own
     # one-column gamma_capacity
-    from hardylab.capacity import DENSE_EIGH_CUTOFF, gamma_capacities
+    from hardylab.capacity import gamma_capacities
 
-    assert min((~cs.K).sum() for cs in cube4_classes) > DENSE_EIGH_CUTOFF
     batched = gamma_capacities(cube4_classes, 1, 0, 2.0, 2.0, 4, 3, 1)
     for cs, rep in zip(cube4_classes, batched):
         one = gamma_capacity(cs, 1, 0, 2.0, 2.0, 4, 3, 1)
         assert rep.to_record() == one.to_record()
         assert rep.solver == "eigen-exact" and rep.residual < 1e-6
+
+
+@pytest.mark.parametrize("dim, grid_level", [(1, 1), (1, 2), (2, 2)])
+def test_block_eigen_on_the_smallest_lattices(dim, grid_level, monkeypatch):
+    # a lattice of at most AGG_COARSEST_SIDE cells per axis still gets one
+    # coarse level in the V-cycle, and every first-order class solved by
+    # the block matches the dense oracle
+    from hardylab import capacity
+
+    m_cells = 2**grid_level
+    assert m_cells <= capacity.AGG_COARSEST_SIDE
+    n = m_cells**dim
+    S = quadratic_form(m_cells, dim, 1).toarray()
+    hN = (1.0 / m_cells) ** dim
+    runs = []
+    block = capacity._block_eigen
+
+    def spy(A, w, free, coords):
+        runs.append(len(free))
+        return block(A, w, free, coords)
+
+    monkeypatch.setattr(capacity, "_block_eigen", spy)
+    # every mask of a 1-D lattice, eight seeded ones of the 2-D one
+    masks = (np.array(list(product((False, True), repeat=n))) if n <= 4
+             else np.random.default_rng(0).random((8, n)) < 0.4)
+    masks = [K.reshape((m_cells,) * dim) for K in masks
+             if K.any() and not K.all()]
+    assert len(masks) == (2**n - 2 if n <= 4 else 8)
+    for K in masks:
+        r = gamma_capacity(ConstraintSet(K, False), 1, 0, 2.0, 2.0,
+                           grid_level, dim)
+        assert r.solver == "eigen-exact"
+        assert r.best_constant == pytest.approx(
+            dense_best_constant(S, ~K.reshape(-1), hN), rel=1e-12)
+    assert runs == [1] * len(masks)
 
 
 def test_block_eigen_matches_shift_invert(cube4_classes):
@@ -647,15 +713,23 @@ def _brackets(S, w, free, solved):
 def test_block_eigen_values_lie_in_collatz_wielandt_brackets(cube4_classes,
                                                               monkeypatch):
     # m = 1, p = 2: v = |solver vector| brackets the best constant within
-    # 1e-9 relative, for the 3-D L4 classes, the 3-D L4 direct estimate and
-    # criterion 4's 2-D level-5 sets
+    # 1e-9 relative, for the 3-D L4 classes, the 3-D L4 direct estimate,
+    # criterion 4's 2-D level-5 sets and the grid-4 classes of the lshape
+    # and square L6 fields
     from hardylab import capacity, hardy
     from hardylab.acceptance import _oracle_constraint_sets
-    from hardylab.hardy import HardyParams, direct_best_constant
+    from hardylab.hardy import (HardyParams, _constraint_classes,
+                                direct_best_constant)
+    from hardylab.whitney import decompose
 
     cases = _brackets(*_block_solves(cube4_classes, 4, 3))
     sets = [cs for _, cs in _oracle_constraint_sets(32)]
     cases += _brackets(*_block_solves(sets, 5, 2))
+    fields = []
+    for kind in ("lshape", "square"):
+        dom = rasterize(DomainSpec(kind=kind, dim=2, level=6))
+        fields += _constraint_classes(decompose(dom), 4, False)[0]
+    cases += _brackets(*_block_solves(fields, 4, 2))
 
     captured = []
 
@@ -674,7 +748,9 @@ def test_block_eigen_values_lie_in_collatz_wielandt_brackets(cube4_classes,
     # one positive vector certifies a connected free set only: criterion
     # 4's "stripes" set falls into 8 strips and is skipped, the only one
     skipped = [best for best, bracket in cases if bracket is None]
-    assert len(cases) == len(cube4_classes) + 10 + 1 and len(skipped) == 1
+    assert len(fields) == 26 + 12
+    assert len(cases) == len(cube4_classes) + 10 + len(fields) + 1
+    assert len(skipped) == 1
     for best, (lo, hi) in (case for case in cases if case[1] is not None):
         assert lo * (1 - 1e-14) <= best <= hi * (1 + 1e-14)
         assert (hi - lo) / best <= 1e-9
@@ -719,17 +795,16 @@ def test_block_eigen_falls_back_to_shift_invert(monkeypatch):
 
 def test_order_two_forms_skip_the_block(monkeypatch):
     # the V-cycle does not precondition an order-2 form: a 3-D m = 2 class
-    # above the dense cutoff goes straight to shift-invert, alone or in a
-    # field's batch, with the value the block's fallback gave
+    # goes straight to shift-invert, alone or in a field's batch, with the
+    # value the block's fallback gave
     from hardylab import capacity
-    from hardylab.capacity import DENSE_EIGH_CUTOFF, gamma_capacities
+    from hardylab.capacity import gamma_capacities
 
     def no_block(*args):
         raise AssertionError("order-2 form sent to the block")
 
     monkeypatch.setattr(capacity, "_block_eigen", no_block)
     slab = slab_set(16, 4, dim=3)
-    assert (~slab.K).sum() > DENSE_EIGH_CUTOFF
     one = gamma_capacity(slab, 2, 1, 2.0, 2.0, 4, 3, 0)
     assert one.best_constant == 0.18716875786053788
     assert one.solver == "eigen-exact"

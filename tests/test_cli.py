@@ -418,6 +418,17 @@ def test_bound_3d_bytes_do_not_depend_on_blas_threads(tmp_path):
     assert (out / "bound-report.json").exists()
 
 
+def test_bound_2d_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # the lshape L6 capacity classes (block eigensolver) and the 2-D direct
+    # estimate (shift-invert) read the same bytes at one and two BLAS
+    # threads
+    out = _same_bytes_at_blas_threads(tmp_path, [
+        "bound", "--domain", '{"kind": "lshape", "dim": 2, "level": 6}',
+        "--case", "A", "--m", "1", "--p", "2", "--s", "-1",
+        "--with-direct", "--seed", "1"])
+    assert (out / "bound-percube.csv").exists()
+
+
 def test_cone_split_bytes_do_not_depend_on_blas_threads(tmp_path):
     # the split's FFTs, windowed convolutions and seminorms read the same
     # bytes at one and two BLAS threads

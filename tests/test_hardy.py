@@ -212,6 +212,22 @@ def test_direct_maximizer_concentrates_at_boundary(interval8):
     assert num / den < est  # interior bumps are far from optimal
 
 
+# The interval L8, m = 2, p = 2, s = -1 lattice supremum: the pencil as
+# direct_best_constant assembles it (double-precision entries), solved in
+# 40-digit mpmath by shift-and-invert iteration with a banded LDL^T factor
+# of A - sigma W, sigma 1e-9 relative below the shift-invert eigenvalue (all
+# pivots positive, so sigma lies below the smallest eigenvalue); the value
+# was stable to all printed digits from the second iteration on.
+INTERVAL8_M2_DIRECT = 1.92981712503022641
+
+
+def test_direct_interval_m2_matches_extended_precision():
+    dom = rasterize(DomainSpec(kind="interval", dim=1, level=8))
+    est = direct_best_constant(dom, HardyParams(m=2, k=1, p=2.0, q=2.0,
+                                                s=-1.0))
+    assert est == pytest.approx(INTERVAL8_M2_DIRECT, rel=1e-12)
+
+
 def test_direct_requires_integral_form_and_qp():
     dom = rasterize(DomainSpec(kind="interval", dim=1, level=6))
     with pytest.raises(HardyError):
@@ -425,7 +441,6 @@ def test_direct_block_3d_matches_shift_invert(monkeypatch):
     from hardylab import capacity
 
     dom = rasterize(CUBE4)
-    assert int(dom.inside.sum()) > capacity.DENSE_EIGH_CUTOFF
     shift_invert = _shift_invert_direct(monkeypatch, dom)
     runs = []
     block = capacity._block_eigen
