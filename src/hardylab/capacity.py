@@ -144,30 +144,46 @@ class CapacityResult:
 
 @lru_cache(maxsize=None)
 def _diff_chain(m_cells: int, order: int) -> sp.csr_matrix:
-    """order-fold 1-D forward difference matrix, (m-order) x m, unit spacing."""
+    """order-fold 1-D forward difference matrix of an m_cells lattice, unit
+    spacing, one row per anchor: the last `order` rows, whose stencil
+    leaves the lattice, are zero (m_cells x m_cells)."""
     T = sp.identity(m_cells, format="csr")
     for j in range(order):
         k = m_cells - j
         D = sp.diags([-np.ones(k - 1), np.ones(k - 1)], [0, 1],
                      shape=(k - 1, k), format="csr")
         T = D @ T
+    if order > 0:
+        T = sp.vstack([T, sp.csr_matrix((order, m_cells))], format="csr")
     return T.tocsr()
 
 
-@lru_cache(maxsize=None)
-def _alpha_operator(m_cells: int, alpha: tuple[int, ...], h: float) -> sp.csr_matrix:
+def difference_operator(m_cells: int, alpha: tuple[int, ...], h: float,
+                        cells: slice) -> sp.csr_matrix:
     """D^alpha on an m_cells^N lattice of spacing h, with anchors embedded in
     the full lattice (zero rows where the stencil leaves it), so every
-    difference is counted exactly once and the order-j forms have exactly the
-    degree-(j-1) polynomials as kernel."""
+    difference is counted exactly once and the order-j forms have exactly
+    the degree-(j-1) polynomials as kernel.
+
+    Only the columns of the cells in the slice `cells` of every axis are
+    kept (C order): the Kronecker product of the sliced 1-D chains, the
+    same entries as those columns of the full operator without building
+    it.  Not cached."""
     op = None
     for a in alpha:
-        T = _diff_chain(m_cells, a)
-        if a > 0:
-            pad = sp.csr_matrix((a, m_cells))
-            T = sp.vstack([T, pad], format="csr")
+        T = _diff_chain(m_cells, a)[:, cells]
         op = T if op is None else sp.kron(op, T, format="csr")
     return (op / h ** sum(alpha)).tocsr()
+
+
+@lru_cache(maxsize=None)
+def _alpha_operator(m_cells: int, alpha: tuple[int, ...]) -> sp.csr_matrix:
+    """difference_operator on the whole m_cells^N lattice of the unit cube,
+    cached for every lattice that gradient_form_ops is asked for: the
+    capacity grids, quadratic_form's included.  The direct estimate's
+    padded raster lattice does not pass through here (hardy._inside_op
+    builds its operators uncached, one at a time)."""
+    return difference_operator(m_cells, alpha, 1.0 / m_cells, slice(None))
 
 
 def check_grid_level(grid_level: int, order: int) -> None:
@@ -178,19 +194,16 @@ def check_grid_level(grid_level: int, order: int) -> None:
         raise CapacityError("grid too coarse for the requested gradient order")
 
 
-def gradient_form_ops(m_cells: int, dim: int, order: int,
-                      h: float | None = None):
+def gradient_form_ops(m_cells: int, dim: int, order: int):
     """[(multinomial weight, sparse operator)] for |grad^order u| aggregation
-    on an m_cells^dim lattice of spacing h (default: the unit cube)."""
+    on the m_cells^dim lattice of the unit cube."""
     if order == 0:
         n = m_cells**dim
         return [(1, sp.identity(n, format="csr"))]
     if m_cells - order <= 0:
         raise CapacityError("grid too coarse for the requested gradient order")
-    if h is None:
-        h = 1.0 / m_cells
     return [
-        (multinomial(alpha), _alpha_operator(m_cells, alpha, h))
+        (multinomial(alpha), _alpha_operator(m_cells, alpha))
         for alpha in multi_indices(dim, order)
     ]
 
@@ -199,8 +212,10 @@ def gradient_form_ops(m_cells: int, dim: int, order: int,
 def quadratic_form(m_cells: int, dim: int, order: int) -> sp.csr_matrix:
     """Sparse S with u^T S u = integral |grad^order u|^2 (unit cube).
 
-    Cached like _alpha_operator: every caller gets the same matrix, so none
-    may change it in place (sums, slices, tocsc and toarray make copies)."""
+    Cached, as _alpha_operator is, for every unit-cube capacity lattice
+    it is asked for (never a raster): every caller gets the same matrix,
+    so none may change it in place (sums, slices, tocsc and toarray make
+    copies)."""
     hN = (1.0 / m_cells) ** dim
     S = None
     for mult, op in gradient_form_ops(m_cells, dim, order):
@@ -668,16 +683,17 @@ def _block_eigen(A: sp.csr_matrix, w, free: np.ndarray, coords: np.ndarray):
                               X[j, free[active[j]]])
         if done.all():
             break
+        del WX
         if done.any():
             keep = ~done
             active, free_active = active[keep], free_active[keep]
             xAx = xAx[keep]
-            X, WX, R = X[keep], WX[keep], R[keep]
+            X, R = X[keep], R[keep]
             if P is not None:
                 P = P[keep]
         # the V-cycle runs on every problem, zero for the frozen ones, laid
-        # out (entries, problems); R goes first, as the cycle's temporaries
-        # set the block's peak memory
+        # out (entries, problems); R and W X go first, as the cycle's
+        # temporaries set the block's peak memory
         Rt = np.zeros(free.shape[::-1])
         Rt[:, active] = R.T
         del R
@@ -685,14 +701,17 @@ def _block_eigen(A: sp.csr_matrix, w, free: np.ndarray, coords: np.ndarray):
         del Rt
         if len(active) < len(free):
             T = T[active]
-        basis = [(X, WX)]
+        # a direction's weighted copy W B is made (with the bits of W X
+        # above) only while a later direction is orthogonalised against it
+        basis, weighted = [X], []
         lost = [np.zeros(len(active), dtype=bool)]
         for V in (T, P):
             if V is not None:
-                V, gone = orthonormal(V, basis)
-                basis.append((V, w * V))
+                weighted.append(w * basis[-1])
+                V, gone = orthonormal(V, list(zip(basis, weighted)))
+                basis.append(V)
                 lost.append(gone)
-        del T, V
+        del T, V, weighted
         lost = np.stack(lost, axis=1)
         # Rayleigh-Ritz on the W-orthonormal basis; a lost direction gets
         # an eigenvalue far above the rest.  One product A B_j is held at a
@@ -701,11 +720,10 @@ def _block_eigen(A: sp.csr_matrix, w, free: np.ndarray, coords: np.ndarray):
         G = np.empty((len(active), m, m))
         G[:, 0, 0] = xAx
         for j in range(1, m):
-            ABj = _spmm(A, basis[j][0])
+            ABj = _spmm(A, basis[j])
             for i in range(j + 1):
-                G[:, i, j] = G[:, j, i] = dot(basis[i][0], ABj)
+                G[:, i, j] = G[:, j, i] = dot(basis[i], ABj)
             del ABj
-        basis = [B for B, _ in basis]
         G[:, range(m), range(m)] += lost * 1e300
         y = np.linalg.eigh(G)[1][:, :, 0]
         y *= np.where(y[:, :1] < 0, -1.0, 1.0)

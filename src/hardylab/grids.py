@@ -403,9 +403,11 @@ def read_ndfn(path) -> np.ndarray:
 def ndfn_text(values: np.ndarray) -> str:
     level = int(round(math.log2(values.shape[0])))
     lines = [f"NDFN v1 {values.ndim} {level}"]
-    flat = values.reshape(-1)
-    for off in range(0, flat.size, 8):
-        lines.append(" ".join(repr(float(v)) for v in flat[off : off + 8]))
+    # one tolist() instead of a numpy scalar per value; the repr of a
+    # Python float is the same shortest round-trip form
+    flat = list(map(repr, np.asarray(values, dtype=float).reshape(-1).tolist()))
+    for off in range(0, len(flat), 8):
+        lines.append(" ".join(flat[off : off + 8]))
     return "\n".join(lines) + "\n"
 
 

@@ -21,7 +21,8 @@ from scipy import ndimage
 
 from .grids import GridDomain
 from .norms import (WEIGHT_FLOOR_CELLS, DiscreteFunction, distance_weight,
-                    gradient_magnitude, gradient_seminorm)
+                    gradient_magnitude, gradient_seminorm, multi_indices,
+                    multinomial)
 from .whitney import WhitneyDecomposition, packing_constant
 from .dimension import (DimensionError, boundary_cells_padded, dim_loc,
                         selfsimilarity_signature)
@@ -35,7 +36,7 @@ from .capacity import (
     _ratio_descent,
     _with_transposes,
     gamma_capacities,
-    gradient_form_ops,
+    difference_operator,
     holder_ratio_best_constant,
     norm_equivalence_constant,
     ratio_best_constant,
@@ -629,18 +630,48 @@ def constructive_bound(decomp: WhitneyDecomposition, params: HardyParams,
 # -- direct Rayleigh estimate ------------------------------------------------------
 
 
-def _inside_ops(domain: GridDomain, m: int):
-    """[(multinomial weight, D^alpha)] for the order-m gradient of the
-    inside-cell values (C order) zero-extended by m cells on every side:
-    the padded-lattice operators restricted to the inside cells' columns,
-    with one row per anchor of the padded lattice."""
+def _inside_op(domain: GridDomain, alpha: tuple[int, ...]) -> sp.csr_matrix:
+    """D^alpha of the inside-cell values (C order) zero-extended by |alpha|
+    cells on every side, one row per anchor of the padded lattice: the
+    padded-lattice operator restricted to the inside cells' columns, built
+    from the 1-D chains sliced to the box, so no padded, raster-sized
+    operator is made or cached."""
+    m = sum(alpha)
     n = 2**domain.level
-    n_pad = n + 2 * m
-    box = (slice(m, m + n),) * domain.dim
-    cols = np.arange(n_pad**domain.dim).reshape((n_pad,) * domain.dim)[box]
-    cols = cols[domain.inside]
-    return [(mult, op[:, cols])
-            for mult, op in gradient_form_ops(n_pad, domain.dim, m, domain.h)]
+    op = difference_operator(n + 2 * m, alpha, domain.h, slice(m, m + n))
+    return op[:, np.flatnonzero(domain.inside)]
+
+
+def _inside_ops(domain: GridDomain, m: int):
+    """[(multinomial weight, _inside_op)] for the order-m gradient."""
+    return [(multinomial(alpha), _inside_op(domain, alpha))
+            for alpha in multi_indices(domain.dim, m)]
+
+
+def _top_weight(domain: GridDomain, s: float, m: int) -> np.ndarray:
+    """delta^s times the cell volume at every anchor of the padded lattice;
+    a padded anchor reads the weight of the nearest cell of the box."""
+    n = 2**domain.level
+    pad_idx = np.clip(np.arange(n + 2 * m) - m, 0, n - 1)
+    return (distance_weight(domain, s, [pad_idx] * domain.dim,
+                            DIRECT_WEIGHT_CLAMP_CELLS).reshape(-1)
+            * domain.h**domain.dim)
+
+
+def _direct_pencil(domain: GridDomain, m: int, s: float) -> sp.csc_matrix:
+    """The direct estimate's p = 2 form: sum over alpha of
+    D_alpha^T diag(multinomial(alpha) w_top) D_alpha, each D_alpha built,
+    added and dropped before the next.  The sum stays in scipy's CSC form,
+    which the 2-D shift-invert factors without a copy."""
+    w_top = _top_weight(domain, s, m)
+    A_mat = None
+    for alpha in multi_indices(domain.dim, m):
+        op = _inside_op(domain, alpha)
+        term = op.T @ sp.diags(w_top * multinomial(alpha)) @ op
+        del op
+        A_mat = term if A_mat is None else A_mat + term
+        del term
+    return A_mat
 
 
 def direct_best_constant(domain: GridDomain, params: HardyParams,
@@ -670,37 +701,38 @@ def direct_best_constant(domain: GridDomain, params: HardyParams,
     estimate, is solved by shift-invert.  In 2-D the V-cycle is the slower
     one (square L6 at s = -1: 0.100 s against 0.056 s).  Other p, and the
     cone, use projected multi-start ascent.
+
+    The p = 2 pencil is assembled one difference operator at a time
+    (_direct_pencil), and its solve holds only the form A, the weights of
+    the inside cells and, in 3-D, their coordinates for the V-cycle: no
+    difference operator, padded-lattice weight or cached raster-sized
+    operator outlives the assembly (cube-minus-compact L6, 259 968 DOFs:
+    a 65 MiB tracemalloc peak, set by the V-cycle's build).  The ascent
+    holds the operators and their transposes throughout.
     """
     if params.form != "integral-6.24":
         raise HardyError("direct estimates use the integral form")
     if abs(params.q - params.p) > 1e-12:
         raise HardyError("direct estimates require q = p")
     m, p, s = params.m, params.p, params.s
-    hN = domain.h**domain.dim
-    n = 2**domain.level
-    ops = _inside_ops(domain, m)
-    # padded anchors read the weight of the nearest cell of the box
-    pad_idx = np.clip(np.arange(n + 2 * m) - m, 0, n - 1)
-    floor = DIRECT_WEIGHT_CLAMP_CELLS
-    w_top = distance_weight(domain, s, [pad_idx] * domain.dim,
-                            floor).reshape(-1) * hN
-    w_low = distance_weight(domain, s - m * p, None, floor)[domain.inside] * hN
+    w_low = (distance_weight(domain, s - m * p, None,
+                             DIRECT_WEIGHT_CLAMP_CELLS)[domain.inside]
+             * domain.h**domain.dim)
 
     if abs(p - 2) < 1e-12 and not params.cone:
-        A_mat = None
-        for mult, op in ops:
-            term = op.T @ sp.diags(w_top * mult) @ op
-            A_mat = term if A_mat is None else A_mat + term
+        A_mat = _direct_pencil(domain, m, s)
         if domain.dim >= 3:
+            A_mat = A_mat.tocsr()
             return _pencil_best_constants(
-                A_mat.tocsr(), w_low, np.ones((1, len(w_low)), dtype=bool),
+                A_mat, w_low, np.ones((1, len(w_low)), dtype=bool),
                 np.argwhere(domain.inside), m)[0][0]
         return _eigen_best_constant(A_mat, np.ones(len(w_low), dtype=bool),
                                     w_low)[0]
 
     best, _ = _ratio_descent(np.zeros(len(w_low), dtype=bool), params.cone,
                              seed, (None, p, w_low),
-                             [(_with_transposes(ops), p, w_top)],
+                             [(_with_transposes(_inside_ops(domain, m)), p,
+                               _top_weight(domain, s, m))],
                              max_iters=400)
     return best
 

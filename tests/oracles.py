@@ -1,17 +1,20 @@
 """Reference computations the tests compare the package against: the
 all-pairs boundary distance and the pointwise grid Hölder quotient, each
 written as a plain scan, the difference fields at the anchors whose
-stencil stays inside the box, the equidistributed cube weights and the
+stencil stays inside the box, the direct estimate's p = 2 form assembled
+from padded-lattice operators, the equidistributed cube weights and the
 Collatz-Wielandt bracket of an M-matrix pencil."""
 
 import math
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
+from hardylab.capacity import difference_operator
 from hardylab.hardy import LsWeightFunction
 from hardylab.norms import (_differences, _holder_pairs, _weight_on_anchors,
-                            distance_weight)
+                            distance_weight, multi_indices, multinomial)
 
 
 def brute_force_distance(domain):
@@ -78,6 +81,24 @@ def holder_quotient(u, h_order, lam, exponent=0.0, interior=False):
             q = np.abs(f[x] - f[y]) / dist**lam * wfield[x]
             best = max(best, float(q[mask].max()))
     return best
+
+
+def padded_pencil(domain, m, w_top):
+    """sum over |alpha| = m of op^T diag(multinomial(alpha) w_top) op, op
+    the order-m D^alpha of the whole lattice padded by m cells on every
+    side with the columns of the inside cells (C order) sliced out of it;
+    w_top holds one weight per anchor of the padded lattice."""
+    n = 2**domain.level
+    n_pad = n + 2 * m
+    box = (slice(m, m + n),) * domain.dim
+    cols = np.arange(n_pad**domain.dim).reshape((n_pad,) * domain.dim)[box]
+    cols = cols[domain.inside]
+    A = None
+    for alpha in multi_indices(domain.dim, m):
+        op = difference_operator(n_pad, alpha, domain.h, slice(None))[:, cols]
+        term = op.T @ sp.diags(w_top * multinomial(alpha)) @ op
+        A = term if A is None else A + term
+    return A
 
 
 def equidistributed(n_cubes, params):

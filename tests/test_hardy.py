@@ -13,7 +13,7 @@ from hardylab.hardy import (HardyError, HardyParams, weight_exponents,
                             per_cube_capacity_field, constructive_bound,
                             direct_best_constant, case_e_shift,
                             corollary_619_check)
-from oracles import equidistributed, holder_quotient
+from oracles import equidistributed, holder_quotient, padded_pencil
 
 
 @pytest.fixture(scope="module")
@@ -226,6 +226,45 @@ def test_direct_interval_m2_matches_extended_precision():
     est = direct_best_constant(dom, HardyParams(m=2, k=1, p=2.0, q=2.0,
                                                 s=-1.0))
     assert est == pytest.approx(INTERVAL8_M2_DIRECT, rel=1e-12)
+
+
+@pytest.mark.parametrize("spec,m", [
+    (dict(kind="interval", dim=1, level=8), 2),
+    (dict(kind="lshape", dim=2, level=6), 1),
+    (dict(kind="cube-minus-compact", dim=3, level=4), 1)])
+def test_direct_pencil_is_the_padded_assembly(spec, m):
+    # the pencil built one sliced operator at a time has the arrays, bit
+    # for bit, of the padded-lattice operators' assembly
+    from hardylab.hardy import _direct_pencil, _top_weight
+
+    dom = rasterize(DomainSpec(**spec))
+    got = _direct_pencil(dom, m, -1.0)
+    want = padded_pencil(dom, m, _top_weight(dom, -1.0, m))
+    assert got.format == want.format
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def test_direct_3d_memory_and_operator_cache():
+    # the cube-minus-compact L4 direct estimate (4 088 DOFs) peaks at
+    # 1.04 MiB traced; the bound leaves 25%, and an estimate that holds its
+    # padded-lattice operators through the solve (2.40 MiB) fails it.  It
+    # reads and adds nothing in the lattice operator cache.
+    import tracemalloc
+
+    from hardylab.capacity import _alpha_operator
+
+    dom = rasterize(CUBE4)
+    direct_best_constant(dom, DIRECT_P2)
+    cached = _alpha_operator.cache_info()
+    tracemalloc.start()
+    try:
+        direct_best_constant(dom, DIRECT_P2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * 2**20, peak
+    assert _alpha_operator.cache_info() == cached
 
 
 def test_direct_requires_integral_form_and_qp():

@@ -6,7 +6,7 @@ import pytest
 from hardylab.grids import DomainSpec, rasterize
 from hardylab.norms import (DiscreteFunction, _differences, _magnitude,
                             block_seminorms, distance_weight,
-                            gradient_seminorm, multinomial)
+                            gradient_seminorm, multi_indices, multinomial)
 from oracles import holder_quotient, interior_fields
 
 
@@ -143,7 +143,7 @@ def test_gradient_rejects_bad_p(square6):
 def test_difference_fields_match_sparse_operators(kind, dim, level, order):
     # the zero-padded lattice operators, and the direct estimate's operators
     # on the inside cells, both reproduce the zero-extension fields
-    from hardylab.capacity import gradient_form_ops
+    from hardylab.capacity import difference_operator
     from hardylab.hardy import _inside_ops
     dom = rasterize(DomainSpec(kind=kind, dim=dim, level=level))
     rng = np.random.default_rng(order)
@@ -151,7 +151,9 @@ def test_difference_fields_match_sparse_operators(kind, dim, level, order):
     fields, _ = _differences(u.values, order, dom.h, (0,) * dim, dom.shape[0])
     n, np_ = dom.shape[0], dom.shape[0] + 2 * order
     padded = np.pad(u.values, order).reshape(-1)
-    ops = gradient_form_ops(np_, dim, order, dom.h)
+    ops = [(multinomial(alpha),
+            difference_operator(np_, alpha, dom.h, slice(None)))
+           for alpha in multi_indices(dim, order)]
     inside_ops = _inside_ops(dom, order)
     assert len(ops) == len(fields) == len(inside_ops)
     window = (slice(0, n + order),) * dim
